@@ -10,6 +10,8 @@ docstrings: :mod:`~htbandits.distributions` (reward models),
 :mod:`~htbandits.harness` (experiment runner and CSV output).
 """
 
+import types
+
 __version__ = "0.1.0"
 
 from .audit import AuditFinding, AuditReport, audit_run
@@ -47,15 +49,12 @@ from .mechanisms import (
     NoiseSource,
     PrivacyLedger,
     laplace_from_uniform,
-    sample_laplace,
-    sample_laplace_many,
     tree_noise_bound,
 )
 from .policies import (
     DPRobustSE,
     DPRobustUCB,
     LDPRobustSE,
-    Policy,
     RobustUCB,
     TranscriptEntry,
     TRANSCRIPT_SCHEMA_VERSION,
@@ -73,58 +72,9 @@ from .schedules import (
 )
 from .seeding import derive_stream
 
-__all__ = [
-    "__version__",
-    "AuditFinding",
-    "AuditReport",
-    "audit_run",
-    "BanditInstance",
-    "FiniteSupportModel",
-    "ParetoModel",
-    "SETTING_MEANS",
-    "instance_description",
-    "make_central_hard_instance",
-    "make_central_shifted_arm",
-    "make_instance",
-    "make_pareto_instance",
-    "make_two_arm_hard_instance",
-    "moment_bound",
-    "ALGORITHMS",
-    "SETTINGS",
-    "ExperimentConfig",
-    "RegretTrace",
-    "SummaryStats",
-    "aggregate",
-    "checkpoint_schedule",
-    "make_instance_for",
-    "make_policy",
-    "read_runs_csv",
-    "run_experiment",
-    "run_single",
-    "write_csv",
-    "AdaptiveTree",
-    "NoiseHook",
-    "NoiseSource",
-    "PrivacyLedger",
-    "laplace_from_uniform",
-    "sample_laplace",
-    "sample_laplace_many",
-    "tree_noise_bound",
-    "DPRobustSE",
-    "DPRobustUCB",
-    "LDPRobustSE",
-    "Policy",
-    "RobustUCB",
-    "TranscriptEntry",
-    "TRANSCRIPT_SCHEMA_VERSION",
-    "EpochSchedule",
-    "MAX_EPOCH_PULLS",
-    "MomentParams",
-    "central_se_schedule",
-    "local_se_schedule",
-    "nonprivate_ucb_radius",
-    "nonprivate_ucb_threshold",
-    "private_ucb_radius",
-    "private_ucb_truncation",
-    "derive_stream",
+# The public names are exactly the ones imported above.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

@@ -66,7 +66,6 @@ def main(argv=None) -> int:
             base_seed=args.seed,
             checkpoint_count=args.checkpoints,
             zero_noise=args.zero_noise,
-            output_path=args.out,
         )
         instance = make_instance_for(config.setting, config.v)
         traces, summary = run_experiment(config, workers=args.workers)

@@ -2,10 +2,12 @@
 
 Models carry their analytic mean and raw absolute moments, so simulators and
 schedules never have to estimate them.  Sampling is inverse-transform
-throughout: one uniform in, one reward out, identically in the scalar and
-vectorized paths.
+throughout: each ``sample`` call maps one uniform to one reward, so an arm's
+reward stream consumes exactly one draw per pull.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,10 +88,6 @@ class ParetoModel:
         """Draw one reward using a single uniform from ``rng``."""
         return self.lam * (1.0 - rng.random()) ** (-1.0 / self.alpha)
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` rewards; consumes the same stream as ``n`` scalar calls."""
-        return self.lam * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
-
 
 @dataclass(frozen=True, init=False)
 class FiniteSupportModel:
@@ -128,8 +126,7 @@ class FiniteSupportModel:
             raise ValueError(f"probabilities must sum to 1 within {_PROB_TOL}, got {total}")
         object.__setattr__(self, "values", tuple(support))
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_values_arr", np.array(support))
-        object.__setattr__(self, "_cum", np.cumsum(probs))
+        object.__setattr__(self, "_cum", tuple(itertools.accumulate(probs)))
 
     def mean(self) -> float:
         """Analytic mean."""
@@ -142,16 +139,10 @@ class FiniteSupportModel:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one reward: first atom whose cumulative probability exceeds U."""
         u = rng.random()
-        idx = int(np.searchsorted(self._cum, u, side="right"))
+        idx = bisect.bisect_right(self._cum, u)
         if idx >= len(self.values):
             idx = len(self.values) - 1
         return self.values[idx]
-
-    def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` rewards; consumes the same stream as ``n`` scalar calls."""
-        idx = np.searchsorted(self._cum, rng.random(n), side="right")
-        np.minimum(idx, len(self.values) - 1, out=idx)
-        return self._values_arr[idx]
 
 
 def moment_bound(model, v: float) -> float:

@@ -85,7 +85,6 @@ class ExperimentConfig:
     checkpoint_stride: int | None = None
     beta: float | None = None
     zero_noise: bool = False
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ALGORITHMS:
@@ -202,9 +201,7 @@ def make_policy(
         ]
 
     if algo == "dprucb":
-        return DPRobustUCB(
-            params, config.eps, config.horizon, sources(TREE_NOISE), ledger=ledger
-        )
+        return DPRobustUCB(params, config.eps, config.horizon, sources(TREE_NOISE))
     if algo == "dprse":
         return DPRobustSE(
             params,

@@ -10,15 +10,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "TREE_SITE",
     "SE_RELEASE_SITE",
     "LOCAL_REWARD_SITE",
     "laplace_from_uniform",
-    "sample_laplace",
-    "sample_laplace_many",
     "NoiseHook",
     "NoiseDraw",
     "InsertionRecord",
@@ -53,23 +49,6 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     if u < 0.5:
         return scale * math.log(2.0 * max(u, _MIN_UNIFORM))
     return -scale * math.log(2.0 * (1.0 - u))
-
-
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """Draw one Laplace(0, scale) variate from a single uniform."""
-    return laplace_from_uniform(rng.random(), scale)
-
-
-def sample_laplace_many(scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` variates; same stream and mapping as ``n`` scalar calls."""
-    if scale < 0.0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
-    u = np.maximum(rng.random(n), _MIN_UNIFORM)
-    return np.where(
-        u < 0.5,
-        scale * np.log(2.0 * u),
-        -scale * np.log(2.0 * (1.0 - u)),
-    )
 
 
 class NoiseHook(enum.Enum):

@@ -11,7 +11,7 @@ zero-noise hook turns every policy into its noiseless counterpart.
 """
 
 import math
-from typing import NamedTuple, Optional, Protocol, runtime_checkable
+from typing import NamedTuple, Optional
 
 from .mechanisms import (
     LOCAL_REWARD_SITE,
@@ -33,7 +33,6 @@ from .schedules import (
 __all__ = [
     "TRANSCRIPT_SCHEMA_VERSION",
     "TranscriptEntry",
-    "Policy",
     "DPRobustUCB",
     "DPRobustSE",
     "LDPRobustSE",
@@ -61,19 +60,6 @@ class TranscriptEntry(NamedTuple):
     reward: float
     truncated_reward: float
     committed: bool
-
-
-@runtime_checkable
-class Policy(Protocol):
-    """Driving contract shared by all policies."""
-
-    num_arms: int
-
-    def select_arm(self, t: int) -> int: ...
-
-    def observe(self, arm: int, reward: float) -> None: ...
-
-    def committed_arm(self) -> Optional[int]: ...
 
 
 class _PolicyBase:
@@ -144,19 +130,11 @@ class DPRobustUCB(_PolicyBase):
     horizon : int
         Number of rounds the policy will be driven; also each tree's capacity.
     noise_sources : sequence of NoiseSource
-        One source per arm, in arm order.
-    ledger : PrivacyLedger or None
-        Shared audit ledger; pass the same object the sources record into.
+        One source per arm, in arm order; each arm's tree records its draws and
+        insertions into that source's ledger.
     """
 
-    def __init__(
-        self,
-        params: MomentParams,
-        eps: float,
-        horizon: int,
-        noise_sources,
-        ledger: Optional[PrivacyLedger] = None,
-    ):
+    def __init__(self, params: MomentParams, eps: float, horizon: int, noise_sources):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
         if horizon < self.num_arms:
@@ -166,7 +144,6 @@ class DPRobustUCB(_PolicyBase):
         self.params = params
         self.eps = float(eps)
         self.horizon = int(horizon)
-        self.ledger = ledger
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)

@@ -6,7 +6,6 @@ inlining the formulas, so tests and the privacy audit can recompute the exact
 same values.
 """
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -79,16 +78,6 @@ class EpochSchedule:
     saturated: bool = False
 
 
-@functools.lru_cache(maxsize=None)
-def _pow(base: float, exponent: float) -> float:
-    return base**exponent
-
-
-@functools.lru_cache(maxsize=None)
-def _log_pow(x: float, exponent: float) -> float:
-    return math.log(x) ** exponent
-
-
 def _check_eps(eps: float) -> None:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -110,9 +99,7 @@ def private_ucb_truncation(
     _check_horizon(horizon)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _pow(
-        eps * params.u * n / _log_pow(horizon, 1.5), 1.0 / (1.0 + params.v)
-    )
+    return (eps * params.u * n / math.log(horizon) ** 1.5) ** (1.0 / (1.0 + params.v))
 
 
 def private_ucb_radius(
@@ -131,8 +118,8 @@ def private_ucb_radius(
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     v = params.v
-    w = math.log(2 * t**4) * _log_pow(horizon, 1.5 + 1.0 / v) / (n * eps)
-    return 18.0 * _pow(params.u, 1.0 / (1.0 + v)) * w ** (v / (1.0 + v))
+    w = math.log(2 * t**4) * math.log(horizon) ** (1.5 + 1.0 / v) / (n * eps)
+    return 18.0 * params.u ** (1.0 / (1.0 + v)) * w ** (v / (1.0 + v))
 
 
 def nonprivate_ucb_threshold(params: MomentParams, n: int, t: float) -> float:
@@ -159,7 +146,7 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
     if not t > 1.0:
         raise ValueError(f"t must exceed 1, got {t}")
     v = params.v
-    return 4.0 * _pow(params.u, 1.0 / (1.0 + v)) * (math.log(t**2) / n) ** (v / (1.0 + v))
+    return 4.0 * params.u ** (1.0 / (1.0 + v)) * (math.log(t**2) / n) ** (v / (1.0 + v))
 
 
 def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> None:

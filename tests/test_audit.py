@@ -44,7 +44,6 @@ def clean_dprucb(ledger, cls=NoiseSource) -> None:
         1.0,
         500,
         sources(3, TREE_NOISE, ledger, cls),
-        ledger=ledger,
     )
     drive(policy, constant_samplers([0.5, 0.3, 0.1]), 500)
 

@@ -110,24 +110,6 @@ def test_finite_support_normalized_atoms_always_valid(atoms) -> None:
     assert model.sample(StubRNG([0.3])) in model.values
 
 
-def test_scalar_and_vector_sampling_use_identical_streams() -> None:
-    # vector path may differ from scalar libm by an ulp, but must map the same
-    # uniforms (identical stream consumption) to the same rewards
-    for model, exact in (
-        (ParetoModel(alpha=1.95, lam=0.44), False),
-        (FiniteSupportModel([(0.0, 0.7), (2.0, 0.3)]), True),
-    ):
-        rng_a = derive_stream(11, 0, arm=0, purpose=REWARDS)
-        rng_b = derive_stream(11, 0, arm=0, purpose=REWARDS)
-        scalars = [model.sample(rng_a) for _ in range(64)]
-        vector = model.sample_many(64, rng_b)
-        if exact:
-            assert scalars == list(vector)
-        else:
-            np.testing.assert_allclose(scalars, vector, rtol=1e-14, atol=0.0)
-        assert rng_a.random() == rng_b.random()
-
-
 def test_settings_means_are_the_documented_profiles() -> None:
     assert SETTING_MEANS["S1"] == (0.9, 0.7, 0.5, 0.3, 0.1)
     assert SETTING_MEANS["S2"] == (0.9, 0.55, 0.3, 0.15, 0.1)
@@ -259,7 +241,7 @@ def test_empirical_mean_within_four_standard_errors(v: float) -> None:
     instance = make_pareto_instance("S1", v)
     model = instance.arms[0]
     rng = derive_stream(3, 0, arm=0, purpose=REWARDS)
-    sample = model.sample_many(1_000_000, rng)
+    sample = np.array([model.sample(rng) for _ in range(1_000_000)])
     se = sample.std() / math.sqrt(sample.size)
     assert abs(sample.mean() - model.mean()) <= 4.0 * se
 
@@ -268,6 +250,7 @@ def test_empirical_moment_consistent_with_bound() -> None:
     for v in (0.5, 0.9):
         instance = make_pareto_instance("S1", v)
         rng = derive_stream(3, 0, arm=0, purpose=REWARDS)
-        sample = np.abs(instance.arms[0].sample_many(1_000_000, rng)) ** (1.0 + v)
+        model = instance.arms[0]
+        sample = np.abs([model.sample(rng) for _ in range(1_000_000)]) ** (1.0 + v)
         se = sample.std() / math.sqrt(sample.size)
         assert sample.mean() <= instance.u + 4.0 * se

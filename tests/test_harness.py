@@ -305,6 +305,15 @@ def test_written_files_have_the_documented_headers_and_meta(tmp_path) -> None:
     assert any(line.startswith("instance.") for line in meta.splitlines())
 
 
+def test_meta_does_not_depend_on_the_output_path(tmp_path) -> None:
+    config = small_config(horizon=100, checkpoint_count=5)
+    instance = make_instance_for(config.setting, config.v)
+    traces, summary = run_experiment(config)
+    first = write_csv(tmp_path / "out", config, instance, traces, summary)
+    second = write_csv(tmp_path / "elsewhere" / "renamed", config, instance, traces, summary)
+    assert first["meta"].read_bytes() == second["meta"].read_bytes()
+
+
 def test_read_runs_csv_rejects_a_wrong_header(tmp_path) -> None:
     bad = tmp_path / "bad.runs.csv"
     bad.write_text("a,b,c\n")

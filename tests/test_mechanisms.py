@@ -15,7 +15,6 @@ from htbandits import (
     NoiseSource,
     PrivacyLedger,
     laplace_from_uniform,
-    sample_laplace_many,
     tree_noise_bound,
 )
 from htbandits.mechanisms import TREE_SITE
@@ -47,18 +46,9 @@ def test_laplace_rejects_bad_arguments() -> None:
         laplace_from_uniform(0.5, -1.0)
 
 
-def test_laplace_scalar_and_vector_agree() -> None:
-    rng_a = derive_stream(5, 0, arm=0, purpose=TREE_NOISE)
-    rng_b = derive_stream(5, 0, arm=0, purpose=TREE_NOISE)
-    scalars = [laplace_from_uniform(rng_a.random(), 2.5) for _ in range(256)]
-    vector = sample_laplace_many(2.5, 256, rng_b)
-    np.testing.assert_allclose(scalars, vector, rtol=1e-14, atol=0.0)
-    assert rng_a.random() == rng_b.random()
-
-
 def test_laplace_tail_smoke() -> None:
-    rng = derive_stream(1, 0, arm=0, purpose=TREE_NOISE)
-    sample = np.abs(sample_laplace_many(1.0, 100_000, rng))
+    noise = NoiseSource(rng=derive_stream(1, 0, arm=0, purpose=TREE_NOISE))
+    sample = np.abs([noise.draw(1.0, TREE_SITE) for _ in range(100_000)])
     assert abs((sample >= 1.0).mean() - math.exp(-1.0)) < 0.01
 
 
