@@ -5,6 +5,14 @@ index: reward and noise streams derive from ``(base_seed, rep, arm, purpose)``
 keys, so reruns are bit-identical and parallel execution equals sequential.
 Regret traces record exact pseudo-regret (gap-weighted pull counts), not
 realized reward differences.
+
+Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
+draws uniforms in blocks and hands them out one at a time.  Rewards
+(``model.sample``) and noise (``NoiseSource.draw``) still map one uniform per
+call.  The values are unchanged: ``Generator.random(n)`` returns exactly the
+doubles of ``n`` scalar calls, and each stream has a single consumer, so
+drawing ahead changes only when the generator advances, never what a
+consumer reads.
 """
 
 import csv
@@ -32,6 +40,7 @@ from .seeding import (
     PERTURBATION_NOISE,
     REWARDS,
     TREE_NOISE,
+    BlockStream,
     derive_stream,
 )
 
@@ -109,6 +118,14 @@ class ExperimentConfig:
             )
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        if self.algo == "dprucb":
+            # The index policy opens with one pull of every arm.  Checked here
+            # so that a run fails before any worker process starts.
+            num_arms = make_instance_for(self.setting, self.v).num_arms
+            if self.horizon < num_arms:
+                raise ValueError(
+                    f"horizon {self.horizon} is below the number of arms {num_arms}"
+                )
 
     @property
     def resolved_beta(self) -> float:
@@ -193,7 +210,9 @@ def make_policy(
     def sources(purpose: int) -> list:
         return [
             NoiseSource(
-                rng=derive_stream(config.base_seed, rep, arm=a, purpose=purpose),
+                rng=BlockStream(
+                    derive_stream(config.base_seed, rep, arm=a, purpose=purpose)
+                ),
                 hook=hook,
                 ledger=ledger,
             )
@@ -243,7 +262,7 @@ def run_single(
         instance = make_instance_for(config.setting, config.v)
     policy = make_policy(config, instance, rep, ledger=ledger)
     reward_rngs = [
-        derive_stream(config.base_seed, rep, arm=a, purpose=REWARDS)
+        BlockStream(derive_stream(config.base_seed, rep, arm=a, purpose=REWARDS))
         for a in range(instance.num_arms)
     ]
     samplers = [model.sample for model in instance.arms]

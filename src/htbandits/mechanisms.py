@@ -133,9 +133,11 @@ class NoiseSource:
 
     Parameters
     ----------
-    rng : numpy.random.Generator or None
-        Stream for real draws; may be None for the ZERO/UNIT hooks, which
-        consume no randomness.
+    rng : object with a scalar ``random()``, or None
+        Stream for real draws, read one uniform per draw: a
+        ``numpy.random.Generator`` or a :class:`~htbandits.seeding.BlockStream`
+        over one.  May be None for the ZERO/UNIT hooks, which consume no
+        randomness.
     hook : NoiseHook
         LAPLACE for real noise; ZERO returns 0.0 and UNIT returns 1.0
         (test hooks, no privacy guarantee).
@@ -287,14 +289,14 @@ class AdaptiveTree:
         self._exact += value
         if self._ledger is not None:
             self._ledger.record_insertion(self._mech, self.owner, value, bound)
+        # Add the noisy sums at the set bits of t, lowest first.  The lowest is
+        # `level`; visiting set bits only skips the zero bits below and above.
         est = 0.0
         bits = t
-        j = 0
         while bits:
-            if bits & 1:
-                est += noisy[j]
-            bits >>= 1
-            j += 1
+            low = bits & -bits
+            est += noisy[low.bit_length() - 1]
+            bits ^= low
         self._estimate = est
         return est
 

@@ -17,7 +17,6 @@ from .mechanisms import (
     LOCAL_REWARD_SITE,
     SE_RELEASE_SITE,
     AdaptiveTree,
-    NoiseSource,
     PrivacyLedger,
 )
 from .schedules import (
@@ -91,9 +90,10 @@ class _PolicyBase:
             raise ValueError(f"observe got arm {arm}, selected arm was {self._pending}")
         self._round += 1
         self._pending = None
-        kept = self._observe(arm, float(reward))
+        reward = float(reward)
+        kept = self._observe(arm, reward)
         self.transcript.append(
-            TranscriptEntry(self._round, arm, float(reward), kept, self._pending_committed)
+            TranscriptEntry(self._round, arm, reward, kept, self._pending_committed)
         )
 
     def committed_arm(self) -> Optional[int]:
@@ -121,6 +121,10 @@ class DPRobustUCB(_PolicyBase):
     pass over the arms, the policy plays the arm maximizing
     noisy-sum / pulls + ``private_ucb_radius``; ties go to the lowest index.
 
+    Both schedules are evaluated from constants fixed at construction, with
+    the operations of :mod:`~htbandits.schedules` in the same order, so every
+    value is bit-identical to the public function's.
+
     Parameters
     ----------
     params : MomentParams
@@ -141,14 +145,31 @@ class DPRobustUCB(_PolicyBase):
             raise ValueError(
                 f"horizon {horizon} is below the number of arms {self.num_arms}"
             )
+        # The schedules' argument checks run once, here; rounds evaluate the
+        # schedules inline.
+        private_ucb_radius(params, eps, horizon, 1, 1)
+        private_ucb_truncation(params, eps, horizon, 1)
         self.params = params
         self.eps = float(eps)
         self.horizon = int(horizon)
+        u, v = params.u, params.v
+        log_horizon = math.log(self.horizon)
+        # radius = coef * (ln(2 t**4) * log_pow / (n * eps)) ** exp
+        self._radius_coef = 18.0 * u ** (1.0 / (1.0 + v))
+        self._radius_log_pow = log_horizon ** (1.5 + 1.0 / v)
+        self._radius_exp = v / (1.0 + v)
+        # truncation = (eps_u * n / log_pow) ** exp
+        self._trunc_eps_u = self.eps * u
+        self._trunc_log_pow = log_horizon**1.5
+        self._trunc_exp = 1.0 / (1.0 + v)
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
         ]
         self._counts = [0] * self.num_arms
+        # Per arm, updated when it is pulled: pulls * eps, noisy sum / pulls.
+        self._n_eps = [0.0] * self.num_arms
+        self._means = [0.0] * self.num_arms
 
     @property
     def pull_counts(self) -> tuple:
@@ -157,14 +178,12 @@ class DPRobustUCB(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        params, eps, horizon = self.params, self.eps, self.horizon
+        log_term = math.log(2 * t**4) * self._radius_log_pow
+        coef, exp = self._radius_coef, self._radius_exp
         best_score = -math.inf
         best_arm = 0
-        for a in range(self.num_arms):
-            n = self._counts[a]
-            score = self._trees[a].estimate / n + private_ucb_radius(
-                params, eps, horizon, n, t
-            )
+        for a, (mean, n_eps) in enumerate(zip(self._means, self._n_eps)):
+            score = mean + coef * (log_term / n_eps) ** exp
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -173,9 +192,10 @@ class DPRobustUCB(_PolicyBase):
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        bound = private_ucb_truncation(self.params, self.eps, self.horizon, n)
+        bound = (self._trunc_eps_u * n / self._trunc_log_pow) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
-        self._trees[arm].insert(kept, bound)
+        self._means[arm] = self._trees[arm].insert(kept, bound) / n
+        self._n_eps[arm] = n * self.eps
         return kept
 
 
@@ -399,14 +419,27 @@ class RobustUCB(_PolicyBase):
     :func:`~htbandits.schedules.nonprivate_ucb_threshold` and plays the arm
     maximizing truncated mean + :func:`~htbandits.schedules.nonprivate_ucb_radius`.
     Rounds before t=2 clamp the threshold's log argument to t=2.  Baseline for
-    qualitative comparison; no privacy guarantee.
+    qualitative comparison; no privacy guarantee.  Like :class:`DPRobustUCB`,
+    it evaluates both schedules bit-identically from constants fixed at
+    construction.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
         super().__init__(num_arms)
+        # Anything the public schedules reject fails here, at construction;
+        # rounds evaluate them inline.
+        nonprivate_ucb_radius(params, 1, 2.0)
+        nonprivate_ucb_threshold(params, 1, 2.0)
         self.params = params
+        u, v = params.u, params.v
+        # radius = coef * (ln(t**2) / n) ** exp
+        self._radius_coef = 4.0 * u ** (1.0 / (1.0 + v))
+        self._radius_exp = v / (1.0 + v)
+        # threshold = (u * n / ln(t**2)) ** exp
+        self._trunc_exp = 1.0 / (1.0 + v)
         self._counts = [0] * num_arms
         self._sums = [0.0] * num_arms
+        self._means = [0.0] * num_arms
 
     @property
     def pull_counts(self) -> tuple:
@@ -415,12 +448,12 @@ class RobustUCB(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        params = self.params
+        log_term = math.log(t**2)
+        coef, exp = self._radius_coef, self._radius_exp
         best_score = -math.inf
         best_arm = 0
-        for a in range(self.num_arms):
-            n = self._counts[a]
-            score = self._sums[a] / n + nonprivate_ucb_radius(params, n, t)
+        for a, (mean, n) in enumerate(zip(self._means, self._counts)):
+            score = mean + coef * (log_term / n) ** exp
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -429,7 +462,9 @@ class RobustUCB(_PolicyBase):
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        bound = nonprivate_ucb_threshold(self.params, n, max(float(self._round), 2.0))
+        t = max(float(self._round), 2.0)
+        bound = (self.params.u * n / math.log(t**2)) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
+        self._means[arm] = self._sums[arm] / n
         return kept

@@ -4,7 +4,8 @@ Every consumer of randomness in a simulation gets its own generator, keyed by
 ``(base_seed, rep, arm, purpose)``.  Streams for different keys are
 statistically independent, and adding a new consumer never shifts the draws
 seen by existing ones.  Philox is counter-based, so the mapping from key to
-stream is stable across processes and platforms.
+stream is stable across processes and platforms.  :class:`BlockStream` reads
+a stream in blocks without changing the values it yields.
 """
 
 import numpy as np
@@ -15,7 +16,9 @@ __all__ = [
     "ELIMINATION_NOISE",
     "PERTURBATION_NOISE",
     "GENERIC",
+    "BLOCK_CAP",
     "derive_stream",
+    "BlockStream",
 ]
 
 # Purpose codes. Keep values stable: they are part of the seeding contract.
@@ -24,6 +27,13 @@ TREE_NOISE = 1
 ELIMINATION_NOISE = 2
 PERTURBATION_NOISE = 3
 GENERIC = 4
+
+# Block sizes start at _FIRST_BLOCK and double up to BLOCK_CAP.  Short runs
+# and streams read only at epoch ends draw few uniforms, so small first blocks
+# keep their set-up cheap; long runs reach the cap after a few refills, and the
+# cap bounds the memory a stream holds ahead of its reader.
+_FIRST_BLOCK = 16
+BLOCK_CAP = 1024
 
 
 def derive_stream(
@@ -51,3 +61,37 @@ def derive_stream(
     if any(part < 0 for part in key):
         raise ValueError(f"seed key components must be non-negative, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
+
+
+class BlockStream:
+    """Scalar ``random()`` of one generator, drawn ahead in blocks.
+
+    The ``i``-th call returns exactly the ``i``-th double that scalar
+    ``rng.random()`` calls would return, at a fraction of their per-call cost.
+    The generator runs up to one block ahead of the reader, so it must have no
+    other consumer.
+
+    Parameters
+    ----------
+    rng : numpy.random.Generator
+        The stream to read; owned by this object from now on.
+    """
+
+    __slots__ = ("_rng", "_ahead", "_next_size")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._ahead: list = []  # drawn but unread, the next one last
+        self._next_size = _FIRST_BLOCK
+
+    def random(self) -> float:
+        """Next uniform double in [0, 1)."""
+        try:
+            return self._ahead.pop()
+        except IndexError:
+            size = self._next_size
+            self._next_size = min(2 * size, BLOCK_CAP)
+            block = self._rng.random(size).tolist()
+            block.reverse()
+            self._ahead = block
+            return block.pop()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from htbandits import harness
 from htbandits.cli import main
 
 
@@ -62,3 +63,16 @@ def test_cli_reports_bad_values_on_stderr(tmp_path, capsys) -> None:
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert not (tmp_path / "x.runs.csv").exists()
+
+def test_cli_rejects_a_short_dprucb_horizon_before_starting_workers(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    pools = []
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
+    )
+    code = main(["--algo", "dprucb", "--setting", "S1", "--v", "0.9", "--eps", "1",
+                 "--horizon", "3", "--workers", "2", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: horizon 3 is below the number of arms 5\n"
+    assert pools == []

@@ -88,6 +88,7 @@ def test_checkpoint_schedule_rejects_bad_arguments() -> None:
         ("v", 1.5),
         ("eps", 0.0),
         ("horizon", 0),
+        ("horizon", 4),  # below dprucb's opening pull of each of S1's 5 arms
         ("reps", 0),
         ("base_seed", -1),
         ("checkpoint_count", 0),
@@ -98,6 +99,14 @@ def test_checkpoint_schedule_rejects_bad_arguments() -> None:
 def test_config_validation_rejects_bad_fields(field: str, value) -> None:
     with pytest.raises(ValueError):
         small_config(**{field: value})
+
+
+def test_short_horizons_are_rejected_only_for_the_index_policy() -> None:
+    with pytest.raises(ValueError, match="horizon 4 is below the number of arms 5"):
+        small_config(algo="dprucb", horizon=4)
+    small_config(algo="dprucb", setting="two_arm_hard", horizon=2)
+    for algo in ("dprse", "ldprse", "rucb"):
+        small_config(algo=algo, horizon=4)
 
 
 def test_beta_defaults_to_one_over_the_horizon() -> None:
