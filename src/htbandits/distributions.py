@@ -71,6 +71,8 @@ class ParetoModel:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        # The exponent of every sample; not a field, so equality is unchanged.
+        object.__setattr__(self, "_exponent", -1.0 / self.alpha)
 
     def mean(self) -> float:
         """Analytic mean ``alpha * lam / (alpha - 1)``."""
@@ -86,7 +88,7 @@ class ParetoModel:
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one reward using a single uniform from ``rng``."""
-        return self.lam * (1.0 - rng.random()) ** (-1.0 / self.alpha)
+        return self.lam * (1.0 - rng.random()) ** self._exponent
 
 
 @dataclass(frozen=True, init=False)

@@ -7,16 +7,21 @@ Regret traces record exact pseudo-regret (gap-weighted pull counts), not
 realized reward differences.
 
 Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
-draws uniforms in blocks and hands them out one at a time.  Rewards
-(``model.sample``) and noise (``NoiseSource.draw``) still map one uniform per
-call.  The values are unchanged: ``Generator.random(n)`` returns exactly the
-doubles of ``n`` scalar calls, and each stream has a single consumer, so
-drawing ahead changes only when the generator advances, never what a
-consumer reads.
+derives its generator on the first read, draws uniforms in blocks and hands
+them out one at a time.  Rewards (``model.sample``) and noise
+(``NoiseSource.draw``) still map one uniform per call.  The values are
+unchanged: a stream's doubles depend only on its key, ``Generator.random(n)``
+returns exactly the doubles of ``n`` scalar calls, and each stream has a
+single consumer, so deriving late and drawing ahead change only when the
+generator advances, never what a consumer reads.  A stream that is never read
+(the noise of an arm that is never released, the rewards of an arm that is
+never pulled) is never derived.
 """
 
 import csv
+import functools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -163,6 +168,9 @@ class SummaryStats:
     n_reps: int
 
 
+# Every repetition of a config asks for the same grid, so the last few grids
+# are kept.  A bad argument raises before anything is stored.
+@functools.lru_cache(maxsize=16, typed=True)
 def checkpoint_schedule(horizon: int, count: int = 200, stride: int | None = None) -> tuple:
     """Checkpoint rounds: linear every ``stride``, or ``count`` geometric points.
 
@@ -202,7 +210,12 @@ def make_policy(
     rep: int,
     ledger: PrivacyLedger | None = None,
 ):
-    """Construct the configured policy with its per-arm noise streams."""
+    """Construct the configured policy with its per-arm noise streams.
+
+    The streams are derived on their first read, so ``rep`` is checked here.
+    """
+    if not 0 <= rep:
+        raise ValueError(f"rep must be non-negative, got {rep}")
     params = MomentParams(u=instance.u, v=instance.v)
     hook = NoiseHook.ZERO if config.zero_noise else NoiseHook.LAPLACE
     algo = config.algo
@@ -211,7 +224,9 @@ def make_policy(
         return [
             NoiseSource(
                 rng=BlockStream(
-                    derive_stream(config.base_seed, rep, arm=a, purpose=purpose)
+                    functools.partial(
+                        derive_stream, config.base_seed, rep, arm=a, purpose=purpose
+                    )
                 ),
                 hook=hook,
                 ledger=ledger,
@@ -256,13 +271,13 @@ def run_single(
     With ``return_policy=True`` returns ``(trace, policy)`` so tests can
     inspect final policy state.
     """
-    if not 0 <= rep:
-        raise ValueError(f"rep must be non-negative, got {rep}")
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
     policy = make_policy(config, instance, rep, ledger=ledger)
     reward_rngs = [
-        BlockStream(derive_stream(config.base_seed, rep, arm=a, purpose=REWARDS))
+        BlockStream(
+            functools.partial(derive_stream, config.base_seed, rep, arm=a, purpose=REWARDS)
+        )
         for a in range(instance.num_arms)
     ]
     samplers = [model.sample for model in instance.arms]
@@ -279,7 +294,7 @@ def run_single(
         observe(arm, samplers[arm](reward_rngs[arm]))
         counts[arm] += 1
         if t == next_cp:
-            values.append(math.fsum(g * c for g, c in zip(gaps, counts)))
+            values.append(math.fsum(map(operator.mul, gaps, counts)))
             next_cp = next(cp_iter, None)
     trace = RegretTrace(rep=rep, checkpoints=tuple(zip(cps, values)))
     if return_policy:

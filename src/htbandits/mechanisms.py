@@ -31,6 +31,14 @@ TREE_SITE = "tree_psum"
 SE_RELEASE_SITE = "se_release"
 LOCAL_REWARD_SITE = "local_reward"
 
+# The parameters a draw at each site passes, in order, and the names the
+# ledger records them under.
+_DRAW_CONTEXT = {
+    TREE_SITE: ("bound", "eps", "horizon"),
+    SE_RELEASE_SITE: ("truncation", "pulls", "eps"),
+    LOCAL_REWARD_SITE: ("truncation", "eps"),
+}
+
 # random() emits multiples of 2**-53 in [0, 1); clamping u=0 to one grid step
 # keeps the log finite without disturbing any other outcome.
 _MIN_UNIFORM = 2.0**-53
@@ -155,7 +163,15 @@ class NoiseSource:
         self.ledger = ledger
         self.draws_made = 0
 
-    def draw(self, scale: float, site: str, **context) -> float:
+    def draw(self, scale: float, site: str, *context) -> float:
+        """Draw one value at ``scale`` for the draw site ``site``.
+
+        ``context`` holds the site's parameters: ``bound, eps, horizon`` for
+        :data:`TREE_SITE`, ``truncation, pulls, eps`` for
+        :data:`SE_RELEASE_SITE` and ``truncation, eps`` for
+        :data:`LOCAL_REWARD_SITE`.  The ledger records them as a dict keyed by
+        those names; without a ledger no dict is built.
+        """
         self.draws_made += 1
         if self.hook is NoiseHook.LAPLACE:
             value = laplace_from_uniform(self.rng.random(), scale)
@@ -164,7 +180,8 @@ class NoiseSource:
         else:
             value = 1.0
         if self.ledger is not None:
-            self.ledger.record_draw(site, scale, context)
+            names = _DRAW_CONTEXT[site]
+            self.ledger.record_draw(site, scale, dict(zip(names, context, strict=True)))
         return value
 
 
@@ -177,7 +194,8 @@ class AdaptiveTree:
     levels reset, and fresh Laplace noise of scale ``2*bound/(eps/ln(horizon))``
     is added to the finalized sum exactly once.  The running-sum estimate after
     ``t`` insertions is the sum of the noisy partial sums at the set-bit levels
-    of ``t``; reads never draw noise.
+    of ``t``, at most ``floor(log2(horizon)) + 1`` of them; reads never draw
+    noise.
 
     Bounds supplied with the values must be positive and non-decreasing, and
     each value's magnitude must not exceed its bound; the whole release stream
@@ -205,7 +223,7 @@ class AdaptiveTree:
         "_ledger",
         "_mech",
         "_psums",
-        "_noisy",
+        "_noisy_stack",
         "_t",
         "_last_bound",
         "_exact",
@@ -231,7 +249,8 @@ class AdaptiveTree:
         )
         levels = horizon.bit_length()
         self._psums = [0.0] * levels
-        self._noisy = [0.0] * levels
+        # The noisy partial sums at the set bits of t, the highest level first.
+        self._noisy_stack: list = []
         self._t = 0
         self._last_bound = 0.0
         self._exact = 0.0
@@ -273,30 +292,27 @@ class AdaptiveTree:
         self._last_bound = bound
         level = (t & -t).bit_length() - 1
         psums = self._psums
-        noisy = self._noisy
         acc = 0.0
         for j in range(level):
             acc += psums[j]
             psums[j] = 0.0
-            noisy[j] = 0.0
         finalized = acc + value
         scale = 2.0 * bound / self._eps_prime
-        eta = self._noise.draw(
-            scale, TREE_SITE, bound=bound, eps=self.eps, horizon=self.horizon
-        )
+        eta = self._noise.draw(scale, TREE_SITE, bound, self.eps, self.horizon)
         psums[level] = finalized
-        noisy[level] = finalized + eta
+        # Levels 0 .. level-1 are the lowest set bits of t - 1, on top of the
+        # stack; they merge into the new sum at `level`.
+        stack = self._noisy_stack
+        del stack[len(stack) - level :]
+        stack.append(finalized + eta)
         self._exact += value
         if self._ledger is not None:
             self._ledger.record_insertion(self._mech, self.owner, value, bound)
-        # Add the noisy sums at the set bits of t, lowest first.  The lowest is
-        # `level`; visiting set bits only skips the zero bits below and above.
+        # Sum from the lowest level up.  Builtin sum() is not used: since
+        # Python 3.12 it compensates float sums, which would change the value.
         est = 0.0
-        bits = t
-        while bits:
-            low = bits & -bits
-            est += noisy[low.bit_length() - 1]
-            bits ^= low
+        for noisy in reversed(stack):
+            est += noisy
         self._estimate = est
         return est
 

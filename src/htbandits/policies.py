@@ -72,6 +72,8 @@ class _PolicyBase:
         self._round = 0
         self._pending: Optional[int] = None
         self._pending_committed = False
+        # The arm every remaining round plays; the index policies never commit.
+        self._committed: Optional[int] = None
 
     def select_arm(self, t: int) -> int:
         if self._pending is not None:
@@ -80,7 +82,7 @@ class _PolicyBase:
             raise ValueError(f"expected round {self._round + 1}, got t={t}")
         arm = self._select(t)
         self._pending = arm
-        self._pending_committed = self.committed_arm() is not None
+        self._pending_committed = self._committed is not None
         return arm
 
     def observe(self, arm: int, reward: float) -> None:
@@ -92,12 +94,17 @@ class _PolicyBase:
         self._pending = None
         reward = float(reward)
         kept = self._observe(arm, reward)
+        # tuple.__new__ skips NamedTuple's Python-level __new__; same type, same
+        # fields in the same order.
         self.transcript.append(
-            TranscriptEntry(self._round, arm, reward, kept, self._pending_committed)
+            tuple.__new__(
+                TranscriptEntry,
+                (self._round, arm, reward, kept, self._pending_committed),
+            )
         )
 
     def committed_arm(self) -> Optional[int]:
-        return None
+        return self._committed
 
     @property
     def rounds_played(self) -> int:
@@ -239,7 +246,6 @@ class _EliminationPolicy(_PolicyBase):
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
-        self._committed: Optional[int] = None
         self._epoch = 0
         self._sched = None
         self._epoch_record = None
@@ -262,9 +268,6 @@ class _EliminationPolicy(_PolicyBase):
     @property
     def current_epoch(self) -> int:
         return self._epoch
-
-    def committed_arm(self) -> Optional[int]:
-        return self._committed
 
     def last_release_scores(self) -> dict:
         """Scores from the most recent completed epoch (empty before any)."""
@@ -372,11 +375,7 @@ class DPRobustSE(_EliminationPolicy):
         scores = {}
         for a in self._viable:
             eta = self._sources[a].draw(
-                scale,
-                SE_RELEASE_SITE,
-                truncation=sched.truncation,
-                pulls=pulls,
-                eps=self.eps,
+                scale, SE_RELEASE_SITE, sched.truncation, pulls, self.eps
             )
             scores[a] = self._sums[a] / pulls + eta
         return scores
@@ -402,9 +401,7 @@ class LDPRobustSE(_EliminationPolicy):
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         sched = self._sched
         scale = 2.0 * sched.truncation / self.eps
-        eta = self._sources[arm].draw(
-            scale, LOCAL_REWARD_SITE, truncation=sched.truncation, eps=self.eps
-        )
+        eta = self._sources[arm].draw(scale, LOCAL_REWARD_SITE, sched.truncation, self.eps)
         return kept + eta
 
     def _epoch_scores(self) -> dict:

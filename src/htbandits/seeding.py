@@ -4,8 +4,9 @@ Every consumer of randomness in a simulation gets its own generator, keyed by
 ``(base_seed, rep, arm, purpose)``.  Streams for different keys are
 statistically independent, and adding a new consumer never shifts the draws
 seen by existing ones.  Philox is counter-based, so the mapping from key to
-stream is stable across processes and platforms.  :class:`BlockStream` reads
-a stream in blocks without changing the values it yields.
+stream is stable across processes and platforms.  :class:`BlockStream` derives
+a stream on its first read and reads it in blocks, without changing the values
+it yields.
 """
 
 import numpy as np
@@ -66,21 +67,25 @@ def derive_stream(
 class BlockStream:
     """Scalar ``random()`` of one generator, drawn ahead in blocks.
 
-    The ``i``-th call returns exactly the ``i``-th double that scalar
-    ``rng.random()`` calls would return, at a fraction of their per-call cost.
-    The generator runs up to one block ahead of the reader, so it must have no
-    other consumer.
+    The generator is made by ``factory`` on the first read, so a stream that
+    is never read costs nothing.  The ``i``-th call returns exactly the
+    ``i``-th double that scalar ``random()`` calls on ``factory()`` would
+    return, at a fraction of their per-call cost.  The generator runs up to
+    one block ahead of the reader; since only this object ever holds it, it
+    has no other consumer.
 
     Parameters
     ----------
-    rng : numpy.random.Generator
-        The stream to read; owned by this object from now on.
+    factory : callable
+        Takes no arguments and returns the stream to read, a
+        ``numpy.random.Generator``; called at most once.
     """
 
-    __slots__ = ("_rng", "_ahead", "_next_size")
+    __slots__ = ("_factory", "_rng", "_ahead", "_next_size")
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+    def __init__(self, factory):
+        self._factory = factory
+        self._rng = None
         self._ahead: list = []  # drawn but unread, the next one last
         self._next_size = _FIRST_BLOCK
 
@@ -89,6 +94,9 @@ class BlockStream:
         try:
             return self._ahead.pop()
         except IndexError:
+            if self._rng is None:
+                self._rng = self._factory()
+                self._factory = None
             size = self._next_size
             self._next_size = min(2 * size, BLOCK_CAP)
             block = self._rng.random(size).tolist()

@@ -27,8 +27,8 @@ from conftest import constant_samplers, drive
 class HalvingSource(NoiseSource):
     """Fault injection: draws (and records) at half the requested scale."""
 
-    def draw(self, scale, site, **context):
-        return super().draw(scale * 0.5, site, **context)
+    def draw(self, scale, site, *context):
+        return super().draw(scale * 0.5, site, *context)
 
 
 def sources(n: int, purpose: int, ledger, cls=NoiseSource) -> list:

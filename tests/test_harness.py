@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from htbandits import (
@@ -68,12 +69,58 @@ def test_geometric_checkpoints_on_a_tiny_horizon() -> None:
 
 
 def test_checkpoint_schedule_rejects_bad_arguments() -> None:
-    with pytest.raises(ValueError):
-        checkpoint_schedule(0)
-    with pytest.raises(ValueError):
-        checkpoint_schedule(10, count=0)
-    with pytest.raises(ValueError):
-        checkpoint_schedule(10, stride=0)
+    # Twice each: a failed call must leave nothing behind in the memo.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            checkpoint_schedule(0)
+        with pytest.raises(ValueError):
+            checkpoint_schedule(10, count=0)
+        with pytest.raises(ValueError):
+            checkpoint_schedule(10, stride=0)
+
+
+def uncached_checkpoint_schedule(horizon: int, count: int = 200, stride=None) -> tuple:
+    """The checkpoint grid computed afresh on every call."""
+    if stride is not None:
+        points = set(range(stride, horizon + 1, stride))
+        points.add(horizon)
+        return tuple(sorted(points))
+    raw = np.geomspace(1.0, float(horizon), num=min(count, horizon))
+    points = {min(max(int(round(x)), 1), horizon) for x in raw}
+    points.add(horizon)
+    return tuple(sorted(points))
+
+
+def test_memoised_checkpoints_equal_a_fresh_computation() -> None:
+    # Every horizon for the small counts.  A 1000-point grid costs ~1 ms, so
+    # count 1000 takes every horizon up to 1100 and every 10th beyond.
+    cases = [(count, h) for count in (1, 2, 7, 200) for h in range(1, 5001)]
+    cases += [(1000, h) for h in (*range(1, 1101), *range(1110, 5001, 10))]
+    for count, horizon in cases:
+        want = uncached_checkpoint_schedule(horizon, count=count)
+        assert checkpoint_schedule(horizon, count=count) == want
+        assert checkpoint_schedule(horizon, count=count) == want  # a hit
+    for stride in (1, 2, 3, 10, 64, 1000):
+        for horizon in range(1, 2001, 7):
+            want = uncached_checkpoint_schedule(horizon, stride=stride)
+            assert checkpoint_schedule(horizon, stride=stride) == want
+            assert checkpoint_schedule(horizon, stride=stride) == want
+
+
+def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -> None:
+    calls = []
+    geomspace = np.geomspace
+
+    def counting_geomspace(*args, **kwargs):
+        calls.append(args)
+        return geomspace(*args, **kwargs)
+
+    checkpoint_schedule.cache_clear()
+    monkeypatch.setattr(np, "geomspace", counting_geomspace)
+    config = small_config(algo="rucb", horizon=300, reps=5)
+    traces = [run_single(config, rep) for rep in range(5)]
+    assert len(calls) == 1
+    assert all(trace.checkpoints[-1][0] == 300 for trace in traces)
 
 
 # ------------------------------------------------------------ configuration

@@ -14,6 +14,7 @@ only witness here.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -87,8 +88,10 @@ class ReferenceRobustUCB(RobustUCB):
 
 
 def streams(num_arms: int, purpose: int, blocked: bool) -> list:
-    rngs = [derive_stream(SEED, 0, arm=a, purpose=purpose) for a in range(num_arms)]
-    return [BlockStream(rng) for rng in rngs] if blocked else rngs
+    keys = [dict(base_seed=SEED, rep=0, arm=a, purpose=purpose) for a in range(num_arms)]
+    if blocked:
+        return [BlockStream(functools.partial(derive_stream, **key)) for key in keys]
+    return [derive_stream(**key) for key in keys]
 
 
 def play(policy, instance, blocked: bool) -> None:

@@ -17,7 +17,7 @@ from htbandits import (
     laplace_from_uniform,
     tree_noise_bound,
 )
-from htbandits.mechanisms import TREE_SITE
+from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
 from htbandits.seeding import TREE_NOISE, derive_stream
 
 
@@ -60,7 +60,7 @@ def test_noise_source_laplace_requires_rng() -> None:
 def test_noise_source_hooks_and_ledger_recording() -> None:
     ledger = PrivacyLedger()
     src = NoiseSource(hook=NoiseHook.UNIT, ledger=ledger)
-    assert src.draw(13.0, TREE_SITE, bound=1.0, eps=1.0, horizon=8) == 1.0
+    assert src.draw(13.0, TREE_SITE, 1.0, 1.0, 8) == 1.0
     assert zero_source().draw(13.0, TREE_SITE) == 0.0
     assert src.draws_made == 1
     assert ledger.noise_draws[0].site == TREE_SITE
@@ -122,6 +122,30 @@ def test_tree_noise_scale_uses_current_bound_and_budget_split() -> None:
     assert [ins.value for ins in ledger.insertions] == [0.5, 1.5]
     assert [ins.bound for ins in ledger.insertions] == [1.0, 2.0]
     assert ledger.mechanisms[0].kind == "tree"
+    assert [list(d.context.items()) for d in ledger.noise_draws] == [
+        [("bound", 1.0), ("eps", 0.5), ("horizon", 1024)],
+        [("bound", 2.0), ("eps", 0.5), ("horizon", 1024)],
+    ]
+
+
+def test_draws_with_and_without_a_ledger_are_bit_equal() -> None:
+    # The ledger only records; the context dict is built for it alone.
+    key = dict(base_seed=8, rep=0, arm=1, purpose=TREE_NOISE)
+    ledger = PrivacyLedger()
+    recorded = NoiseSource(rng=derive_stream(**key), ledger=ledger)
+    bare = NoiseSource(rng=derive_stream(**key))
+    sites = [
+        (TREE_SITE, (1.5, 1.0, 64)),
+        (SE_RELEASE_SITE, (0.75, 12, 1.0)),
+        (LOCAL_REWARD_SITE, (0.75, 1.0)),
+    ]
+    for i in range(3000):
+        site, context = sites[i % 3]
+        scale = 0.25 * (1 + i % 7)
+        assert recorded.draw(scale, site, *context) == bare.draw(scale, site, *context)
+    assert recorded.draws_made == bare.draws_made == 3000
+    assert len(ledger.noise_draws) == 3000
+    assert ledger.noise_draws[1].context == {"truncation": 0.75, "pulls": 12, "eps": 1.0}
 
 
 def test_tree_rejects_contract_violations() -> None:
@@ -209,3 +233,75 @@ def test_tree_noise_bound_monotonicity_and_validation() -> None:
         tree_noise_bound(1.0, 1.0, 1.0, 0.05)
     with pytest.raises(ValueError):
         tree_noise_bound(1.0, 1.0, 1024, 1.5)
+
+
+class ReferenceTree:
+    """The tree's insert with its estimate rebuilt from the set bits of ``t``.
+
+    Every level keeps a noisy partial sum (zero when the level is not a set
+    bit), and each release walks the set bits of ``t`` from the lowest up.
+    The four argument checks are left out: the driver below keeps them.
+    """
+
+    def __init__(self, horizon: int, eps: float, noise: NoiseSource):
+        self.horizon = horizon
+        self.eps = eps
+        self._eps_prime = eps / math.log(horizon)
+        self._noise = noise
+        self._ledger = noise.ledger
+        self._mech = self._ledger.register_mechanism("tree", None)
+        levels = horizon.bit_length()
+        self._psums = [0.0] * levels
+        self._noisy = [0.0] * levels
+        self._t = 0
+        self.estimate = 0.0
+
+    def insert(self, value: float, bound: float) -> float:
+        t = self._t + 1
+        self._t = t
+        level = (t & -t).bit_length() - 1
+        psums = self._psums
+        noisy = self._noisy
+        acc = 0.0
+        for j in range(level):
+            acc += psums[j]
+            psums[j] = 0.0
+            noisy[j] = 0.0
+        finalized = acc + value
+        scale = 2.0 * bound / self._eps_prime
+        eta = self._noise.draw(scale, TREE_SITE, bound, self.eps, self.horizon)
+        psums[level] = finalized
+        noisy[level] = finalized + eta
+        self._ledger.record_insertion(self._mech, None, value, bound)
+        est = 0.0
+        bits = t
+        while bits:
+            low = bits & -bits
+            est += noisy[low.bit_length() - 1]
+            bits ^= low
+        self.estimate = est
+        return est
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 5, 2**13 - 1, 2**13, 2**13 + 1])
+def test_tree_noisy_sum_stack_matches_the_set_bit_reference(horizon: int) -> None:
+    """Bit-identical releases, with real Laplace noise and growing bounds."""
+    key = dict(base_seed=23, rep=horizon, arm=0, purpose=TREE_NOISE)
+    ledgers = (PrivacyLedger(), PrivacyLedger())
+    tree = AdaptiveTree(horizon, 0.7, NoiseSource(rng=derive_stream(**key), ledger=ledgers[0]))
+    reference = ReferenceTree(
+        horizon, 0.7, NoiseSource(rng=derive_stream(**key), ledger=ledgers[1])
+    )
+    rng = np.random.default_rng(horizon)
+    signs = rng.uniform(-1.0, 1.0, size=horizon).tolist()
+    for t, sign in enumerate(signs, start=1):
+        bound = 0.5 * t**0.4  # positive and non-decreasing
+        value = sign * bound
+        assert tree.insert(value, bound) == reference.insert(value, bound)
+        assert tree.estimate == reference.estimate
+    assert tree.t == horizon
+    assert ledgers[0].insertions == ledgers[1].insertions
+    assert ledgers[0].noise_draws == ledgers[1].noise_draws
+    assert len(ledgers[0].noise_draws) == horizon
+    with pytest.raises(ValueError):
+        tree.insert(0.0, 1e9)  # full

@@ -15,6 +15,8 @@ from htbandits import (
     RobustUCB,
     TranscriptEntry,
     TRANSCRIPT_SCHEMA_VERSION,
+    central_se_schedule,
+    local_se_schedule,
     private_ucb_truncation,
 )
 from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE
@@ -216,6 +218,15 @@ def test_central_se_release_noise_counts_and_sites() -> None:
     release_draws = [d for d in ledger.noise_draws if d.site == SE_RELEASE_SITE]
     assert len(release_draws) == 2  # one per viable arm at the epoch boundary
     assert len(ledger.insertions) == 12
+    sched = central_se_schedule(params, 1.0, 0.1, 2, 1)
+    assert sched.pulls_per_arm == 6
+    for draw in release_draws:
+        assert draw.scale == 2.0 * sched.truncation / (6 * 1.0)
+        assert list(draw.context.items()) == [
+            ("truncation", sched.truncation),
+            ("pulls", 6),
+            ("eps", 1.0),
+        ]
     assert policy.viable_arms  # the top-scoring arm always survives
 
 
@@ -246,6 +257,10 @@ def test_local_se_perturbs_every_reward_once() -> None:
     assert len(local_draws) == sum(nv * r for _, nv, r in policy.completed_epochs)
     assert len(local_draws) == 6400
     assert ledger.epochs[0].completed
+    sched = local_se_schedule(params, 1.0, 0.1, 2, 1)
+    for draw in local_draws:
+        assert draw.scale == 2.0 * sched.truncation / 1.0
+        assert list(draw.context.items()) == [("truncation", sched.truncation), ("eps", 1.0)]
     assert policy.viable_arms
 
 
