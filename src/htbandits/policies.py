@@ -3,7 +3,10 @@
 All policies share one driving contract: the harness calls ``select_arm(t)``
 with ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is enforced; misuse
-raises.  Each observed round is appended to ``transcript``.
+raises.  Each observed round is recorded in ``transcript``, a read-only
+sequence of :class:`TranscriptEntry` stored by column at about 20 bytes per
+round: the arm, the reward and the truncated reward of each round, plus the
+first committed round.
 
 Noise enters only through per-arm :class:`~htbandits.mechanisms.NoiseSource`
 objects supplied at construction, so runs are exactly reproducible and the
@@ -11,6 +14,9 @@ zero-noise hook turns every policy into its noiseless counterpart.
 """
 
 import math
+from array import array
+from collections.abc import Sequence
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .mechanisms import (
@@ -61,6 +67,57 @@ class TranscriptEntry(NamedTuple):
     committed: bool
 
 
+class _Transcript(Sequence):
+    """The observed rounds of one policy, one typed array per column.
+
+    Entry ``i`` is round ``i + 1``, because rounds are consecutive from 1.
+    Commitment is never undone, so the committed rounds are the suffix from
+    ``_first_committed`` on (None while no round is committed).  Indexing and
+    iteration build :class:`TranscriptEntry` values on demand with
+    ``tuple.__new__``, which skips NamedTuple's Python-level ``__new__`` (same
+    type, same fields in the same order); a slice is a list of them.
+    """
+
+    __slots__ = ("_arms", "_rewards", "_kept", "_first_committed")
+
+    def __init__(self):
+        self._arms = array("I")
+        self._rewards = array("d")
+        self._kept = array("d")
+        self._first_committed: Optional[int] = None
+
+    def __len__(self) -> int:
+        return len(self._arms)
+
+    def _entries(self, rounds: range, arms, rewards, kept):
+        # rounds is read twice, so it must be a range, not an iterator.
+        first = self._first_committed
+        flags = repeat(False) if first is None else map(first.__le__, rounds)
+        return map(
+            tuple.__new__,
+            repeat(TranscriptEntry),
+            zip(rounds, arms, rewards, kept, flags),
+        )
+
+    def __iter__(self):
+        rounds = range(1, len(self._arms) + 1)
+        return self._entries(rounds, self._arms, self._rewards, self._kept)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rounds = range(1, len(self._arms) + 1)[index]
+            return list(
+                self._entries(
+                    rounds, self._arms[index], self._rewards[index], self._kept[index]
+                )
+            )
+        try:
+            i = range(len(self._arms))[index]  # a negative index counts from the end
+        except IndexError:
+            raise IndexError("transcript index out of range") from None
+        return self[i : i + 1][0]
+
+
 class _PolicyBase:
     """Round bookkeeping, contract enforcement, transcript recording."""
 
@@ -68,11 +125,14 @@ class _PolicyBase:
         if num_arms < 1:
             raise ValueError(f"num_arms must be >= 1, got {num_arms}")
         self.num_arms = num_arms
-        self.transcript: list = []
+        self.transcript = _Transcript()
+        self._record_arm = self.transcript._arms.append
+        self._record_reward = self.transcript._rewards.append
+        self._record_kept = self.transcript._kept.append
         self._round = 0
         self._pending: Optional[int] = None
-        self._pending_committed = False
         # The arm every remaining round plays; the index policies never commit.
+        # Set only through _commit.
         self._committed: Optional[int] = None
 
     def select_arm(self, t: int) -> int:
@@ -82,7 +142,6 @@ class _PolicyBase:
             raise ValueError(f"expected round {self._round + 1}, got t={t}")
         arm = self._select(t)
         self._pending = arm
-        self._pending_committed = self._committed is not None
         return arm
 
     def observe(self, arm: int, reward: float) -> None:
@@ -94,17 +153,19 @@ class _PolicyBase:
         self._pending = None
         reward = float(reward)
         kept = self._observe(arm, reward)
-        # tuple.__new__ skips NamedTuple's Python-level __new__; same type, same
-        # fields in the same order.
-        self.transcript.append(
-            tuple.__new__(
-                TranscriptEntry,
-                (self._round, arm, reward, kept, self._pending_committed),
-            )
-        )
+        self._record_arm(arm)
+        self._record_reward(reward)
+        self._record_kept(kept)
 
     def committed_arm(self) -> Optional[int]:
         return self._committed
+
+    def _commit(self, arm: int) -> None:
+        # Either from _select, before round _round + 1 is played, or from
+        # _observe, after round _round: round _round + 1 is the first one the
+        # committed arm plays.
+        self._committed = arm
+        self.transcript._first_committed = self._round + 1
 
     @property
     def rounds_played(self) -> int:
@@ -298,7 +359,7 @@ class _EliminationPolicy(_PolicyBase):
         sched = self._make_schedule(len(self._viable), self._epoch)
         needed = sched.pulls_per_arm * len(self._viable)
         if self._round + needed > self.horizon:
-            self._committed = self._best_known()
+            self._commit(self._best_known())
             return
         self._sched = sched
         self._pull_idx = 0
@@ -321,7 +382,7 @@ class _EliminationPolicy(_PolicyBase):
         threshold = self._elimination_mult * self._sched.accuracy
         self._viable = [a for a in self._viable if not best - scores[a] > threshold]
         if len(self._viable) == 1:
-            self._committed = self._viable[0]
+            self._commit(self._viable[0])
         self._sched = None
         self._pull_idx = 0
 
