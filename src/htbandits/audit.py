@@ -7,6 +7,11 @@ per-arm mechanisms received only their own arm's data (the precondition for
 parallel composition), and that elimination runs drew exactly as much noise as
 their epoch ledger implies.  Audit a finished run; a run stopped mid-epoch can
 legitimately trail its epoch ledger.
+
+The audit reads the ledger's draw and insertion columns
+(:meth:`~htbandits.mechanisms.PrivacyLedger.draw_columns`,
+:meth:`~htbandits.mechanisms.PrivacyLedger.insertion_columns`) and builds no
+record, so it holds no more memory than the run's ledger.
 """
 
 import math
@@ -45,60 +50,65 @@ class AuditReport:
         self.findings.append(AuditFinding(site=site, index=index, message=message))
 
 
-def _mandated_scale(site: str, context: dict) -> float:
-    # These expressions must match, operation for operation, the ones the
-    # policies use, so clean runs compare bit-equal.
-    if site == TREE_SITE:
-        return 2.0 * context["bound"] / (context["eps"] / math.log(context["horizon"]))
-    if site == SE_RELEASE_SITE:
-        return 2.0 * context["truncation"] / (context["pulls"] * context["eps"])
-    if site == LOCAL_REWARD_SITE:
-        return 2.0 * context["truncation"] / context["eps"]
-    raise KeyError(site)
-
-
 def audit_run(ledger: PrivacyLedger) -> AuditReport:
     """Check a recorded run against the privacy accounting rules.
 
     Returns an :class:`AuditReport`; each finding names the offending site or
-    check and the index of the violating record.
+    check and the index of the violating record.  The audit reads the ledger's
+    columns and builds no record.
     """
     report = AuditReport()
 
-    for i, draw in enumerate(ledger.noise_draws):
-        try:
-            mandated = _mandated_scale(draw.site, draw.context)
-        except KeyError:
-            report.add(draw.site, i, f"unknown draw site {draw.site!r}")
+    sites, codes, scales, bounds, epss, counts = ledger.draw_columns()
+    tree, release, local = (
+        sites.index(site) for site in (TREE_SITE, SE_RELEASE_SITE, LOCAL_REWARD_SITE)
+    )
+    log = math.log
+    for i, (code, scale, bound, eps, count) in enumerate(
+        zip(codes, scales, bounds, epss, counts)
+    ):
+        # These expressions must match, operation for operation, the ones the
+        # policies use, so clean runs compare bit-equal.  ``count`` is the
+        # tree's horizon and the release's pulls, an int as recorded.
+        if code == tree:
+            mandated = 2.0 * bound / (eps / log(count))
+        elif code == release:
+            mandated = 2.0 * bound / (count * eps)
+        elif code == local:
+            mandated = 2.0 * bound / eps
+        else:
+            report.add(sites[code], i, f"unknown draw site {sites[code]!r}")
             continue
-        if draw.scale != mandated:
+        if scale != mandated:
             report.add(
-                draw.site,
+                sites[code],
                 i,
-                f"scale {draw.scale!r} differs from mandated {mandated!r}",
+                f"scale {scale!r} differs from mandated {mandated!r}",
             )
 
-    num_mechs = len(ledger.mechanisms)
-    for i, ins in enumerate(ledger.insertions):
-        if not 0 <= ins.mechanism < num_mechs:
-            report.add("insertion", i, f"unregistered mechanism {ins.mechanism}")
+    mechanisms = ledger.mechanisms
+    num_mechs = len(mechanisms)
+    for i, (mech, owner, value, bound) in enumerate(zip(*ledger.insertion_columns())):
+        if not 0 <= mech < num_mechs:
+            report.add("insertion", i, f"unregistered mechanism {mech}")
             continue
-        if abs(ins.value) > ins.bound:
+        if abs(value) > bound:
             report.add(
                 "insertion",
                 i,
-                f"|value| = {abs(ins.value)!r} exceeds bound {ins.bound!r}",
+                f"|value| = {abs(value)!r} exceeds bound {bound!r}",
             )
-        registered = ledger.mechanisms[ins.mechanism].owner
-        if ins.owner != registered:
+        owner = None if owner == -1 else owner  # -1 codes "no owner"
+        registered = mechanisms[mech].owner
+        if owner != registered:
             report.add(
                 "disjointness",
                 i,
-                f"mechanism {ins.mechanism} (arm {registered}) received data of arm {ins.owner}",
+                f"mechanism {mech} (arm {registered}) received data of arm {owner}",
             )
 
     seen_owners: dict = {}
-    for m, mech in enumerate(ledger.mechanisms):
+    for m, mech in enumerate(mechanisms):
         if mech.owner is None:
             continue
         key = (mech.kind, mech.owner)
@@ -112,8 +122,8 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
         else:
             seen_owners[key] = m
 
-    central_draws = sum(1 for d in ledger.noise_draws if d.site == SE_RELEASE_SITE)
-    local_draws = sum(1 for d in ledger.noise_draws if d.site == LOCAL_REWARD_SITE)
+    central_draws = codes.count(release)
+    local_draws = codes.count(local)
     expected_central = sum(
         e.num_viable for e in ledger.epochs if e.kind == "central_se" and e.completed
     )

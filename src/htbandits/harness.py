@@ -16,6 +16,9 @@ single consumer, so deriving late and drawing ahead change only when the
 generator advances, never what a consumer reads.  A stream that is never read
 (the noise of an arm that is never released, the rewards of an arm that is
 never pulled) is never derived.
+
+``write_csv`` builds each output file as one string and writes it in one
+call; the CSV files hold the bytes ``csv.writer`` would write.
 """
 
 import csv
@@ -244,7 +247,6 @@ def make_policy(
             config.horizon,
             sources(ELIMINATION_NOISE),
             beta=config.resolved_beta,
-            ledger=ledger,
         )
     if algo == "ldprse":
         return LDPRobustSE(
@@ -253,7 +255,6 @@ def make_policy(
             config.horizon,
             sources(PERTURBATION_NOISE),
             beta=config.resolved_beta,
-            ledger=ledger,
         )
     if algo == "rucb":
         return RobustUCB(instance.num_arms, params)
@@ -352,7 +353,9 @@ def write_csv(
     """Write ``<path>.runs.csv``, ``<path>.summary.csv`` and ``<path>.meta``.
 
     Floats are written with 17 significant digits, so values round-trip
-    exactly.  Returns the three paths keyed by ``"runs"``, ``"summary"``,
+    exactly.  Each file is built as one string and written in one call; the
+    CSV files hold the bytes ``csv.writer`` would write, lines ending in
+    ``\\r\\n``.  Returns the three paths keyed by ``"runs"``, ``"summary"``,
     ``"meta"``.
     """
     base = Path(path)
@@ -361,43 +364,42 @@ def write_csv(
     summary_path = base.with_name(base.name + ".summary.csv")
     meta_path = base.with_name(base.name + ".meta")
 
+    # Every field is a validated algo or setting name, an int or a ``.17g``
+    # number, so none needs quoting: these are the bytes csv.writer writes.
+    # ``{x:.17g}`` is format_value without its float() call, which changes no
+    # int or float's text.
     eps_s = format_value(config.eps)
     v_s = format_value(config.v)
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_HEADER)
-        for trace in traces:
-            for t, value in trace.checkpoints:
-                writer.writerow(
-                    [config.algo, config.setting, eps_s, v_s, trace.rep, t, format_value(value)]
-                )
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for t, mean, std in zip(summary.checkpoints, summary.means, summary.stds):
-            writer.writerow(
-                [
-                    config.algo,
-                    config.setting,
-                    eps_s,
-                    v_s,
-                    t,
-                    format_value(mean),
-                    format_value(std),
-                    summary.n_reps,
-                ]
-            )
-    with open(meta_path, "w") as fh:
-        fh.write(f"package_version={__version__}\n")
-        for f in fields(config):
-            value = getattr(config, f.name)
-            if f.name == "beta":
-                value = config.resolved_beta
-            if isinstance(value, float):
-                value = format_value(value)
-            fh.write(f"{f.name}={value}\n")
-        for line in instance_description(instance, setting=config.setting):
-            fh.write(f"instance.{line}\n")
+    prefix = f"{config.algo},{config.setting},{eps_s},{v_s},"
+    lines = [",".join(RUNS_HEADER)]
+    for trace in traces:
+        head = f"{prefix}{trace.rep},"
+        lines += [f"{head}{t},{value:.17g}" for t, value in trace.checkpoints]
+    lines.append("")
+    runs_path.write_bytes("\r\n".join(lines).encode())
+
+    lines = [",".join(SUMMARY_HEADER)]
+    lines += [
+        f"{prefix}{t},{mean:.17g},{std:.17g},{summary.n_reps}"
+        for t, mean, std in zip(summary.checkpoints, summary.means, summary.stds)
+    ]
+    lines.append("")
+    summary_path.write_bytes("\r\n".join(lines).encode())
+
+    lines = [f"package_version={__version__}"]
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "beta":
+            value = config.resolved_beta
+        if isinstance(value, float):
+            value = format_value(value)
+        lines.append(f"{f.name}={value}")
+    lines += [
+        f"instance.{line}"
+        for line in instance_description(instance, setting=config.setting)
+    ]
+    lines.append("")
+    meta_path.write_bytes("\n".join(lines).encode())
     return {"runs": runs_path, "summary": summary_path, "meta": meta_path}
 
 

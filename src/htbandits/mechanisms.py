@@ -4,11 +4,18 @@ All noise flows through :class:`NoiseSource`, which supports two test hooks
 (zero noise and unit noise) and records every draw into an optional
 :class:`PrivacyLedger` for post-hoc auditing.  The hooks exist for tests only:
 a run with a hook other than ``LAPLACE`` carries no privacy guarantee.
+
+The ledger keeps its draws and insertions by column in typed arrays, about 57
+bytes per round of an audited index run, and builds :class:`NoiseDraw` and
+:class:`InsertionRecord` values only when they are read.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+import operator
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 __all__ = [
     "TREE_SITE",
@@ -32,12 +39,20 @@ SE_RELEASE_SITE = "se_release"
 LOCAL_REWARD_SITE = "local_reward"
 
 # The parameters a draw at each site passes, in order, and the names the
-# ledger records them under.
+# ledger's records give them.
 _DRAW_CONTEXT = {
     TREE_SITE: ("bound", "eps", "horizon"),
     SE_RELEASE_SITE: ("truncation", "pulls", "eps"),
     LOCAL_REWARD_SITE: ("truncation", "eps"),
 }
+
+# The ledger keeps a draw's parameters in three columns: the sensitivity bound
+# (``bound`` or ``truncation``), the budget (``eps``) and an integer count
+# (``horizon`` or ``pulls``; 0 at a site without one).
+_COLUMN = {"bound": 0, "truncation": 0, "eps": 1, "horizon": 2, "pulls": 2}
+
+# The owner column's code for a mechanism that holds no single arm's data.
+_NO_OWNER = -1
 
 # random() emits multiples of 2**-53 in [0, 1); clamping u=0 to one grid step
 # keeps the log finite without disturbing any other outcome.
@@ -105,28 +120,184 @@ class EpochRecord:
     completed: bool = False
 
 
-@dataclass
-class PrivacyLedger:
-    """Append-only record of everything privacy-relevant a run did."""
+def _draw_layout(code: int, names: tuple) -> tuple:
+    # record_draw appends (context + (0,))[picks[c]] to column c, so a column
+    # the site has no parameter for gets the trailing 0.
+    where = {_COLUMN[name]: i for i, name in enumerate(names)}
+    picks = tuple(where.get(column, len(names)) for column in range(3))
+    return (code, len(names), *picks)
 
-    noise_draws: list = field(default_factory=list)
-    insertions: list = field(default_factory=list)
-    mechanisms: list = field(default_factory=list)
-    epochs: list = field(default_factory=list)
+
+# Site -> (code, parameter count, *picks) for the sites the mechanisms draw at.
+_DRAW_LAYOUT = {
+    site: _draw_layout(code, names)
+    for code, (site, names) in enumerate(_DRAW_CONTEXT.items())
+}
+
+
+class _Records(Sequence):
+    """Read-only view of one ledger table that builds each record when read.
+
+    It takes negative indices and slices (a slice is a list) and compares
+    equal to a list of the same records.
+    """
+
+    __slots__ = ("_column", "_build")
+
+    def __init__(self, column, build):
+        self._column = column  # any one of the table's columns
+        self._build = build  # row index -> record
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __iter__(self):
+        return map(self._build, range(len(self._column)))
+
+    def __getitem__(self, index):
+        rows = range(len(self._column))
+        if isinstance(index, slice):
+            return [self._build(i) for i in rows[index]]
+        try:
+            i = rows[index]  # a negative index counts from the end
+        except IndexError:
+            raise IndexError("ledger index out of range") from None
+        return self._build(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Records)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+class PrivacyLedger:
+    """Append-only record of everything privacy-relevant a run did.
+
+    An audited index run adds one draw and one insertion per round, so these
+    are kept by column in typed arrays: a draw as its site code, scale and
+    three parameter columns (33 bytes), an insertion as its mechanism, owner,
+    value and bound (24 bytes).  ``noise_draws`` and ``insertions`` are
+    read-only sequences that build a :class:`NoiseDraw` or
+    :class:`InsertionRecord` per read; :meth:`draw_columns` and
+    :meth:`insertion_columns` give the arrays themselves.  ``mechanisms`` and
+    ``epochs``, a few records per run, are lists.
+
+    :meth:`record_draw` and :meth:`record_insertion` store a record whole or
+    not at all.  They raise ``ValueError`` for what the columns cannot hold
+    as given: a context that does not match the site's parameters, an integer
+    parameter (``horizon``, ``pulls``) that is not an int in the signed 64-bit
+    range, or a negative owner.
+    """
+
+    __slots__ = (
+        "mechanisms",
+        "epochs",
+        "_sites",
+        "_layouts",
+        "_draw_code",
+        "_draw_scale",
+        "_draw_bound",
+        "_draw_eps",
+        "_draw_count",
+        "_ins_mechanism",
+        "_ins_owner",
+        "_ins_value",
+        "_ins_bound",
+    )
+
+    def __init__(self):
+        self.mechanisms: list = []
+        self.epochs: list = []
+        # Site names by code; a site no mechanism draws at takes the next code.
+        self._sites = list(_DRAW_LAYOUT)
+        self._layouts = dict(_DRAW_LAYOUT)
+        self._draw_code = array("B")
+        self._draw_scale = array("d")
+        self._draw_bound = array("d")
+        self._draw_eps = array("d")
+        self._draw_count = array("q")
+        self._ins_mechanism = array("i")
+        self._ins_owner = array("i")
+        self._ins_value = array("d")
+        self._ins_bound = array("d")
+
+    @property
+    def noise_draws(self) -> _Records:
+        """The draws in order, as :class:`NoiseDraw` records built on read."""
+        return _Records(self._draw_code, self._draw_record)
+
+    @property
+    def insertions(self) -> _Records:
+        """The insertions in order, as :class:`InsertionRecord` built on read."""
+        return _Records(self._ins_mechanism, self._insertion_record)
 
     def register_mechanism(self, kind: str, owner: int | None) -> int:
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
         return len(self.mechanisms) - 1
 
-    def record_draw(self, site: str, scale: float, context: dict) -> None:
-        self.noise_draws.append(NoiseDraw(site=site, scale=scale, context=context))
+    def record_draw(self, site: str, scale: float, *context) -> None:
+        """Record one draw at ``site`` with the site's parameters, in order.
+
+        ``context`` is what :meth:`NoiseSource.draw` passes.  A site no
+        mechanism draws at takes no parameters; its draw is stored so that
+        the audit flags it.
+        """
+        layout = self._layouts.get(site)
+        if layout is None:
+            if context:
+                raise ValueError(f"unknown draw site {site!r} takes no parameters")
+            layout = self._add_site(site)
+        code, size, bound, eps, count = layout
+        if len(context) != size:
+            raise ValueError(
+                f"a {site!r} draw takes {size} parameters "
+                f"{_DRAW_CONTEXT[site]}, got {len(context)}"
+            )
+        values = context + (0,)
+        try:
+            self._draw_count.append(values[count])
+            self._draw_bound.append(values[bound])
+            self._draw_eps.append(values[eps])
+            self._draw_scale.append(scale)
+        except (TypeError, OverflowError) as exc:
+            n = len(self._draw_code)  # appended last: this draw is not in it
+            for column in (self._draw_count, self._draw_bound, self._draw_eps):
+                del column[n:]
+            raise ValueError(
+                f"cannot record a {site!r} draw at scale {scale!r} with {context!r}: {exc}"
+            ) from None
+        self._draw_code.append(code)
+
+    def _add_site(self, site: str) -> tuple:
+        code = len(self._sites)
+        if code > 255:
+            raise ValueError(f"more than 256 draw sites, at {site!r}")
+        self._sites.append(site)
+        layout = self._layouts[site] = _draw_layout(code, ())
+        return layout
 
     def record_insertion(
         self, mechanism: int, owner: int | None, value: float, bound: float
     ) -> None:
-        self.insertions.append(
-            InsertionRecord(mechanism=mechanism, owner=owner, value=value, bound=bound)
-        )
+        if owner is None:
+            owner = _NO_OWNER
+        elif owner < 0:
+            raise ValueError(f"owner must be an arm index or None, got {owner}")
+        try:
+            self._ins_mechanism.append(mechanism)
+            self._ins_owner.append(owner)
+            self._ins_value.append(value)
+            self._ins_bound.append(bound)
+        except (TypeError, OverflowError) as exc:
+            columns = self.insertion_columns()
+            n = min(map(len, columns))  # the length before this insertion
+            for column in columns:
+                del column[n:]
+            raise ValueError(
+                f"cannot record insertion {(mechanism, owner, value, bound)!r}: {exc}"
+            ) from None
 
     def record_epoch(self, kind: str, epoch: int, num_viable: int, pulls_per_arm: int) -> EpochRecord:
         record = EpochRecord(
@@ -134,6 +305,46 @@ class PrivacyLedger:
         )
         self.epochs.append(record)
         return record
+
+    def draw_columns(self) -> tuple:
+        """The draws by column: ``(sites, code, scale, bound, eps, count)``.
+
+        ``sites[code]`` is a draw's site.  ``bound`` holds its ``bound`` or
+        ``truncation`` parameter, ``eps`` its ``eps``, and ``count`` its
+        ``horizon`` or ``pulls`` (0 at a site without one).  The columns are
+        the ledger's own arrays: read them, do not change them.
+        """
+        return (
+            tuple(self._sites),
+            self._draw_code,
+            self._draw_scale,
+            self._draw_bound,
+            self._draw_eps,
+            self._draw_count,
+        )
+
+    def insertion_columns(self) -> tuple:
+        """The insertions by column: ``(mechanism, owner, value, bound)``.
+
+        The owner of an insertion without one is -1.  The columns are the
+        ledger's own arrays: read them, do not change them.
+        """
+        return self._ins_mechanism, self._ins_owner, self._ins_value, self._ins_bound
+
+    def _draw_record(self, i: int) -> NoiseDraw:
+        site = self._sites[self._draw_code[i]]
+        columns = (self._draw_bound, self._draw_eps, self._draw_count)
+        context = {name: columns[_COLUMN[name]][i] for name in _DRAW_CONTEXT.get(site, ())}
+        return NoiseDraw(site=site, scale=self._draw_scale[i], context=context)
+
+    def _insertion_record(self, i: int) -> InsertionRecord:
+        owner = self._ins_owner[i]
+        return InsertionRecord(
+            mechanism=self._ins_mechanism[i],
+            owner=None if owner == _NO_OWNER else owner,
+            value=self._ins_value[i],
+            bound=self._ins_bound[i],
+        )
 
 
 class NoiseSource:
@@ -169,8 +380,8 @@ class NoiseSource:
         ``context`` holds the site's parameters: ``bound, eps, horizon`` for
         :data:`TREE_SITE`, ``truncation, pulls, eps`` for
         :data:`SE_RELEASE_SITE` and ``truncation, eps`` for
-        :data:`LOCAL_REWARD_SITE`.  The ledger records them as a dict keyed by
-        those names; without a ledger no dict is built.
+        :data:`LOCAL_REWARD_SITE`.  The ledger stores them by column, and
+        gives them those names in the :class:`NoiseDraw` records it builds.
         """
         self.draws_made += 1
         if self.hook is NoiseHook.LAPLACE:
@@ -180,8 +391,7 @@ class NoiseSource:
         else:
             value = 1.0
         if self.ledger is not None:
-            names = _DRAW_CONTEXT[site]
-            self.ledger.record_draw(site, scale, dict(zip(names, context, strict=True)))
+            self.ledger.record_draw(site, scale, *context)
         return value
 
 

@@ -19,12 +19,7 @@ from collections.abc import Sequence
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .mechanisms import (
-    LOCAL_REWARD_SITE,
-    SE_RELEASE_SITE,
-    AdaptiveTree,
-    PrivacyLedger,
-)
+from .mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, AdaptiveTree
 from .schedules import (
     MomentParams,
     central_se_schedule,
@@ -276,6 +271,10 @@ class _EliminationPolicy(_PolicyBase):
     policy commits to the best arm under the latest release scores (the
     lowest-index viable arm if no epoch ever completed) and plays it forever.
     Committed rounds pass rewards through untouched and unused.
+
+    The policy records its mechanisms, insertions and epochs in the ledger
+    its noise sources carry, where the sources record their draws; sources
+    that carry different ledgers are rejected.
     """
 
     _epoch_kind = ""
@@ -288,10 +287,12 @@ class _EliminationPolicy(_PolicyBase):
         horizon: int,
         noise_sources,
         beta: Optional[float] = None,
-        ledger: Optional[PrivacyLedger] = None,
     ):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
+        ledger = noise_sources[0].ledger
+        if any(src.ledger is not ledger for src in noise_sources):
+            raise ValueError("the noise sources carry different ledgers")
         if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         if horizon < 1:

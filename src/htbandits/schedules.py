@@ -219,7 +219,8 @@ def local_se_schedule(
       / (eps**2 * gap**(2(1+v)/v)) + L)``, clamped at
       :data:`MAX_EPOCH_PULLS`;
     - truncation ``B = (u * sqrt(R) * eps / sqrt(L)) ** (1/(1+v))``;
-    - accuracy ``err = u**(1/(1+v)) * (sqrt(L) / (R * eps)) ** (v/(1+v))``.
+    - accuracy ``err = u**(1/(1+v)) * (sqrt(L) / (sqrt(R) * eps)) ** (v/(1+v))``,
+      which satisfies ``u / B**v == err`` for any ``R``.
     """
     _check_eps(eps)
     _check_epoch_args(beta, num_viable, epoch)
@@ -235,9 +236,9 @@ def local_se_schedule(
     )
     pulls, saturated = _clamp_pulls(raw, "local")
     truncation = (u * math.sqrt(pulls) * eps / math.sqrt(log_term)) ** (1.0 / (1.0 + v))
-    accuracy = u ** (1.0 / (1.0 + v)) * (math.sqrt(log_term) / (pulls * eps)) ** (
-        v / (1.0 + v)
-    )
+    accuracy = u ** (1.0 / (1.0 + v)) * (
+        math.sqrt(log_term) / (math.sqrt(pulls) * eps)
+    ) ** (v / (1.0 + v))
     return EpochSchedule(
         target_gap=gap,
         pulls_per_arm=pulls,

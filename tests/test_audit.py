@@ -55,7 +55,6 @@ def clean_dprse(ledger, cls=NoiseSource) -> None:
         300,
         sources(2, ELIMINATION_NOISE, ledger, cls),
         beta=0.1,
-        ledger=ledger,
     )
     drive(policy, constant_samplers([0.02, 0.004]), 60)
 
@@ -67,7 +66,6 @@ def clean_ldprse(ledger, cls=NoiseSource) -> None:
         10_000,
         sources(2, PERTURBATION_NOISE, ledger, cls),
         beta=0.1,
-        ledger=ledger,
     )
     drive(policy, constant_samplers([0.2, 0.02]), 6400)
 
@@ -128,7 +126,7 @@ def test_shared_mechanism_across_arms_breaks_disjointness() -> None:
 def test_unknown_draw_site_is_flagged() -> None:
     ledger = PrivacyLedger()
     clean_dprse(ledger)
-    ledger.record_draw("mystery", 1.0, {})
+    ledger.record_draw("mystery", 1.0)
     report = audit_run(ledger)
     assert any(f.site == "mystery" for f in report.findings)
 
@@ -145,8 +143,6 @@ def test_local_draw_count_mismatch_is_flagged() -> None:
 def test_central_draw_count_mismatch_is_flagged() -> None:
     ledger = PrivacyLedger()
     clean_dprse(ledger)
-    ledger.record_draw(
-        SE_RELEASE_SITE, 1.0, {"truncation": 1.0, "pulls": 2, "eps": 1.0}
-    )
+    ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 2, 1.0)
     report = audit_run(ledger)
     assert any(f.site == SE_RELEASE_SITE for f in report.findings)

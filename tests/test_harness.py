@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from htbandits import (
+    __version__,
     ExperimentConfig,
     FiniteSupportModel,
     RegretTrace,
@@ -19,7 +24,14 @@ from htbandits import (
     run_single,
     write_csv,
 )
-from htbandits.harness import RUNS_HEADER, SUMMARY_HEADER, make_instance_for
+from htbandits.distributions import format_value, instance_description
+from htbandits.harness import (
+    ALGORITHMS,
+    RUNS_HEADER,
+    SETTINGS,
+    SUMMARY_HEADER,
+    make_instance_for,
+)
 
 
 def two_point_mass_instance(low: float = 0.004, high: float = 0.02):
@@ -375,3 +387,80 @@ def test_read_runs_csv_rejects_a_wrong_header(tmp_path) -> None:
     bad.write_text("a,b,c\n")
     with pytest.raises(ValueError):
         read_runs_csv(bad)
+
+def reference_write_csv(path, config, instance, traces, summary) -> None:
+    """The writer that wrote one ``csv.writer`` row and one write per line."""
+    base = Path(path)
+    eps_s = format_value(config.eps)
+    v_s = format_value(config.v)
+    with open(base.with_name(base.name + ".runs.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RUNS_HEADER)
+        for trace in traces:
+            for t, value in trace.checkpoints:
+                writer.writerow(
+                    [config.algo, config.setting, eps_s, v_s, trace.rep, t, format_value(value)]
+                )
+    with open(base.with_name(base.name + ".summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_HEADER)
+        for t, mean, std in zip(summary.checkpoints, summary.means, summary.stds):
+            writer.writerow(
+                [
+                    config.algo,
+                    config.setting,
+                    eps_s,
+                    v_s,
+                    t,
+                    format_value(mean),
+                    format_value(std),
+                    summary.n_reps,
+                ]
+            )
+    with open(base.with_name(base.name + ".meta"), "w") as fh:
+        fh.write(f"package_version={__version__}\n")
+        for f in fields(config):
+            value = getattr(config, f.name)
+            if f.name == "beta":
+                value = config.resolved_beta
+            if isinstance(value, float):
+                value = format_value(value)
+            fh.write(f"{f.name}={value}\n")
+        for line in instance_description(instance, setting=config.setting):
+            fh.write(f"instance.{line}\n")
+
+
+def synthetic_traces(rng, config) -> list:
+    """Regret traces whose values span many magnitudes, zero and ints included."""
+    traces = []
+    for rep in range(config.reps):
+        steps = rng.exponential(size=len(config.checkpoints()))
+        steps *= 10.0 ** rng.integers(-12, 12, size=steps.size)
+        values = np.cumsum(steps).tolist()
+        values[0] = 0.0
+        values[-1] = float(round(values[-1]))
+        checkpoints = tuple(zip(config.checkpoints(), values))
+        traces.append(RegretTrace(rep=rep, checkpoints=checkpoints))
+    return traces
+
+
+def test_write_csv_gives_the_csv_writer_bytes(tmp_path) -> None:
+    rng = np.random.default_rng(3)
+    grids = (dict(checkpoint_count=12), dict(checkpoint_stride=7))
+    epsilons = (1e-05, 0.1, 1.0, 1000.0)
+    cells = list(itertools.product(ALGORITHMS, SETTINGS, epsilons, (0.5, 1.0), grids, (1, 3)))
+    assert len(cells) == 640
+    for algo, setting, eps, v, grid, reps in cells:
+        config = ExperimentConfig(
+            algo=algo, setting=setting, v=v, eps=eps, horizon=40, reps=reps, base_seed=1,
+            **grid,
+        )
+        instance = make_instance_for(setting, v)
+        traces = synthetic_traces(rng, config)
+        summary = aggregate(traces)
+        paths = write_csv(tmp_path / "new", config, instance, traces, summary)
+        reference_write_csv(tmp_path / "ref", config, instance, traces, summary)
+        for suffix in (".runs.csv", ".summary.csv", ".meta"):
+            new = (tmp_path / f"new{suffix}").read_bytes()
+            assert new == (tmp_path / f"ref{suffix}").read_bytes(), (config, suffix)
+        assert read_runs_csv(paths["runs"]) == traces

@@ -7,6 +7,7 @@ import pytest
 from htbandits import (
     DPRobustSE,
     DPRobustUCB,
+    ExperimentConfig,
     LDPRobustSE,
     MomentParams,
     NoiseHook,
@@ -17,7 +18,9 @@ from htbandits import (
     TRANSCRIPT_SCHEMA_VERSION,
     central_se_schedule,
     local_se_schedule,
+    make_two_arm_hard_instance,
     private_ucb_truncation,
+    run_single,
 )
 from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE
 from htbandits.seeding import ELIMINATION_NOISE, PERTURBATION_NOISE, derive_stream
@@ -213,7 +216,7 @@ def test_central_se_release_noise_counts_and_sites() -> None:
         for a in range(2)
     ]
     params = MomentParams(u=4e-4, v=1.0)
-    policy = DPRobustSE(params, 1.0, 300, sources, beta=0.1, ledger=ledger)
+    policy = DPRobustSE(params, 1.0, 300, sources, beta=0.1)
     drive(policy, constant_samplers([0.5, 0.5]), 2 * 6)
     release_draws = [d for d in ledger.noise_draws if d.site == SE_RELEASE_SITE]
     assert len(release_draws) == 2  # one per viable arm at the epoch boundary
@@ -251,7 +254,7 @@ def test_local_se_perturbs_every_reward_once() -> None:
         for a in range(2)
     ]
     params = MomentParams(u=2e-3, v=1.0)
-    policy = LDPRobustSE(params, 1.0, 10_000, sources, beta=0.1, ledger=ledger)
+    policy = LDPRobustSE(params, 1.0, 10_000, sources, beta=0.1)
     drive(policy, constant_samplers([0.2, 0.02]), 2 * 3200)
     local_draws = [d for d in ledger.noise_draws if d.site == LOCAL_REWARD_SITE]
     assert len(local_draws) == sum(nv * r for _, nv, r in policy.completed_epochs)
@@ -281,6 +284,21 @@ def test_elimination_policies_validate_arguments() -> None:
         LDPRobustSE(UNIT, 1.0, 0, zero_sources(2))
 
 
+def test_elimination_policies_reject_sources_with_different_ledgers() -> None:
+    ledger = PrivacyLedger()
+    mixed = [
+        NoiseSource(hook=NoiseHook.ZERO, ledger=ledger),
+        NoiseSource(hook=NoiseHook.ZERO, ledger=PrivacyLedger()),
+    ]
+    partly = [mixed[0], NoiseSource(hook=NoiseHook.ZERO)]
+    for cls in (DPRobustSE, LDPRobustSE):
+        for sources in (mixed, partly):
+            with pytest.raises(ValueError):
+                cls(UNIT, 1.0, 100, sources, beta=0.1)
+        policy = cls(UNIT, 1.0, 100, mixed[:1] + mixed[:1], beta=0.1)
+        assert policy.ledger is ledger
+
+
 def test_rucb_truncation_clamps_early_rounds() -> None:
     policy = RobustUCB(1, UNIT)
     drive(policy, constant_samplers([0.5]), 3)
@@ -297,3 +315,34 @@ def test_rucb_prefers_the_better_arm() -> None:
 
 def test_rucb_never_commits() -> None:
     assert RobustUCB(2, UNIT).committed_arm() is None
+
+
+def test_local_se_keeps_the_optimal_arm_of_a_near_tie() -> None:
+    # Gap 0.001 against a first-epoch target gap of 1/4: the arms cannot be
+    # told apart, so elimination after the one epoch is a noise event that the
+    # threshold 14 * accuracy must make rarer than beta.  An accuracy term
+    # with R where the truncation bias has sqrt(R) eliminated the optimal arm
+    # in about a third of these runs.
+    instance = make_two_arm_hard_instance(0.001, 0.9)
+    params = MomentParams(u=instance.u, v=instance.v)
+    beta = 0.01
+    pulls = local_se_schedule(params, 100.0, beta, 2, 1).pulls_per_arm
+    assert pulls == 71_002
+    config = ExperimentConfig(
+        algo="ldprse",
+        setting="two_arm_hard",
+        v=instance.v,
+        eps=100.0,
+        horizon=2 * pulls,
+        reps=20,
+        base_seed=5,
+        checkpoint_count=1,
+        beta=beta,
+    )
+    eliminated = []
+    for rep in range(config.reps):
+        _, policy = run_single(config, rep, instance=instance, return_policy=True)
+        assert policy.completed_epochs == [(1, 2, pulls)]
+        if 0 not in policy.viable_arms:
+            eliminated.append(rep)
+    assert eliminated == []

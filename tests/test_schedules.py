@@ -98,14 +98,16 @@ def test_local_schedule_frozen_epoch() -> None:
 
 
 def test_schedule_balance_identity() -> None:
-    # u / truncation**v equals the accuracy term for any epoch length
+    # u / truncation**v (the truncated mean's bias) equals the accuracy term
+    # for any epoch length, in both schedules
     for u, v, eps, beta, num_viable, epoch in schedule_sweep_grid():
         params = MomentParams(u=u, v=v)
-        sched = central_se_schedule(params, eps, beta, num_viable, epoch)
-        if math.isfinite(sched.truncation) and sched.truncation > 0.0:
-            assert math.isclose(
-                u / sched.truncation**v, sched.accuracy, rel_tol=1e-9
-            )
+        for make in (central_se_schedule, local_se_schedule):
+            sched = make(params, eps, beta, num_viable, epoch)
+            if math.isfinite(sched.truncation) and sched.truncation > 0.0:
+                assert math.isclose(
+                    u / sched.truncation**v, sched.accuracy, rel_tol=1e-9
+                ), (make.__name__, u, v, eps, beta, num_viable, epoch)
 
 
 def test_schedules_finite_positive_across_sweep() -> None:
