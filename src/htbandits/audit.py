@@ -21,6 +21,7 @@ from .mechanisms import (
     LOCAL_REWARD_SITE,
     SE_RELEASE_SITE,
     TREE_SITE,
+    _NO_OWNER,
     PrivacyLedger,
 )
 
@@ -70,14 +71,24 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
         # These expressions must match, operation for operation, the ones the
         # policies use, so clean runs compare bit-equal.  ``count`` is the
         # tree's horizon and the release's pulls, an int as recorded.
-        if code == tree:
-            mandated = 2.0 * bound / (eps / log(count))
-        elif code == release:
-            mandated = 2.0 * bound / (count * eps)
-        elif code == local:
-            mandated = 2.0 * bound / eps
-        else:
-            report.add(sites[code], i, f"unknown draw site {sites[code]!r}")
+        try:
+            if code == tree:
+                mandated = 2.0 * bound / (eps / log(count))
+            elif code == release:
+                mandated = 2.0 * bound / (count * eps)
+            elif code == local:
+                mandated = 2.0 * bound / eps
+            else:
+                report.add(sites[code], i, f"unknown draw site {sites[code]!r}")
+                continue
+        except (ZeroDivisionError, ValueError) as exc:
+            # A zero eps or pulls, or a horizon below 2, mandates no scale.
+            report.add(
+                sites[code],
+                i,
+                f"no mandated scale for bound {bound!r}, eps {eps!r}, "
+                f"count {count!r}: {exc}",
+            )
             continue
         if scale != mandated:
             report.add(
@@ -92,13 +103,13 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
         if not 0 <= mech < num_mechs:
             report.add("insertion", i, f"unregistered mechanism {mech}")
             continue
-        if abs(value) > bound:
+        if not abs(value) <= bound:  # NaN fails too
             report.add(
                 "insertion",
                 i,
                 f"|value| = {abs(value)!r} exceeds bound {bound!r}",
             )
-        owner = None if owner == -1 else owner  # -1 codes "no owner"
+        owner = None if owner == _NO_OWNER else owner
         registered = mechanisms[mech].owner
         if owner != registered:
             report.add(

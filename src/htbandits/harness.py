@@ -112,6 +112,14 @@ class ExperimentConfig:
             raise ValueError(f"v must lie in (0, 1], got {self.v}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        for name in ("horizon", "reps", "base_seed", "checkpoint_count", "checkpoint_stride"):
+            value = getattr(self, name)
+            if value is None and name == "checkpoint_stride":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.reps < 1:

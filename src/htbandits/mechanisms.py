@@ -5,9 +5,10 @@ All noise flows through :class:`NoiseSource`, which supports two test hooks
 :class:`PrivacyLedger` for post-hoc auditing.  The hooks exist for tests only:
 a run with a hook other than ``LAPLACE`` carries no privacy guarantee.
 
-The ledger keeps its draws and insertions by column in typed arrays, about 57
-bytes per round of an audited index run, and builds :class:`NoiseDraw` and
-:class:`InsertionRecord` values only when they are read.
+The ledger keeps its draws and insertions in two :class:`RecordTable`, typed
+arrays by column, about 57 bytes per round of an audited index run; they build
+:class:`NoiseDraw` and :class:`InsertionRecord` values only when read.  The
+policies' transcripts are record tables too.
 """
 
 import enum
@@ -16,6 +17,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 __all__ = [
     "TREE_SITE",
@@ -27,6 +29,7 @@ __all__ = [
     "InsertionRecord",
     "MechanismRecord",
     "EpochRecord",
+    "RecordTable",
     "PrivacyLedger",
     "NoiseSource",
     "AdaptiveTree",
@@ -135,54 +138,85 @@ _DRAW_LAYOUT = {
 }
 
 
-class _Records(Sequence):
-    """Read-only view of one ledger table that builds each record when read.
+class RecordTable(Sequence):
+    """Records kept by column in typed arrays and built when they are read.
 
-    It takes negative indices and slices (a slice is a list) and compares
-    equal to a list of the same records.
+    ``columns`` holds one array per field, all of one length.  The table reads
+    like a list of its records: ``len``, iteration, int indices (negative ones
+    count from the end; ``IndexError`` past either end) and slices (a list).
+    It compares equal to a list of the same records.  ``row`` maps one value
+    of each column to a record; full iteration reads the arrays themselves
+    and partial reads index them, so no array is copied.
+
+    Writers append column by column and call :meth:`discard_partial_row` when
+    an append fails, so a row is stored whole or not at all.
     """
 
-    __slots__ = ("_column", "_build")
+    __slots__ = ("columns", "_row")
 
-    def __init__(self, column, build):
-        self._column = column  # any one of the table's columns
-        self._build = build  # row index -> record
+    def __init__(self, typecodes: str, row=None):
+        self.columns = tuple(map(array, typecodes))
+        self._row = row
+
+    def _records(self, rows: range, columns):
+        # The records of ``rows``, given each column's values at them.
+        return map(self._row, *columns)
 
     def __len__(self) -> int:
-        return len(self._column)
+        return len(self.columns[0])
 
     def __iter__(self):
-        return map(self._build, range(len(self._column)))
+        return self._records(range(len(self)), self.columns)
 
     def __getitem__(self, index):
-        rows = range(len(self._column))
+        rows = range(len(self))
         if isinstance(index, slice):
-            return [self._build(i) for i in rows[index]]
+            rows = rows[index]
+            return list(
+                self._records(rows, [map(c.__getitem__, rows) for c in self.columns])
+            )
         try:
             i = rows[index]  # a negative index counts from the end
         except IndexError:
-            raise IndexError("ledger index out of range") from None
-        return self._build(i)
+            raise IndexError(f"{type(self).__name__} index out of range") from None
+        return self[i : i + 1][0]
 
     def __eq__(self, other):
-        if not isinstance(other, (list, _Records)):
+        if not isinstance(other, (list, RecordTable)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     __hash__ = None
+
+    def discard_partial_row(self) -> None:
+        """Cut every column back to the shortest, dropping a half-written row."""
+        n = min(map(len, self.columns))
+        for column in self.columns:
+            del column[n:]
+
+
+def _draw_record(sites: list, code: int, scale: float, *parameters) -> NoiseDraw:
+    site = sites[code]
+    context = {name: parameters[_COLUMN[name]] for name in _DRAW_CONTEXT.get(site, ())}
+    return NoiseDraw(site=site, scale=scale, context=context)
+
+
+def _insertion_record(mechanism: int, owner: int, value: float, bound: float) -> InsertionRecord:
+    owner = None if owner == _NO_OWNER else owner
+    return InsertionRecord(mechanism=mechanism, owner=owner, value=value, bound=bound)
 
 
 class PrivacyLedger:
     """Append-only record of everything privacy-relevant a run did.
 
     An audited index run adds one draw and one insertion per round, so these
-    are kept by column in typed arrays: a draw as its site code, scale and
-    three parameter columns (33 bytes), an insertion as its mechanism, owner,
-    value and bound (24 bytes).  ``noise_draws`` and ``insertions`` are
-    read-only sequences that build a :class:`NoiseDraw` or
-    :class:`InsertionRecord` per read; :meth:`draw_columns` and
-    :meth:`insertion_columns` give the arrays themselves.  ``mechanisms`` and
-    ``epochs``, a few records per run, are lists.
+    are kept in two :class:`RecordTable`: ``noise_draws`` holds a draw's site
+    code, scale and three parameter columns (33 bytes) and builds a
+    :class:`NoiseDraw` per read, ``insertions`` an insertion's mechanism,
+    owner, value and bound (24 bytes) and builds an :class:`InsertionRecord`.
+    :meth:`draw_columns` and :meth:`insertion_columns` give the arrays
+    themselves.  ``mechanisms`` and ``epochs``, a few records per run, are
+    lists.
 
     :meth:`record_draw` and :meth:`record_insertion` store a record whole or
     not at all.  They raise ``ValueError`` for what the columns cannot hold
@@ -191,21 +225,7 @@ class PrivacyLedger:
     range, or a negative owner.
     """
 
-    __slots__ = (
-        "mechanisms",
-        "epochs",
-        "_sites",
-        "_layouts",
-        "_draw_code",
-        "_draw_scale",
-        "_draw_bound",
-        "_draw_eps",
-        "_draw_count",
-        "_ins_mechanism",
-        "_ins_owner",
-        "_ins_value",
-        "_ins_bound",
-    )
+    __slots__ = ("mechanisms", "epochs", "noise_draws", "insertions", "_sites", "_layouts")
 
     def __init__(self):
         self.mechanisms: list = []
@@ -213,25 +233,10 @@ class PrivacyLedger:
         # Site names by code; a site no mechanism draws at takes the next code.
         self._sites = list(_DRAW_LAYOUT)
         self._layouts = dict(_DRAW_LAYOUT)
-        self._draw_code = array("B")
-        self._draw_scale = array("d")
-        self._draw_bound = array("d")
-        self._draw_eps = array("d")
-        self._draw_count = array("q")
-        self._ins_mechanism = array("i")
-        self._ins_owner = array("i")
-        self._ins_value = array("d")
-        self._ins_bound = array("d")
-
-    @property
-    def noise_draws(self) -> _Records:
-        """The draws in order, as :class:`NoiseDraw` records built on read."""
-        return _Records(self._draw_code, self._draw_record)
-
-    @property
-    def insertions(self) -> _Records:
-        """The insertions in order, as :class:`InsertionRecord` built on read."""
-        return _Records(self._ins_mechanism, self._insertion_record)
+        # Columns: site code, scale, bound, eps, count.
+        self.noise_draws = RecordTable("Bdddq", partial(_draw_record, self._sites))
+        # Columns: mechanism, owner, value, bound.
+        self.insertions = RecordTable("iidd", _insertion_record)
 
     def register_mechanism(self, kind: str, owner: int | None) -> int:
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
@@ -256,19 +261,18 @@ class PrivacyLedger:
                 f"{_DRAW_CONTEXT[site]}, got {len(context)}"
             )
         values = context + (0,)
+        codes, scales, bounds, epss, counts = self.noise_draws.columns
         try:
-            self._draw_count.append(values[count])
-            self._draw_bound.append(values[bound])
-            self._draw_eps.append(values[eps])
-            self._draw_scale.append(scale)
+            counts.append(values[count])
+            bounds.append(values[bound])
+            epss.append(values[eps])
+            scales.append(scale)
+            codes.append(code)
         except (TypeError, OverflowError) as exc:
-            n = len(self._draw_code)  # appended last: this draw is not in it
-            for column in (self._draw_count, self._draw_bound, self._draw_eps):
-                del column[n:]
+            self.noise_draws.discard_partial_row()
             raise ValueError(
                 f"cannot record a {site!r} draw at scale {scale!r} with {context!r}: {exc}"
             ) from None
-        self._draw_code.append(code)
 
     def _add_site(self, site: str) -> tuple:
         code = len(self._sites)
@@ -285,16 +289,14 @@ class PrivacyLedger:
             owner = _NO_OWNER
         elif owner < 0:
             raise ValueError(f"owner must be an arm index or None, got {owner}")
+        mechanisms, owners, values, bounds = self.insertions.columns
         try:
-            self._ins_mechanism.append(mechanism)
-            self._ins_owner.append(owner)
-            self._ins_value.append(value)
-            self._ins_bound.append(bound)
+            mechanisms.append(mechanism)
+            owners.append(owner)
+            values.append(value)
+            bounds.append(bound)
         except (TypeError, OverflowError) as exc:
-            columns = self.insertion_columns()
-            n = min(map(len, columns))  # the length before this insertion
-            for column in columns:
-                del column[n:]
+            self.insertions.discard_partial_row()
             raise ValueError(
                 f"cannot record insertion {(mechanism, owner, value, bound)!r}: {exc}"
             ) from None
@@ -314,37 +316,15 @@ class PrivacyLedger:
         ``horizon`` or ``pulls`` (0 at a site without one).  The columns are
         the ledger's own arrays: read them, do not change them.
         """
-        return (
-            tuple(self._sites),
-            self._draw_code,
-            self._draw_scale,
-            self._draw_bound,
-            self._draw_eps,
-            self._draw_count,
-        )
+        return (tuple(self._sites), *self.noise_draws.columns)
 
     def insertion_columns(self) -> tuple:
         """The insertions by column: ``(mechanism, owner, value, bound)``.
 
-        The owner of an insertion without one is -1.  The columns are the
-        ledger's own arrays: read them, do not change them.
+        The owner of an insertion without one is ``_NO_OWNER`` (-1).  The
+        columns are the ledger's own arrays: read them, do not change them.
         """
-        return self._ins_mechanism, self._ins_owner, self._ins_value, self._ins_bound
-
-    def _draw_record(self, i: int) -> NoiseDraw:
-        site = self._sites[self._draw_code[i]]
-        columns = (self._draw_bound, self._draw_eps, self._draw_count)
-        context = {name: columns[_COLUMN[name]][i] for name in _DRAW_CONTEXT.get(site, ())}
-        return NoiseDraw(site=site, scale=self._draw_scale[i], context=context)
-
-    def _insertion_record(self, i: int) -> InsertionRecord:
-        owner = self._ins_owner[i]
-        return InsertionRecord(
-            mechanism=self._ins_mechanism[i],
-            owner=None if owner == _NO_OWNER else owner,
-            value=self._ins_value[i],
-            bound=self._ins_bound[i],
-        )
+        return self.insertions.columns
 
 
 class NoiseSource:
@@ -481,10 +461,6 @@ class AdaptiveTree:
         """Exact running sum, for tests and regret accounting only."""
         return self._exact
 
-    @property
-    def last_bound(self) -> float:
-        return self._last_bound
-
     def insert(self, value: float, bound: float) -> float:
         """Insert one value and return the updated noisy running sum."""
         if self._t >= self.horizon:
@@ -495,7 +471,7 @@ class AdaptiveTree:
             raise ValueError(
                 f"bounds must be non-decreasing: {bound} after {self._last_bound}"
             )
-        if abs(value) > bound:
+        if not abs(value) <= bound:  # NaN fails too
             raise ValueError(f"|value| = {abs(value)} exceeds bound {bound}")
         t = self._t + 1
         self._t = t

@@ -3,10 +3,10 @@
 All policies share one driving contract: the harness calls ``select_arm(t)``
 with ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is enforced; misuse
-raises.  Each observed round is recorded in ``transcript``, a read-only
-sequence of :class:`TranscriptEntry` stored by column at about 20 bytes per
-round: the arm, the reward and the truncated reward of each round, plus the
-first committed round.
+raises.  Each observed round is recorded in ``transcript``, a
+:class:`~htbandits.mechanisms.RecordTable` of :class:`TranscriptEntry` stored
+by column at about 20 bytes per round: the arm, the reward and the truncated
+reward of each round, plus the first committed round.
 
 Noise enters only through per-arm :class:`~htbandits.mechanisms.NoiseSource`
 objects supplied at construction, so runs are exactly reproducible and the
@@ -14,12 +14,10 @@ zero-noise hook turns every policy into its noiseless counterpart.
 """
 
 import math
-from array import array
-from collections.abc import Sequence
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, AdaptiveTree
+from .mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, AdaptiveTree, RecordTable
 from .schedules import (
     MomentParams,
     central_se_schedule,
@@ -62,55 +60,29 @@ class TranscriptEntry(NamedTuple):
     committed: bool
 
 
-class _Transcript(Sequence):
-    """The observed rounds of one policy, one typed array per column.
+class _Transcript(RecordTable):
+    """The observed rounds of one policy: the arm, reward and truncated reward.
 
     Entry ``i`` is round ``i + 1``, because rounds are consecutive from 1.
     Commitment is never undone, so the committed rounds are the suffix from
-    ``_first_committed`` on (None while no round is committed).  Indexing and
-    iteration build :class:`TranscriptEntry` values on demand with
-    ``tuple.__new__``, which skips NamedTuple's Python-level ``__new__`` (same
-    type, same fields in the same order); a slice is a list of them.
+    ``_first_committed`` on (None while no round is committed).  Entries are
+    :class:`TranscriptEntry` values built in C with ``tuple.__new__``, which
+    skips NamedTuple's Python-level ``__new__`` (same type, same fields in the
+    same order).
     """
 
-    __slots__ = ("_arms", "_rewards", "_kept", "_first_committed")
+    __slots__ = ("_first_committed",)
 
     def __init__(self):
-        self._arms = array("I")
-        self._rewards = array("d")
-        self._kept = array("d")
+        super().__init__("Idd")
         self._first_committed: Optional[int] = None
 
-    def __len__(self) -> int:
-        return len(self._arms)
-
-    def _entries(self, rounds: range, arms, rewards, kept):
-        # rounds is read twice, so it must be a range, not an iterator.
+    def _records(self, rows: range, columns):
+        # Both rounds and flags iterate over the range of round numbers.
+        rounds = range(rows.start + 1, rows.stop + 1, rows.step)
         first = self._first_committed
         flags = repeat(False) if first is None else map(first.__le__, rounds)
-        return map(
-            tuple.__new__,
-            repeat(TranscriptEntry),
-            zip(rounds, arms, rewards, kept, flags),
-        )
-
-    def __iter__(self):
-        rounds = range(1, len(self._arms) + 1)
-        return self._entries(rounds, self._arms, self._rewards, self._kept)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            rounds = range(1, len(self._arms) + 1)[index]
-            return list(
-                self._entries(
-                    rounds, self._arms[index], self._rewards[index], self._kept[index]
-                )
-            )
-        try:
-            i = range(len(self._arms))[index]  # a negative index counts from the end
-        except IndexError:
-            raise IndexError("transcript index out of range") from None
-        return self[i : i + 1][0]
+        return map(tuple.__new__, repeat(TranscriptEntry), zip(rounds, *columns, flags))
 
 
 class _PolicyBase:
@@ -121,9 +93,10 @@ class _PolicyBase:
             raise ValueError(f"num_arms must be >= 1, got {num_arms}")
         self.num_arms = num_arms
         self.transcript = _Transcript()
-        self._record_arm = self.transcript._arms.append
-        self._record_reward = self.transcript._rewards.append
-        self._record_kept = self.transcript._kept.append
+        arms, rewards, kept = self.transcript.columns
+        self._record_arm = arms.append
+        self._record_reward = rewards.append
+        self._record_kept = kept.append
         self._round = 0
         self._pending: Optional[int] = None
         # The arm every remaining round plays; the index policies never commit.
@@ -326,10 +299,6 @@ class _EliminationPolicy(_PolicyBase):
     @property
     def viable_arms(self) -> tuple:
         return tuple(self._viable)
-
-    @property
-    def current_epoch(self) -> int:
-        return self._epoch
 
     def last_release_scores(self) -> dict:
         """Scores from the most recent completed epoch (empty before any)."""

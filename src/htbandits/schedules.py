@@ -1,9 +1,12 @@
 """Truncation levels, confidence radii, and elimination-epoch schedules.
 
 Every quantity here is a pure function of its arguments, computed in double
-precision with natural logarithms.  Policies call these functions rather than
-inlining the formulas, so tests and the privacy audit can recompute the exact
-same values.
+precision with natural logarithms.  The elimination policies call the epoch
+schedules.  The index policies call their functions once, at construction, to
+validate their arguments; each round they evaluate the same formulas inline
+from constants, with the same operations in the same order, so the values are
+bit-identical and tests can recompute them here
+(``tests/test_index_fast_path.py``).
 """
 
 import logging

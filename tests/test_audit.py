@@ -146,3 +146,36 @@ def test_central_draw_count_mismatch_is_flagged() -> None:
     ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 2, 1.0)
     report = audit_run(ledger)
     assert any(f.site == SE_RELEASE_SITE for f in report.findings)
+
+@pytest.mark.parametrize(
+    "site,context",
+    [
+        (TREE_SITE, (1.0, 1.0, 1)),  # horizon 1: ln(1) = 0 divides the budget
+        (TREE_SITE, (1.0, 1.0, 0)),  # horizon 0 has no logarithm
+        (SE_RELEASE_SITE, (1.0, 0, 1.0)),  # a release over no pulls
+        (LOCAL_REWARD_SITE, (1.0, 0.0)),  # eps 0
+    ],
+)
+def test_a_draw_without_a_mandated_scale_is_flagged_and_the_audit_goes_on(
+    site, context
+) -> None:
+    ledger = PrivacyLedger()
+    ledger.record_draw(site, 1.0, *context)
+    ledger.record_draw(TREE_SITE, 1.0, 1.0, 1.0, 64)  # mandated 2 ln 64
+    report = audit_run(ledger)
+    located = [(f.site, f.index) for f in report.findings if f.index >= 0]
+    assert located == [(site, 0), (TREE_SITE, 1)]
+    assert "no mandated scale" in report.findings[0].message
+    assert "differs from mandated" in report.findings[1].message
+
+
+@pytest.mark.parametrize("value,bound", [(float("nan"), 1.0), (0.5, float("nan"))])
+def test_a_nan_insertion_is_flagged_with_its_index(value, bound) -> None:
+    ledger = PrivacyLedger()
+    clean_dprucb(ledger)
+    ledger.record_insertion(0, owner=0, value=value, bound=bound)
+    report = audit_run(ledger)
+    assert [(f.site, f.index) for f in report.findings] == [
+        ("insertion", len(ledger.insertions) - 1)
+    ]
+    assert "exceeds bound" in report.findings[0].message

@@ -153,6 +153,13 @@ def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -
         ("checkpoint_count", 0),
         ("checkpoint_stride", 0),
         ("beta", 1.0),
+        # Counts that are not integers.
+        ("horizon", 300.0),
+        ("horizon", "300"),
+        ("reps", 1.5),
+        ("base_seed", 7.0),
+        ("checkpoint_count", 20.0),
+        ("checkpoint_stride", 10.0),
     ],
 )
 def test_config_validation_rejects_bad_fields(field: str, value) -> None:

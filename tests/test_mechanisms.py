@@ -167,6 +167,16 @@ def test_tree_rejects_contract_violations() -> None:
         AdaptiveTree(8, 0.0, noise=zero_source())
 
 
+def test_tree_rejects_a_nan_value_and_records_nothing() -> None:
+    ledger = PrivacyLedger()
+    tree = AdaptiveTree(8, 1.0, noise=zero_source(ledger), owner=0)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        tree.insert(float("nan"), 1.0)
+    assert tree.t == 0 and tree.estimate == 0.0
+    assert len(ledger.noise_draws) == len(ledger.insertions) == 0
+    assert tree.insert(0.5, 1.0) == 0.5
+
+
 def test_tree_level_structure_matches_set_bits() -> None:
     # after t inserts the live levels are exactly the set bits of t, and each
     # live level holds the sum of its dyadic block

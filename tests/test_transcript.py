@@ -6,13 +6,16 @@ did before its rounds were stored by column.  ``run_single`` drives both on
 the same streams (the policy classes are swapped in ``harness``), and every
 way of reading the transcript must give the reference's entries: iteration,
 length, positive and negative indices, slices, entry and field types, and
-``IndexError`` past either end.  A second test bounds what a transcript holds
-per round.
+``IndexError`` past either end.  Further tests compare a transcript with the
+list of its entries, bound what a transcript holds per round, and check that a
+finished policy and its columns are freed without the cycle collector.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -21,8 +24,10 @@ from htbandits import (
     DPRobustUCB,
     ExperimentConfig,
     LDPRobustSE,
+    PrivacyLedger,
     RobustUCB,
     TranscriptEntry,
+    audit_run,
     harness,
     make_instance_for,
     run_single,
@@ -157,3 +162,42 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
     assert len(policy.transcript) == rounds
     assert trace.checkpoints[-1][0] == rounds
     assert held / rounds < 32, f"{held / rounds:.1f} B/round"
+
+
+def test_a_transcript_equals_the_list_of_its_entries() -> None:
+    # Two completed epochs, then commitment: the committed flags vary.
+    _, policy = run_single(
+        config_for("dprse", "two_arm_hard", 100.0, 5000), 0, return_policy=True
+    )
+    transcript = policy.transcript
+    entries = list(transcript)
+    assert transcript == entries and entries == transcript
+    assert transcript == transcript[:]
+    assert transcript != entries[:-1]
+    assert transcript != entries[::-1]
+    assert transcript != entries[:-1] + [entries[-1]._replace(committed=False)]
+    assert transcript != tuple(entries)
+    with pytest.raises(TypeError):
+        hash(transcript)
+
+
+@pytest.mark.parametrize("algo", ["dprucb", "dprse", "ldprse", "rucb"])
+def test_a_finished_audited_policy_is_freed_by_reference_counting(algo: str) -> None:
+    # A transcript holding a bound method of its policy would form a cycle
+    # that keeps a long run's columns alive until the next collection.
+    ledger = PrivacyLedger()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, policy = run_single(
+            config_for(algo, "S1", 1.0, 2000), 0, ledger=ledger, return_policy=True
+        )
+        assert audit_run(ledger).ok
+        policy_ref = weakref.ref(policy)
+        column_ref = weakref.ref(policy.transcript.columns[0])
+        del policy
+        assert policy_ref() is None
+        assert column_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
