@@ -25,7 +25,6 @@ import csv
 import functools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .distributions import (
     make_pareto_instance,
     make_two_arm_hard_instance,
 )
-from .mechanisms import NoiseHook, NoiseSource, PrivacyLedger
+from .mechanisms import NoiseHook, NoiseSource, PrivacyLedger, _as_index
 from .policies import DPRobustSE, DPRobustUCB, LDPRobustSE, RobustUCB
 from .schedules import MomentParams
 from .seeding import (
@@ -110,16 +109,12 @@ class ExperimentConfig:
             raise ValueError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
         if not 0.0 < self.v <= 1.0:
             raise ValueError(f"v must lie in (0, 1], got {self.v}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        for name in ("horizon", "reps", "base_seed", "checkpoint_count", "checkpoint_stride"):
-            value = getattr(self, name)
-            if value is None and name == "checkpoint_stride":
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        for name in ("horizon", "reps", "base_seed", "checkpoint_count"):
+            _as_index(name, getattr(self, name))
+        if self.checkpoint_stride is not None:
+            _as_index("checkpoint_stride", self.checkpoint_stride)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.reps < 1:
@@ -224,8 +219,10 @@ def make_policy(
 ):
     """Construct the configured policy with its per-arm noise streams.
 
-    The streams are derived on their first read, so ``rep`` is checked here.
+    The streams are derived on their first read, so ``rep`` is checked here:
+    a non-negative integer (numpy's included).
     """
+    rep = _as_index("rep", rep)
     if not 0 <= rep:
         raise ValueError(f"rep must be non-negative, got {rep}")
     params = MomentParams(u=instance.u, v=instance.v)
@@ -310,6 +307,17 @@ def run_single(
     if return_policy:
         return trace, policy
     return trace
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use.
+
+    Only ``run_experiment(workers > 1)`` starts a pool, so importing the
+    package does not load ``multiprocessing``.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(*args, **kwargs)
 
 
 def _run_rep(args) -> RegretTrace:

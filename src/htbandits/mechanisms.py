@@ -62,16 +62,25 @@ _NO_OWNER = -1
 _MIN_UNIFORM = 2.0**-53
 
 
+def _as_index(name: str, value) -> int:
+    """``value`` as an int if it is an integer (numpy's included), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def laplace_from_uniform(u: float, scale: float) -> float:
     """Map one uniform ``u`` in [0, 1) to a Laplace(0, scale) variate.
 
     Inverse CDF: negative branch ``scale*ln(2u)`` for ``u < 1/2``, positive
     branch ``-scale*ln(2(1-u))`` otherwise, so ``u = 1/2`` maps to 0.
+    ``scale`` must be finite and non-negative.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    if scale < 0.0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
+    if not 0.0 <= scale < math.inf:  # NaN fails too
+        raise ValueError(f"scale must be finite and non-negative, got {scale}")
     if u < 0.5:
         return scale * math.log(2.0 * max(u, _MIN_UNIFORM))
     return -scale * math.log(2.0 * (1.0 - u))
@@ -394,9 +403,10 @@ class AdaptiveTree:
     Parameters
     ----------
     horizon : int
-        Capacity; at most ``horizon`` insertions are accepted.  Must be >= 2.
+        Capacity; at most ``horizon`` insertions are accepted.  An integer
+        (numpy's included), at least 2.
     eps : float
-        Privacy budget for the full stream of releases.
+        Privacy budget for the full stream of releases, finite and positive.
     noise : NoiseSource
         Source for the per-finalization draws.
     owner : int or None
@@ -421,11 +431,11 @@ class AdaptiveTree:
     )
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource, owner: int | None = None):
-        horizon = int(horizon)
+        horizon = _as_index("horizon", horizon)
         if horizon < 2:
             raise ValueError(f"horizon must be >= 2, got {horizon}")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {eps}")
         self.horizon = horizon
         self.eps = float(eps)
         self.owner = owner

@@ -5,8 +5,10 @@ with ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is enforced; misuse
 raises.  Each observed round is recorded in ``transcript``, a
 :class:`~htbandits.mechanisms.RecordTable` of :class:`TranscriptEntry` stored
-by column at about 20 bytes per round: the arm, the reward and the truncated
-reward of each round, plus the first committed round.
+by column at 13 bytes per round: the arm, the reward and a kept flag of each
+round, plus the first committed round.  A policy truncates a reward to itself
+or to ``0.0``, so the flag and the reward give the truncated reward; a policy
+that returns anything else makes ``observe`` raise.
 
 Noise enters only through per-arm :class:`~htbandits.mechanisms.NoiseSource`
 objects supplied at construction, so runs are exactly reproducible and the
@@ -14,10 +16,16 @@ zero-noise hook turns every policy into its noiseless counterpart.
 """
 
 import math
-from itertools import repeat
+from itertools import repeat, tee
 from typing import NamedTuple, Optional
 
-from .mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, AdaptiveTree, RecordTable
+from .mechanisms import (
+    LOCAL_REWARD_SITE,
+    SE_RELEASE_SITE,
+    AdaptiveTree,
+    RecordTable,
+    _as_index,
+)
 from .schedules import (
     MomentParams,
     central_se_schedule,
@@ -61,20 +69,21 @@ class TranscriptEntry(NamedTuple):
 
 
 class _Transcript(RecordTable):
-    """The observed rounds of one policy: the arm, reward and truncated reward.
+    """The observed rounds of one policy: the arm, the reward and a kept flag.
 
     Entry ``i`` is round ``i + 1``, because rounds are consecutive from 1.
-    Commitment is never undone, so the committed rounds are the suffix from
-    ``_first_committed`` on (None while no round is committed).  Entries are
-    :class:`TranscriptEntry` values built in C with ``tuple.__new__``, which
-    skips NamedTuple's Python-level ``__new__`` (same type, same fields in the
-    same order).
+    The truncated reward is the reward where the kept flag is 1 and ``0.0``
+    where it is 0.  Commitment is never undone, so the committed rounds are
+    the suffix from ``_first_committed`` on (None while no round is
+    committed).  Entries are :class:`TranscriptEntry` values built in C with
+    ``tuple.__new__``, which skips NamedTuple's Python-level ``__new__`` (same
+    type, same fields in the same order).
     """
 
     __slots__ = ("_first_committed",)
 
     def __init__(self):
-        super().__init__("Idd")
+        super().__init__("IdB")
         self._first_committed: Optional[int] = None
 
     def _records(self, rows: range, columns):
@@ -82,7 +91,12 @@ class _Transcript(RecordTable):
         rounds = range(rows.start + 1, rows.stop + 1, rows.step)
         first = self._first_committed
         flags = repeat(False) if first is None else map(first.__le__, rounds)
-        return map(tuple.__new__, repeat(TranscriptEntry), zip(rounds, *columns, flags))
+        arms, rewards, kept = columns
+        rewards, to_truncate = tee(rewards)
+        # (0.0, reward)[kept]: the reward where it was kept, 0.0 where not.
+        truncated = map(tuple.__getitem__, zip(repeat(0.0), to_truncate), kept)
+        entries = zip(rounds, arms, rewards, truncated, flags)
+        return map(tuple.__new__, repeat(TranscriptEntry), entries)
 
 
 class _PolicyBase:
@@ -121,6 +135,16 @@ class _PolicyBase:
         self._pending = None
         reward = float(reward)
         kept = self._observe(arm, reward)
+        # The transcript stores whether the reward was kept, so a truncated
+        # reward must be the reward itself or +0.0.
+        if kept is reward:
+            kept = 1
+        elif kept == 0.0 and math.copysign(1.0, kept) == 1.0:
+            kept = 0
+        else:
+            raise ValueError(
+                f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
+            )
         self._record_arm(arm)
         self._record_reward(reward)
         self._record_kept(kept)
@@ -143,6 +167,7 @@ class _PolicyBase:
         raise NotImplementedError
 
     def _observe(self, arm: int, reward: float) -> float:
+        # Returns the truncated reward: ``reward`` itself, or 0.0.
         raise NotImplementedError
 
 
@@ -169,6 +194,7 @@ class DPRobustUCB(_PolicyBase):
         Per-arm privacy budget.
     horizon : int
         Number of rounds the policy will be driven; also each tree's capacity.
+        An integer (numpy's included).
     noise_sources : sequence of NoiseSource
         One source per arm, in arm order; each arm's tree records its draws and
         insertions into that source's ledger.
@@ -177,6 +203,7 @@ class DPRobustUCB(_PolicyBase):
     def __init__(self, params: MomentParams, eps: float, horizon: int, noise_sources):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
+        horizon = _as_index("horizon", horizon)
         if horizon < self.num_arms:
             raise ValueError(
                 f"horizon {horizon} is below the number of arms {self.num_arms}"
@@ -187,7 +214,7 @@ class DPRobustUCB(_PolicyBase):
         private_ucb_truncation(params, eps, horizon, 1)
         self.params = params
         self.eps = float(eps)
-        self.horizon = int(horizon)
+        self.horizon = horizon
         u, v = params.u, params.v
         log_horizon = math.log(self.horizon)
         # radius = coef * (ln(2 t**4) * log_pow / (n * eps)) ** exp
@@ -266,8 +293,9 @@ class _EliminationPolicy(_PolicyBase):
         ledger = noise_sources[0].ledger
         if any(src.ledger is not ledger for src in noise_sources):
             raise ValueError("the noise sources carry different ledgers")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        horizon = _as_index("horizon", horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if beta is None:
@@ -276,7 +304,7 @@ class _EliminationPolicy(_PolicyBase):
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
         self.params = params
         self.eps = float(eps)
-        self.horizon = int(horizon)
+        self.horizon = horizon
         self.beta = float(beta)
         self.ledger = ledger
         self._sources = noise_sources

@@ -41,7 +41,7 @@ class MomentParams:
     Parameters
     ----------
     u : float
-        Moment bound, positive.
+        Moment bound, finite and positive.
     v : float
         Tail exponent in (0, 1].
     """
@@ -50,8 +50,8 @@ class MomentParams:
     v: float
 
     def __post_init__(self) -> None:
-        if not self.u > 0.0:
-            raise ValueError(f"u must be positive, got {self.u}")
+        if not 0.0 < self.u < math.inf:
+            raise ValueError(f"u must be finite and positive, got {self.u}")
         if not 0.0 < self.v <= 1.0:
             raise ValueError(f"v must lie in (0, 1], got {self.v}")
 
@@ -82,8 +82,8 @@ class EpochSchedule:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
 def _check_horizon(horizon: float) -> None:

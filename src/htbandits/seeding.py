@@ -5,9 +5,12 @@ Every consumer of randomness in a simulation gets its own generator, keyed by
 statistically independent, and adding a new consumer never shifts the draws
 seen by existing ones.  Philox is counter-based, so the mapping from key to
 stream is stable across processes and platforms.  :class:`BlockStream` derives
-a stream on its first read and reads it in blocks, without changing the values
-it yields.
+a stream on its first read and draws it ahead in blocks, kept packed as
+doubles, without changing the values it yields.
 """
+
+import operator
+from array import array
 
 import numpy as np
 
@@ -45,7 +48,8 @@ def derive_stream(
     Parameters
     ----------
     base_seed : int
-        Experiment-level seed, non-negative.
+        Experiment-level seed, non-negative.  Every key component is an
+        integer (numpy's included); anything else raises ``ValueError``.
     rep : int
         Repetition index, non-negative.
     arm : int
@@ -58,7 +62,11 @@ def derive_stream(
     numpy.random.Generator
         Generator backed by Philox seeded from the key tuple.
     """
-    key = (int(base_seed), int(rep), int(arm), int(purpose))
+    given = (base_seed, rep, arm, purpose)
+    try:
+        key = tuple(map(operator.index, given))
+    except TypeError:
+        raise ValueError(f"seed key components must be integers, got {given!r}") from None
     if any(part < 0 for part in key):
         raise ValueError(f"seed key components must be non-negative, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
@@ -72,7 +80,8 @@ class BlockStream:
     ``i``-th double that scalar ``random()`` calls on ``factory()`` would
     return, at a fraction of their per-call cost.  The generator runs up to
     one block ahead of the reader; since only this object ever holds it, it
-    has no other consumer.
+    has no other consumer.  The block is kept packed, 8 bytes a double in an
+    ``array('d')``, and each read builds one float.
 
     Parameters
     ----------
@@ -86,7 +95,7 @@ class BlockStream:
     def __init__(self, factory):
         self._factory = factory
         self._rng = None
-        self._ahead: list = []  # drawn but unread, the next one last
+        self._ahead = array("d")  # drawn but unread, the next one last
         self._next_size = _FIRST_BLOCK
 
     def random(self) -> float:
@@ -99,7 +108,6 @@ class BlockStream:
                 self._factory = None
             size = self._next_size
             self._next_size = min(2 * size, BLOCK_CAP)
-            block = self._rng.random(size).tolist()
-            block.reverse()
+            block = array("d", self._rng.random(size)[::-1].tobytes())
             self._ahead = block
             return block.pop()

@@ -64,6 +64,15 @@ def test_cli_reports_bad_values_on_stderr(tmp_path, capsys) -> None:
     assert captured.err.startswith("error:")
     assert not (tmp_path / "x.runs.csv").exists()
 
+
+def test_cli_rejects_an_infinite_budget(tmp_path, capsys) -> None:
+    code = main(["--algo", "dprucb", "--setting", "S1", "--v", "0.9", "--eps", "inf",
+                 "--horizon", "50", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: eps must be finite and positive, got inf\n"
+    assert not (tmp_path / "x.runs.csv").exists()
+
+
 def test_cli_rejects_a_short_dprucb_horizon_before_starting_workers(
     tmp_path, capsys, monkeypatch
 ) -> None:

@@ -31,6 +31,7 @@ from htbandits.harness import (
     SETTINGS,
     SUMMARY_HEADER,
     make_instance_for,
+    make_policy,
 )
 
 
@@ -146,6 +147,8 @@ def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -
         ("v", 0.0),
         ("v", 1.5),
         ("eps", 0.0),
+        ("eps", math.inf),  # every draw would be made at scale NaN
+        ("eps", math.nan),
         ("horizon", 0),
         ("horizon", 4),  # below dprucb's opening pull of each of S1's 5 arms
         ("reps", 0),
@@ -286,6 +289,17 @@ def test_single_run_is_bit_identical_on_rerun() -> None:
     log_a = [(e.round, e.arm, e.reward, e.truncated_reward) for e in policy_a.transcript]
     log_b = [(e.round, e.arm, e.reward, e.truncated_reward) for e in policy_b.transcript]
     assert log_a == log_b
+
+
+def test_a_rep_that_is_not_an_integer_is_rejected() -> None:
+    config = small_config(algo="rucb", horizon=50)
+    instance = make_instance_for(config.setting, config.v)
+    for rep in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="rep must be an integer"):
+            run_single(config, rep)
+        with pytest.raises(ValueError, match="rep must be an integer"):
+            make_policy(config, instance, rep)
+    assert run_single(config, np.int64(1)) == run_single(config, 1)
 
 
 def test_different_reps_see_different_rewards() -> None:

@@ -1,8 +1,12 @@
-"""Every module in src/ and tests/ reads each name it imports."""
+"""Every module in src/ and tests/ reads each name it imports; the package
+imports no process pool."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +52,18 @@ def test_no_module_imports_a_name_it_never_reads() -> None:
         for line, name in unused_imports(path.read_text())
     ]
     assert offenders == []
+
+
+def test_importing_the_package_does_not_load_the_process_pool() -> None:
+    # Only run_experiment(workers > 1) starts a pool; it imports it then.
+    code = (
+        "import sys, htbandits\n"
+        "print(sorted(name for name in ('multiprocessing', 'concurrent.futures.process')"
+        " if name in sys.modules))"
+    )
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

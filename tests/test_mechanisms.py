@@ -44,6 +44,10 @@ def test_laplace_rejects_bad_arguments() -> None:
         laplace_from_uniform(-0.1, 1.0)
     with pytest.raises(ValueError):
         laplace_from_uniform(0.5, -1.0)
+    with pytest.raises(ValueError):
+        laplace_from_uniform(0.3, math.nan)
+    with pytest.raises(ValueError):
+        laplace_from_uniform(0.5, math.inf)
 
 
 def test_laplace_tail_smoke() -> None:
@@ -165,6 +169,21 @@ def test_tree_rejects_contract_violations() -> None:
         AdaptiveTree(1, 1.0, noise=zero_source())
     with pytest.raises(ValueError):
         AdaptiveTree(8, 0.0, noise=zero_source())
+
+
+def test_tree_rejects_an_infinite_budget() -> None:
+    # Its noise scale would be 2 * bound / (inf / ln(horizon)) = 0: no noise.
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            AdaptiveTree(8, eps, noise=zero_source())
+
+
+def test_tree_rejects_a_capacity_that_is_not_an_integer() -> None:
+    for horizon in (2.9, 8.0, "8"):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            AdaptiveTree(horizon, 1.0, noise=zero_source())
+    tree = AdaptiveTree(np.int64(3), 1.0, noise=zero_source())
+    assert tree.horizon == 3 and type(tree.horizon) is int
 
 
 def test_tree_rejects_a_nan_value_and_records_nothing() -> None:

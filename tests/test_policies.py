@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from htbandits import (
@@ -282,6 +285,31 @@ def test_elimination_policies_validate_arguments() -> None:
         DPRobustSE(UNIT, 0.0, 100, zero_sources(2))
     with pytest.raises(ValueError):
         LDPRobustSE(UNIT, 1.0, 0, zero_sources(2))
+
+
+def test_elimination_policies_reject_an_infinite_budget() -> None:
+    for cls in (DPRobustSE, LDPRobustSE):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            cls(UNIT, math.inf, 100, zero_sources(2), beta=0.1)
+
+
+def test_elimination_policies_reject_a_horizon_that_is_not_an_integer() -> None:
+    # beta defaults to 1 / horizon, which a truncated horizon would not match.
+    for cls in (DPRobustSE, LDPRobustSE):
+        for horizon in (300.7, 300.0):
+            with pytest.raises(ValueError, match="horizon must be an integer"):
+                cls(UNIT, 1.0, horizon, zero_sources(2))
+        policy = cls(UNIT, 1.0, np.int64(300), zero_sources(2))
+        assert policy.horizon == 300 and type(policy.horizon) is int
+        assert policy.beta == 1.0 / 300
+
+
+def test_dprucb_rejects_a_horizon_that_is_not_an_integer() -> None:
+    for horizon in (10.5, 16.0):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            DPRobustUCB(UNIT, 1.0, horizon, zero_sources(2))
+    policy = DPRobustUCB(UNIT, 1.0, np.int64(16), zero_sources(2))
+    assert policy.horizon == 16 and type(policy.horizon) is int
 
 
 def test_elimination_policies_reject_sources_with_different_ledgers() -> None:

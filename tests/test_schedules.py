@@ -34,6 +34,12 @@ def test_moment_params_validation() -> None:
         MomentParams(u=1.0, v=1.5)
 
 
+def test_moment_params_reject_an_infinite_moment_bound() -> None:
+    for u in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="u must be finite and positive"):
+            MomentParams(u=u, v=1.0)
+
+
 def test_private_truncation_frozen_point() -> None:
     got = private_ucb_truncation(UNIT, eps=1.0, horizon=1024, n=100)
     expected = (100.0 / math.log(1024) ** 1.5) ** 0.5
@@ -137,6 +143,19 @@ def test_epoch_lengths_decrease_with_budget() -> None:
         loose_l = local_se_schedule(UNIT, 2.0, 0.1, 5, epoch).pulls_per_arm
         tight_l = local_se_schedule(UNIT, 0.5, 0.1, 5, epoch).pulls_per_arm
         assert loose_l <= tight_l
+
+
+def test_every_schedule_rejects_an_infinite_budget() -> None:
+    calls = (
+        lambda eps: central_se_schedule(UNIT, eps, 0.1, 5, 1),
+        lambda eps: local_se_schedule(UNIT, eps, 0.1, 5, 1),
+        lambda eps: private_ucb_truncation(UNIT, eps, 1024, 1),
+        lambda eps: private_ucb_radius(UNIT, eps, 1024, 1, 1),
+    )
+    for call in calls:
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                call(eps)
 
 
 def test_schedule_argument_validation() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 
 from htbandits import ExperimentConfig, NoiseSource, harness, laplace_from_uniform, run_single
@@ -43,6 +44,15 @@ def test_block_stream_returns_exactly_the_scalar_draws() -> None:
     assert set(sizes[cap_at:]) == {BLOCK_CAP}
     assert sum(sizes[:-1]) < DRAWS <= sum(sizes)
     assert len(sizes) - cap_at > 2
+
+
+def test_a_seed_key_component_that_is_not_an_integer_is_rejected() -> None:
+    # Truncating 2.9 would hand out rep 2's stream.
+    for key in ((7, 2.9), (7.0, 2), (7, 2, 1.0), (7, 2, 0, "1")):
+        with pytest.raises(ValueError, match="seed key components must be integers"):
+            derive_stream(*key)
+    numpy_key = derive_stream(np.int64(7), np.int32(2), arm=np.uint8(1))
+    assert numpy_key.random(4).tolist() == derive_stream(7, 2, arm=1).random(4).tolist()
 
 
 def test_block_stream_feeds_the_scalar_laplace_map() -> None:

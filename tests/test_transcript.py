@@ -24,6 +24,7 @@ from htbandits import (
     DPRobustUCB,
     ExperimentConfig,
     LDPRobustSE,
+    MomentParams,
     PrivacyLedger,
     RobustUCB,
     TranscriptEntry,
@@ -147,7 +148,7 @@ def test_columnar_transcript_reads_like_the_per_round_list(
 @pytest.mark.parametrize("algo", ["dprucb", "dprse", "ldprse", "rucb"])
 def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
     # One TranscriptEntry per round in a list held ~152 B/round; three typed
-    # columns hold 20 B/round plus their growth slack.
+    # columns (arm, reward, kept flag) hold 13 B/round plus their growth slack.
     rounds = 50_000
     config = config_for(algo, "S1", 1.0, rounds)
     instance = make_instance_for("S1", V)
@@ -161,7 +162,24 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
         tracemalloc.stop()
     assert len(policy.transcript) == rounds
     assert trace.checkpoints[-1][0] == rounds
-    assert held / rounds < 32, f"{held / rounds:.1f} B/round"
+    assert held / rounds < 18, f"{held / rounds:.1f} B/round"
+
+
+@pytest.mark.parametrize(
+    "truncate", [lambda reward: 0.5 * reward, lambda reward: -0.0], ids=["half", "minus_zero"]
+)
+def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
+    # The transcript keeps a flag: the truncated reward is the reward or +0.0.
+    class Misreporting(RobustUCB):
+        def _observe(self, arm: int, reward: float) -> float:
+            super()._observe(arm, reward)
+            return truncate(reward)
+
+    policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
+    arm = policy.select_arm(1)
+    with pytest.raises(ValueError, match="to itself or to 0.0"):
+        policy.observe(arm, 0.25)
+    assert len(policy.transcript) == 0
 
 
 def test_a_transcript_equals_the_list_of_its_entries() -> None:
