@@ -61,6 +61,10 @@ _NO_OWNER = -1
 # keeps the log finite without disturbing any other outcome.
 _MIN_UNIFORM = 2.0**-53
 
+# Module-level names for the per-draw path: a global lookup, not an attribute.
+_log = math.log
+_INF = math.inf
+
 
 def _as_index(name: str, value) -> int:
     """``value`` as an int if it is an integer (numpy's included), else ValueError."""
@@ -79,11 +83,11 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    if not 0.0 <= scale < math.inf:  # NaN fails too
+    if not 0.0 <= scale < _INF:  # NaN fails too
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
     if u < 0.5:
-        return scale * math.log(2.0 * max(u, _MIN_UNIFORM))
-    return -scale * math.log(2.0 * (1.0 - u))
+        return scale * _log(2.0 * (u if u >= _MIN_UNIFORM else _MIN_UNIFORM))
+    return -scale * _log(2.0 * (1.0 - u))
 
 
 class NoiseHook(enum.Enum):
@@ -92,6 +96,12 @@ class NoiseHook(enum.Enum):
     LAPLACE = "laplace"
     ZERO = "zero"
     UNIT = "unit"
+
+
+# The members the per-draw path compares with.  Python 3.11's enum metaclass
+# defines __getattr__, which makes each ``NoiseHook.X`` lookup cost ~0.1 µs.
+_LAPLACE = NoiseHook.LAPLACE
+_ZERO = NoiseHook.ZERO
 
 
 @dataclass
@@ -373,14 +383,16 @@ class NoiseSource:
         gives them those names in the :class:`NoiseDraw` records it builds.
         """
         self.draws_made += 1
-        if self.hook is NoiseHook.LAPLACE:
+        hook = self.hook
+        if hook is _LAPLACE:
             value = laplace_from_uniform(self.rng.random(), scale)
-        elif self.hook is NoiseHook.ZERO:
+        elif hook is _ZERO:
             value = 0.0
         else:
             value = 1.0
-        if self.ledger is not None:
-            self.ledger.record_draw(site, scale, *context)
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.record_draw(site, scale, *context)
         return value
 
 
@@ -472,8 +484,13 @@ class AdaptiveTree:
         return self._exact
 
     def insert(self, value: float, bound: float) -> float:
-        """Insert one value and return the updated noisy running sum."""
-        if self._t >= self.horizon:
+        """Insert one value and return the updated noisy running sum.
+
+        A value or bound that fails a check changes nothing: the checks run
+        before the noise draw and before any state changes.
+        """
+        t = self._t + 1
+        if t > self.horizon:
             raise ValueError(f"tree is full: capacity {self.horizon}")
         if not bound > 0.0:
             raise ValueError(f"bound must be positive, got {bound}")
@@ -483,23 +500,29 @@ class AdaptiveTree:
             )
         if not abs(value) <= bound:  # NaN fails too
             raise ValueError(f"|value| = {abs(value)} exceeds bound {bound}")
-        t = self._t + 1
+        eta = self._noise.draw(
+            2.0 * bound / self._eps_prime, TREE_SITE, bound, self.eps, self.horizon
+        )
         self._t = t
         self._last_bound = bound
-        level = (t & -t).bit_length() - 1
-        psums = self._psums
-        acc = 0.0
-        for j in range(level):
-            acc += psums[j]
-            psums[j] = 0.0
-        finalized = acc + value
-        scale = 2.0 * bound / self._eps_prime
-        eta = self._noise.draw(scale, TREE_SITE, bound, self.eps, self.horizon)
-        psums[level] = finalized
-        # Levels 0 .. level-1 are the lowest set bits of t - 1, on top of the
-        # stack; they merge into the new sum at `level`.
         stack = self._noisy_stack
-        del stack[len(stack) - level :]
+        if t & 1:
+            # Level 0 merges no lower level: the sum is 0.0 + value, which,
+            # as in the loop below, turns -0.0 into 0.0.
+            level = 0
+            finalized = 0.0 + value
+        else:
+            level = (t & -t).bit_length() - 1
+            psums = self._psums
+            acc = 0.0
+            for j in range(level):
+                acc += psums[j]
+                psums[j] = 0.0
+            finalized = acc + value
+            # Levels 0 .. level-1 are the lowest set bits of t - 1, on top of
+            # the stack; they merge into the new sum at `level`.
+            del stack[-level:]
+        self._psums[level] = finalized
         stack.append(finalized + eta)
         self._exact += value
         if self._ledger is not None:

@@ -99,8 +99,18 @@ class _Transcript(RecordTable):
         return map(tuple.__new__, repeat(TranscriptEntry), entries)
 
 
+# Takes the pending arm's place once a round failed in observe; no arm equals
+# it, so every later select_arm or observe reaches an error branch.
+_FAILED = object()
+
+
 class _PolicyBase:
-    """Round bookkeeping, contract enforcement, transcript recording."""
+    """Round bookkeeping, contract enforcement, transcript recording.
+
+    A round whose ``observe`` raises is not recorded: ``rounds_played`` stays
+    at the transcript's length.  The policy's own state may be half updated by
+    then, so every later ``select_arm`` or ``observe`` raises ``RuntimeError``.
+    """
 
     def __init__(self, num_arms: int):
         if num_arms < 1:
@@ -119,6 +129,7 @@ class _PolicyBase:
 
     def select_arm(self, t: int) -> int:
         if self._pending is not None:
+            self._raise_if_failed()
             raise RuntimeError("select_arm called again before observe")
         if t != self._round + 1:
             raise ValueError(f"expected round {self._round + 1}, got t={t}")
@@ -130,24 +141,36 @@ class _PolicyBase:
         if self._pending is None:
             raise RuntimeError("observe called without a pending selection")
         if arm != self._pending:
+            self._raise_if_failed()
             raise ValueError(f"observe got arm {arm}, selected arm was {self._pending}")
         self._round += 1
         self._pending = None
-        reward = float(reward)
-        kept = self._observe(arm, reward)
-        # The transcript stores whether the reward was kept, so a truncated
-        # reward must be the reward itself or +0.0.
-        if kept is reward:
-            kept = 1
-        elif kept == 0.0 and math.copysign(1.0, kept) == 1.0:
-            kept = 0
-        else:
-            raise ValueError(
-                f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
-            )
+        try:
+            reward = float(reward)
+            kept = self._observe(arm, reward)
+            # The transcript stores whether the reward was kept, so a truncated
+            # reward must be the reward itself or +0.0.
+            if kept is reward:
+                kept = 1
+            elif kept == 0.0 and math.copysign(1.0, kept) == 1.0:
+                kept = 0
+            else:
+                raise ValueError(
+                    f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
+                )
+        except BaseException:
+            self._round -= 1
+            self._pending = _FAILED
+            raise
         self._record_arm(arm)
         self._record_reward(reward)
         self._record_kept(kept)
+
+    def _raise_if_failed(self) -> None:
+        if self._pending is _FAILED:
+            raise RuntimeError(
+                f"round {self._round + 1} failed in observe; this policy cannot go on"
+            )
 
     def committed_arm(self) -> Optional[int]:
         return self._committed
@@ -243,10 +266,11 @@ class DPRobustUCB(_PolicyBase):
             return t - 1
         log_term = math.log(2 * t**4) * self._radius_log_pow
         coef, exp = self._radius_coef, self._radius_exp
+        means, n_eps = self._means, self._n_eps
         best_score = -math.inf
         best_arm = 0
-        for a, (mean, n_eps) in enumerate(zip(self._means, self._n_eps)):
-            score = mean + coef * (log_term / n_eps) ** exp
+        for a in range(self.num_arms):
+            score = means[a] + coef * (log_term / n_eps[a]) ** exp
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -492,6 +516,7 @@ class RobustUCB(_PolicyBase):
         self._radius_coef = 4.0 * u ** (1.0 / (1.0 + v))
         self._radius_exp = v / (1.0 + v)
         # threshold = (u * n / ln(t**2)) ** exp
+        self._trunc_u = u
         self._trunc_exp = 1.0 / (1.0 + v)
         self._counts = [0] * num_arms
         self._sums = [0.0] * num_arms
@@ -506,10 +531,11 @@ class RobustUCB(_PolicyBase):
             return t - 1
         log_term = math.log(t**2)
         coef, exp = self._radius_coef, self._radius_exp
+        means, counts = self._means, self._counts
         best_score = -math.inf
         best_arm = 0
-        for a, (mean, n) in enumerate(zip(self._means, self._counts)):
-            score = mean + coef * (log_term / n) ** exp
+        for a in range(self.num_arms):
+            score = means[a] + coef * (log_term / counts[a]) ** exp
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -519,7 +545,7 @@ class RobustUCB(_PolicyBase):
         n = self._counts[arm] + 1
         self._counts[arm] = n
         t = max(float(self._round), 2.0)
-        bound = (self.params.u * n / math.log(t**2)) ** self._trunc_exp
+        bound = (self._trunc_u * n / math.log(t**2)) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n

@@ -50,6 +50,34 @@ def test_laplace_rejects_bad_arguments() -> None:
         laplace_from_uniform(0.5, math.inf)
 
 
+def _laplace_reference(u: float, scale: float) -> float:
+    # laplace_from_uniform's formula as first written, kept as the reference.
+    if u < 0.5:
+        return scale * math.log(2.0 * max(u, 2.0**-53))
+    return -scale * math.log(2.0 * (1.0 - u))
+
+
+def test_laplace_matches_the_reference_formula_bit_for_bit() -> None:
+    edges = [0.0, 2.0**-53, math.nextafter(0.5, 0.0), 0.5, math.nextafter(1.0, 0.0)]
+    uniforms = edges + np.random.default_rng(2106).random(10_000).tolist()
+    for scale in (0.0, 1e-3, 1.0, 2.7, 123456.789):
+        got = np.array([laplace_from_uniform(u, scale) for u in uniforms])
+        want = np.array([_laplace_reference(u, scale) for u in uniforms])
+        # Equal bits: -0.0 and 0.0 differ, a NaN would differ from everything.
+        assert got.tobytes() == want.tobytes(), scale
+
+
+def test_laplace_rejections_keep_their_messages() -> None:
+    for u in (1.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError) as info:
+            laplace_from_uniform(u, 1.0)
+        assert str(info.value) == f"u must lie in [0, 1), got {u}"
+    for scale in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError) as info:
+            laplace_from_uniform(0.5, scale)
+        assert str(info.value) == f"scale must be finite and non-negative, got {scale}"
+
+
 def test_laplace_tail_smoke() -> None:
     noise = NoiseSource(rng=derive_stream(1, 0, arm=0, purpose=TREE_NOISE))
     sample = np.abs([noise.draw(1.0, TREE_SITE) for _ in range(100_000)])
@@ -194,6 +222,52 @@ def test_tree_rejects_a_nan_value_and_records_nothing() -> None:
     assert tree.t == 0 and tree.estimate == 0.0
     assert len(ledger.noise_draws) == len(ledger.insertions) == 0
     assert tree.insert(0.5, 1.0) == 0.5
+
+
+def _tree_state(tree: AdaptiveTree, source: NoiseSource, ledger: PrivacyLedger) -> tuple:
+    return (
+        tree.t,
+        tree.estimate,
+        tree.exact_sum,
+        source.draws_made,
+        len(ledger.noise_draws),
+        len(ledger.insertions),
+    )
+
+
+@pytest.mark.parametrize(
+    "value, bound, match",
+    [
+        (0.0, 0.0, "bound must be positive"),
+        (0.0, math.nan, "bound must be positive"),
+        (0.1, 1.0, "bounds must be non-decreasing"),
+        (math.nan, 2.0, "exceeds bound"),
+        (2.5, 2.0, "exceeds bound"),
+        (0.5, 2.0, "tree is full"),
+    ],
+    ids=["zero_bound", "nan_bound", "decreasing_bound", "nan_value", "value_above_bound", "full"],
+)
+def test_a_rejected_insert_changes_nothing(value: float, bound: float, match: str) -> None:
+    # A real-noise twin that sees only the accepted inserts must stay equal,
+    # so a rejected insert may not consume a uniform either.
+    def build():
+        ledger = PrivacyLedger()
+        source = NoiseSource(rng=derive_stream(3, 0, arm=0, purpose=TREE_NOISE), ledger=ledger)
+        return AdaptiveTree(4, 1.0, noise=source, owner=0), source, ledger
+
+    tree, source, ledger = build()
+    twin, twin_source, twin_ledger = build()
+    accepted = 4 if match == "tree is full" else 3
+    for _ in range(accepted):
+        assert tree.insert(0.5, 1.5) == twin.insert(0.5, 1.5)
+    before = _tree_state(tree, source, ledger)
+    with pytest.raises(ValueError, match=match):
+        tree.insert(value, bound)
+    assert _tree_state(tree, source, ledger) == before
+    assert before == _tree_state(twin, twin_source, twin_ledger)
+    if accepted < 4:
+        assert tree.insert(0.5, 2.0) == twin.insert(0.5, 2.0)
+        assert _tree_state(tree, source, ledger) == _tree_state(twin, twin_source, twin_ledger)
 
 
 def test_tree_level_structure_matches_set_bits() -> None:

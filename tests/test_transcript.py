@@ -7,8 +7,9 @@ the same streams (the policy classes are swapped in ``harness``), and every
 way of reading the transcript must give the reference's entries: iteration,
 length, positive and negative indices, slices, entry and field types, and
 ``IndexError`` past either end.  Further tests compare a transcript with the
-list of its entries, bound what a transcript holds per round, and check that a
-finished policy and its columns are freed without the cycle collector.
+list of its entries, bound what a transcript holds per round, check that a
+finished policy and its columns are freed without the cycle collector, and
+check that a round whose observe fails is not recorded and ends the policy.
 """
 
 from __future__ import annotations
@@ -180,6 +181,32 @@ def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
     with pytest.raises(ValueError, match="to itself or to 0.0"):
         policy.observe(arm, 0.25)
     assert len(policy.transcript) == 0
+
+
+@pytest.mark.parametrize("failed_round", [1, 4])
+def test_a_failed_observe_stops_the_policy(failed_round: int) -> None:
+    # The round that fails is not recorded, and the policy, whose state the
+    # failure may have left half updated, plays no further round.
+    class Misreporting(RobustUCB):
+        def _observe(self, arm: int, reward: float) -> float:
+            kept = super()._observe(arm, reward)
+            return 0.5 * reward if self.rounds_played == failed_round else kept
+
+    policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
+    for t in range(1, failed_round):
+        policy.observe(policy.select_arm(t), 0.25)
+    arm = policy.select_arm(failed_round)
+    with pytest.raises(ValueError, match="to itself or to 0.0"):
+        policy.observe(arm, 0.25)
+    assert policy.rounds_played == len(policy.transcript) == failed_round - 1
+    message = f"round {failed_round} failed in observe"
+    for t in (failed_round, failed_round + 1, 1):
+        with pytest.raises(RuntimeError, match=message):
+            policy.select_arm(t)
+    for a in (arm, 1 - arm):
+        with pytest.raises(RuntimeError, match=message):
+            policy.observe(a, 0.25)
+    assert policy.rounds_played == len(policy.transcript) == failed_round - 1
 
 
 def test_a_transcript_equals_the_list_of_its_entries() -> None:
