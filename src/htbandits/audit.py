@@ -148,17 +148,13 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
         for e in ledger.epochs
         if e.kind == "local_se" and not e.completed
     )
-    has_central = any(e.kind == "central_se" for e in ledger.epochs) or central_draws > 0
-    has_local = any(e.kind == "local_se" for e in ledger.epochs) or local_draws > 0
-    if has_central and central_draws != expected_central:
+    if central_draws != expected_central:
         report.add(
             SE_RELEASE_SITE,
             -1,
             f"{central_draws} release draws, epoch ledger implies {expected_central}",
         )
-    if has_local and not (
-        expected_local <= local_draws <= expected_local + open_local
-    ):
+    if not expected_local <= local_draws <= expected_local + open_local:
         report.add(
             LOCAL_REWARD_SITE,
             -1,

@@ -23,6 +23,7 @@ call; the CSV files hold the bytes ``csv.writer`` would write.
 
 import csv
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -127,8 +128,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"checkpoint_stride must be >= 1, got {self.checkpoint_stride}"
             )
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        # The elimination policies run at the resolved beta, which is 1.0 at
+        # horizon 1; checked here so that a run fails before any worker starts.
+        beta = self.resolved_beta if self.algo in ("dprse", "ldprse") else self.beta
+        if beta is not None and not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
         if self.algo == "dprucb":
             # The index policy opens with one pull of every arm.  Checked here
             # so that a run fails before any worker process starts.
@@ -211,6 +215,20 @@ def make_instance_for(setting: str, v: float) -> BanditInstance:
     raise ValueError(f"unknown setting {setting!r}")
 
 
+# The stream purpose of each private algorithm's noise; rucb draws none.
+_NOISE_PURPOSE = {"dprucb": TREE_NOISE, "dprse": ELIMINATION_NOISE, "ldprse": PERTURBATION_NOISE}
+
+
+def _streams(config: ExperimentConfig, rep: int, num_arms: int, purpose: int) -> list:
+    # One stream per arm, derived on its first read.
+    return [
+        BlockStream(
+            functools.partial(derive_stream, config.base_seed, rep, arm=a, purpose=purpose)
+        )
+        for a in range(num_arms)
+    ]
+
+
 def make_policy(
     config: ExperimentConfig,
     instance: BanditInstance,
@@ -226,44 +244,20 @@ def make_policy(
     if not 0 <= rep:
         raise ValueError(f"rep must be non-negative, got {rep}")
     params = MomentParams(u=instance.u, v=instance.v)
-    hook = NoiseHook.ZERO if config.zero_noise else NoiseHook.LAPLACE
     algo = config.algo
-
-    def sources(purpose: int) -> list:
-        return [
-            NoiseSource(
-                rng=BlockStream(
-                    functools.partial(
-                        derive_stream, config.base_seed, rep, arm=a, purpose=purpose
-                    )
-                ),
-                hook=hook,
-                ledger=ledger,
-            )
-            for a in range(instance.num_arms)
-        ]
-
-    if algo == "dprucb":
-        return DPRobustUCB(params, config.eps, config.horizon, sources(TREE_NOISE))
-    if algo == "dprse":
-        return DPRobustSE(
-            params,
-            config.eps,
-            config.horizon,
-            sources(ELIMINATION_NOISE),
-            beta=config.resolved_beta,
-        )
-    if algo == "ldprse":
-        return LDPRobustSE(
-            params,
-            config.eps,
-            config.horizon,
-            sources(PERTURBATION_NOISE),
-            beta=config.resolved_beta,
-        )
     if algo == "rucb":
         return RobustUCB(instance.num_arms, params)
-    raise ValueError(f"unknown algo {algo!r}")
+    hook = NoiseHook.ZERO if config.zero_noise else NoiseHook.LAPLACE
+    sources = [
+        NoiseSource(rng, hook, ledger)
+        for rng in _streams(config, rep, instance.num_arms, _NOISE_PURPOSE[algo])
+    ]
+    if algo == "dprucb":
+        return DPRobustUCB(params, config.eps, config.horizon, sources)
+    policy_class = DPRobustSE if algo == "dprse" else LDPRobustSE
+    return policy_class(
+        params, config.eps, config.horizon, sources, beta=config.resolved_beta
+    )
 
 
 def run_single(
@@ -281,12 +275,7 @@ def run_single(
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
     policy = make_policy(config, instance, rep, ledger=ledger)
-    reward_rngs = [
-        BlockStream(
-            functools.partial(derive_stream, config.base_seed, rep, arm=a, purpose=REWARDS)
-        )
-        for a in range(instance.num_arms)
-    ]
+    reward_rngs = _streams(config, rep, instance.num_arms, REWARDS)
     samplers = [model.sample for model in instance.arms]
     gaps = instance.gaps
     counts = [0] * instance.num_arms
@@ -320,17 +309,13 @@ def ProcessPoolExecutor(*args, **kwargs):
     return pool_class(*args, **kwargs)
 
 
-def _run_rep(args) -> RegretTrace:
-    config, rep = args
-    return run_single(config, rep)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """Run all repetitions and return ``(traces, summary)``.
 
     ``workers > 1`` fans repetitions out to a process pool; results are
     identical to the sequential run, in repetition order.
     """
+    workers = _as_index("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     reps = range(config.reps)
@@ -338,7 +323,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
         traces = [run_single(config, rep) for rep in reps]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_rep, [(config, rep) for rep in reps]))
+            traces = list(pool.map(run_single, itertools.repeat(config), reps))
     return traces, aggregate(traces)
 
 

@@ -1,9 +1,12 @@
 """Laplace noise primitives and the streaming prefix-sum release mechanism.
 
-All noise flows through :class:`NoiseSource`, which supports two test hooks
-(zero noise and unit noise) and records every draw into an optional
-:class:`PrivacyLedger` for post-hoc auditing.  The hooks exist for tests only:
-a run with a hook other than ``LAPLACE`` carries no privacy guarantee.
+All noise flows through :class:`NoiseSource`, which records every draw into
+an optional :class:`PrivacyLedger` for post-hoc auditing.  A source draws
+Laplace noise under the ``LAPLACE`` hook and a constant under the two test
+hooks (``ZERO`` and ``UNIT``); it accepts only :class:`NoiseHook` members and
+fixes what it draws at construction.  The test hooks carry no privacy
+guarantee, and the audit, which checks scales and not values, cannot tell
+them from real noise.
 
 The ledger keeps its draws and insertions in two :class:`RecordTable`, typed
 arrays by column, about 57 bytes per round of an audited index run; they build
@@ -98,10 +101,8 @@ class NoiseHook(enum.Enum):
     UNIT = "unit"
 
 
-# The members the per-draw path compares with.  Python 3.11's enum metaclass
-# defines __getattr__, which makes each ``NoiseHook.X`` lookup cost ~0.1 µs.
-_LAPLACE = NoiseHook.LAPLACE
-_ZERO = NoiseHook.ZERO
+# What a draw returns under each hook; None means Laplace noise.
+_HOOK_VALUE = {NoiseHook.LAPLACE: None, NoiseHook.ZERO: 0.0, NoiseHook.UNIT: 1.0}
 
 
 @dataclass
@@ -349,6 +350,10 @@ class PrivacyLedger:
 class NoiseSource:
     """Draws noise for one consumer, recording each draw in the ledger.
 
+    A source's behaviour is fixed at construction: its hook, a
+    :class:`NoiseHook` member (anything else raises ``ValueError``), sets once
+    whether a draw reads a uniform for Laplace noise or returns a constant.
+
     Parameters
     ----------
     rng : object with a scalar ``random()``, or None
@@ -363,15 +368,18 @@ class NoiseSource:
         Destination for draw records; None disables recording.
     """
 
-    __slots__ = ("rng", "hook", "ledger", "draws_made")
+    __slots__ = ("rng", "hook", "ledger", "draws_made", "_value")
 
     def __init__(self, rng=None, hook: NoiseHook = NoiseHook.LAPLACE, ledger=None):
+        if not isinstance(hook, NoiseHook):
+            raise ValueError(f"hook must be a NoiseHook member, got {hook!r}")
         if hook is NoiseHook.LAPLACE and rng is None:
             raise ValueError("LAPLACE hook needs an rng")
         self.rng = rng
         self.hook = hook
         self.ledger = ledger
         self.draws_made = 0
+        self._value = _HOOK_VALUE[hook]
 
     def draw(self, scale: float, site: str, *context) -> float:
         """Draw one value at ``scale`` for the draw site ``site``.
@@ -383,13 +391,9 @@ class NoiseSource:
         gives them those names in the :class:`NoiseDraw` records it builds.
         """
         self.draws_made += 1
-        hook = self.hook
-        if hook is _LAPLACE:
+        value = self._value
+        if value is None:
             value = laplace_from_uniform(self.rng.random(), scale)
-        elif hook is _ZERO:
-            value = 0.0
-        else:
-            value = 1.0
         ledger = self.ledger
         if ledger is not None:
             ledger.record_draw(site, scale, *context)
@@ -408,9 +412,10 @@ class AdaptiveTree:
     of ``t``, at most ``floor(log2(horizon)) + 1`` of them; reads never draw
     noise.
 
-    Bounds supplied with the values must be positive and non-decreasing, and
-    each value's magnitude must not exceed its bound; the whole release stream
-    is then ``eps``-differentially private for streams differing in one entry.
+    Bounds supplied with the values must be finite, positive and
+    non-decreasing, and each value's magnitude must not exceed its bound; the
+    whole release stream is then ``eps``-differentially private for streams
+    differing in one entry.
 
     Parameters
     ----------
@@ -492,8 +497,8 @@ class AdaptiveTree:
         t = self._t + 1
         if t > self.horizon:
             raise ValueError(f"tree is full: capacity {self.horizon}")
-        if not bound > 0.0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0.0 < bound < _INF:  # NaN fails too
+            raise ValueError(f"bound must be positive and finite, got {bound}")
         if bound < self._last_bound:
             raise ValueError(
                 f"bounds must be non-decreasing: {bound} after {self._last_bound}"

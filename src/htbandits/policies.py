@@ -113,6 +113,7 @@ class _PolicyBase:
     """
 
     def __init__(self, num_arms: int):
+        num_arms = _as_index("num_arms", num_arms)
         if num_arms < 1:
             raise ValueError(f"num_arms must be >= 1, got {num_arms}")
         self.num_arms = num_arms
@@ -368,13 +369,8 @@ class _EliminationPolicy(_PolicyBase):
     def _best_known(self) -> int:
         if not self._last_scores:
             return self._viable[0]
-        best_arm = self._viable[0]
-        best_score = self._last_scores[best_arm]
-        for a in self._viable[1:]:
-            if self._last_scores[a] > best_score:
-                best_score = self._last_scores[a]
-                best_arm = a
-        return best_arm
+        # max keeps the first of equal scores: the lowest-indexed viable arm.
+        return max(self._viable, key=self._last_scores.__getitem__)
 
     def _begin_epoch(self) -> None:
         self._epoch += 1
@@ -518,9 +514,9 @@ class RobustUCB(_PolicyBase):
         # threshold = (u * n / ln(t**2)) ** exp
         self._trunc_u = u
         self._trunc_exp = 1.0 / (1.0 + v)
-        self._counts = [0] * num_arms
-        self._sums = [0.0] * num_arms
-        self._means = [0.0] * num_arms
+        self._counts = [0] * self.num_arms
+        self._sums = [0.0] * self.num_arms
+        self._means = [0.0] * self.num_arms
 
     @property
     def pull_counts(self) -> tuple:

@@ -24,6 +24,7 @@ from htbandits import (
     run_single,
     write_csv,
 )
+from htbandits import harness
 from htbandits.distributions import format_value, instance_description
 from htbandits.harness import (
     ALGORITHMS,
@@ -178,6 +179,16 @@ def test_short_horizons_are_rejected_only_for_the_index_policy() -> None:
         small_config(algo=algo, horizon=4)
 
 
+def test_a_one_round_elimination_config_is_rejected() -> None:
+    # Its resolved beta, 1 / horizon, is 1.0, which the policies reject.
+    for algo in ("dprse", "ldprse"):
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got 1.0"):
+            small_config(algo=algo, horizon=1)
+        assert small_config(algo=algo, horizon=1, beta=0.5).resolved_beta == 0.5
+    small_config(algo="rucb", horizon=1)
+    small_config(algo="dprucb", setting="two_arm_hard", horizon=2)
+
+
 def test_beta_defaults_to_one_over_the_horizon() -> None:
     assert small_config(horizon=250).resolved_beta == 1.0 / 250
     assert small_config(beta=0.05).resolved_beta == 0.05
@@ -315,6 +326,21 @@ def test_parallel_execution_matches_sequential() -> None:
     par_traces, par_summary = run_experiment(config, workers=2)
     assert seq_traces == par_traces
     assert seq_summary == par_summary
+
+
+def test_a_worker_count_that_is_not_an_integer_is_rejected_before_a_pool_starts(
+    monkeypatch,
+) -> None:
+    pools = []
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
+    )
+    config = small_config(horizon=50, reps=2)
+    for workers in (2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_experiment(config, workers=workers)
+    assert pools == []
+    assert run_experiment(config, workers=np.int64(1)) == run_experiment(config)
 
 
 # ----------------------------------------------------------- trace content

@@ -89,6 +89,14 @@ def test_noise_source_laplace_requires_rng() -> None:
         NoiseSource(hook=NoiseHook.LAPLACE)
 
 
+@pytest.mark.parametrize("hook", ["laplace", "zero", None, 3])
+def test_noise_source_accepts_only_hook_members(hook) -> None:
+    # A value that is not a member would otherwise fall through to a constant.
+    rng = derive_stream(1, 0, arm=0, purpose=TREE_NOISE)
+    with pytest.raises(ValueError, match="hook must be a NoiseHook member"):
+        NoiseSource(rng=rng, hook=hook)
+
+
 def test_noise_source_hooks_and_ledger_recording() -> None:
     ledger = PrivacyLedger()
     src = NoiseSource(hook=NoiseHook.UNIT, ledger=ledger)
@@ -240,12 +248,13 @@ def _tree_state(tree: AdaptiveTree, source: NoiseSource, ledger: PrivacyLedger) 
     [
         (0.0, 0.0, "bound must be positive"),
         (0.0, math.nan, "bound must be positive"),
+        (0.5, math.inf, "bound must be positive"),
         (0.1, 1.0, "bounds must be non-decreasing"),
         (math.nan, 2.0, "exceeds bound"),
         (2.5, 2.0, "exceeds bound"),
         (0.5, 2.0, "tree is full"),
     ],
-    ids=["zero_bound", "nan_bound", "decreasing_bound", "nan_value", "value_above_bound", "full"],
+    ids=["zero_bound", "nan_bound", "infinite_bound", "decreasing_bound", "nan_value", "value_above_bound", "full"],
 )
 def test_a_rejected_insert_changes_nothing(value: float, bound: float, match: str) -> None:
     # A real-noise twin that sees only the accepted inserts must stay equal,

@@ -312,6 +312,15 @@ def test_dprucb_rejects_a_horizon_that_is_not_an_integer() -> None:
     assert policy.horizon == 16 and type(policy.horizon) is int
 
 
+def test_rucb_rejects_an_arm_count_that_is_not_an_integer() -> None:
+    for num_arms in (2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="num_arms must be an integer"):
+            RobustUCB(num_arms, UNIT)
+    policy = RobustUCB(np.int64(2), UNIT)
+    assert policy.num_arms == 2 and type(policy.num_arms) is int
+    assert policy.pull_counts == (0, 0)
+
+
 def test_elimination_policies_reject_sources_with_different_ledgers() -> None:
     ledger = PrivacyLedger()
     mixed = [
