@@ -57,7 +57,6 @@ from .policies import (
     LDPRobustSE,
     RobustUCB,
     TranscriptEntry,
-    TRANSCRIPT_SCHEMA_VERSION,
 )
 from .schedules import (
     EpochSchedule,

@@ -1,7 +1,9 @@
 """Post-hoc privacy audit over a run's :class:`~htbandits.mechanisms.PrivacyLedger`.
 
 The audit recomputes, independently of the policies, the Laplace scale each
-draw site mandates and compares it exactly against what the run recorded.  It
+draw site mandates from the draw's recorded bound, eps and count, and compares
+it exactly against the recorded scale.  The ledger rejects a draw at any site
+but the three the mechanisms draw at, so every recorded draw has a mandate.  It
 also checks that every inserted value respected its magnitude bound, that
 per-arm mechanisms received only their own arm's data (the precondition for
 parallel composition), and that elimination runs drew exactly as much noise as
@@ -22,6 +24,8 @@ from .mechanisms import (
     SE_RELEASE_SITE,
     TREE_SITE,
     _NO_OWNER,
+    _SITE_CODE,
+    _SITES,
     PrivacyLedger,
 )
 
@@ -60,10 +64,10 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
     """
     report = AuditReport()
 
-    sites, codes, scales, bounds, epss, counts = ledger.draw_columns()
-    tree, release, local = (
-        sites.index(site) for site in (TREE_SITE, SE_RELEASE_SITE, LOCAL_REWARD_SITE)
-    )
+    codes, scales, bounds, epss, counts = ledger.draw_columns()
+    tree = _SITE_CODE[TREE_SITE]
+    release = _SITE_CODE[SE_RELEASE_SITE]
+    local = _SITE_CODE[LOCAL_REWARD_SITE]
     log = math.log
     for i, (code, scale, bound, eps, count) in enumerate(
         zip(codes, scales, bounds, epss, counts)
@@ -76,15 +80,12 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
                 mandated = 2.0 * bound / (eps / log(count))
             elif code == release:
                 mandated = 2.0 * bound / (count * eps)
-            elif code == local:
-                mandated = 2.0 * bound / eps
             else:
-                report.add(sites[code], i, f"unknown draw site {sites[code]!r}")
-                continue
+                mandated = 2.0 * bound / eps
         except (ZeroDivisionError, ValueError) as exc:
             # A zero eps or pulls, or a horizon below 2, mandates no scale.
             report.add(
-                sites[code],
+                _SITES[code],
                 i,
                 f"no mandated scale for bound {bound!r}, eps {eps!r}, "
                 f"count {count!r}: {exc}",
@@ -92,7 +93,7 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
             continue
         if scale != mandated:
             report.add(
-                sites[code],
+                _SITES[code],
                 i,
                 f"scale {scale!r} differs from mandated {mandated!r}",
             )

@@ -52,9 +52,9 @@ class ParetoModel:
     Parameters
     ----------
     alpha : float
-        Tail index; must exceed 1 so the mean is finite.
+        Tail index; finite and above 1, so the mean is finite.
     lam : float
-        Scale (left edge of the support); must be positive.
+        Scale (left edge of the support); finite and positive.
 
     Examples
     --------
@@ -67,10 +67,10 @@ class ParetoModel:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         # The exponent of every sample; not a field, so equality is unchanged.
         object.__setattr__(self, "_exponent", -1.0 / self.alpha)
 
@@ -195,7 +195,7 @@ def make_instance(arms, v: float, u: float | None = None) -> BanditInstance:
     """Build a :class:`BanditInstance` from reward models.
 
     ``u`` defaults to the largest per-arm analytic (1+v)-moment; a supplied
-    ``u`` below that (beyond rounding slack) is rejected.
+    ``u`` must be finite and not below that (beyond rounding slack).
     """
     _check_v(v)
     arms = tuple(arms)
@@ -205,9 +205,10 @@ def make_instance(arms, v: float, u: float | None = None) -> BanditInstance:
     max_moment = max(moments)
     if u is None:
         u = max_moment
-    elif u < max_moment * (1.0 - 1e-12):
+    elif not max_moment * (1.0 - 1e-12) <= u < math.inf:  # NaN fails too
         raise ValueError(
-            f"u={u} is below the largest per-arm (1+v)-moment {max_moment}"
+            f"u={u} must be finite and at least the largest per-arm (1+v)-moment "
+            f"{max_moment}"
         )
     means = tuple(model.mean() for model in arms)
     best = max(means)

@@ -8,10 +8,15 @@ fixes what it draws at construction.  The test hooks carry no privacy
 guarantee, and the audit, which checks scales and not values, cannot tell
 them from real noise.
 
-The ledger keeps its draws and insertions in two :class:`RecordTable`, typed
-arrays by column, about 57 bytes per round of an audited index run; they build
-:class:`NoiseDraw` and :class:`InsertionRecord` values only when read.  The
-policies' transcripts are record tables too.
+Noise is drawn at three sites: the tree's partial sums, the central
+elimination release and the local per-reward perturbation.  Every draw passes
+the same three parameters its scale rests on, a sensitivity bound, a budget
+and a count, and the ledger records each draw as a flat :class:`NoiseDraw`
+``(site, scale, bound, eps, count)``; a draw at any other site is rejected
+when it is recorded.  The ledger keeps its draws and insertions in two
+:class:`RecordTable`, typed arrays by column, about 57 bytes per round of an
+audited index run; they build :class:`NoiseDraw` and :class:`InsertionRecord`
+values only when read.  The policies' transcripts are record tables too.
 """
 
 import enum
@@ -20,7 +25,6 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 __all__ = [
     "TREE_SITE",
@@ -39,23 +43,13 @@ __all__ = [
     "tree_noise_bound",
 ]
 
-# Draw-site names; the audit recomputes the mandated scale per site.
+# The draw sites.  A draw is stored with its site's index in this tuple, and
+# the audit recomputes its mandated scale by site.
 TREE_SITE = "tree_psum"
 SE_RELEASE_SITE = "se_release"
 LOCAL_REWARD_SITE = "local_reward"
-
-# The parameters a draw at each site passes, in order, and the names the
-# ledger's records give them.
-_DRAW_CONTEXT = {
-    TREE_SITE: ("bound", "eps", "horizon"),
-    SE_RELEASE_SITE: ("truncation", "pulls", "eps"),
-    LOCAL_REWARD_SITE: ("truncation", "eps"),
-}
-
-# The ledger keeps a draw's parameters in three columns: the sensitivity bound
-# (``bound`` or ``truncation``), the budget (``eps``) and an integer count
-# (``horizon`` or ``pulls``; 0 at a site without one).
-_COLUMN = {"bound": 0, "truncation": 0, "eps": 1, "horizon": 2, "pulls": 2}
+_SITES = (TREE_SITE, SE_RELEASE_SITE, LOCAL_REWARD_SITE)
+_SITE_CODE = {site: code for code, site in enumerate(_SITES)}
 
 # The owner column's code for a mechanism that holds no single arm's data.
 _NO_OWNER = -1
@@ -107,11 +101,18 @@ _HOOK_VALUE = {NoiseHook.LAPLACE: None, NoiseHook.ZERO: 0.0, NoiseHook.UNIT: 1.0
 
 @dataclass
 class NoiseDraw:
-    """One recorded noise draw: where, at what scale, with which parameters."""
+    """One recorded noise draw: its site, its scale and what the scale rests on.
+
+    ``bound`` is the sensitivity bound (the tree's value bound, or the reward
+    truncation), ``eps`` the budget and ``count`` the tree's horizon, the
+    release's pulls, or 0 for a per-reward draw.
+    """
 
     site: str
     scale: float
-    context: dict
+    bound: float
+    eps: float
+    count: int
 
 
 @dataclass
@@ -141,21 +142,6 @@ class EpochRecord:
     num_viable: int
     pulls_per_arm: int
     completed: bool = False
-
-
-def _draw_layout(code: int, names: tuple) -> tuple:
-    # record_draw appends (context + (0,))[picks[c]] to column c, so a column
-    # the site has no parameter for gets the trailing 0.
-    where = {_COLUMN[name]: i for i, name in enumerate(names)}
-    picks = tuple(where.get(column, len(names)) for column in range(3))
-    return (code, len(names), *picks)
-
-
-# Site -> (code, parameter count, *picks) for the sites the mechanisms draw at.
-_DRAW_LAYOUT = {
-    site: _draw_layout(code, names)
-    for code, (site, names) in enumerate(_DRAW_CONTEXT.items())
-}
 
 
 class RecordTable(Sequence):
@@ -215,10 +201,8 @@ class RecordTable(Sequence):
             del column[n:]
 
 
-def _draw_record(sites: list, code: int, scale: float, *parameters) -> NoiseDraw:
-    site = sites[code]
-    context = {name: parameters[_COLUMN[name]] for name in _DRAW_CONTEXT.get(site, ())}
-    return NoiseDraw(site=site, scale=scale, context=context)
+def _draw_record(code: int, scale: float, bound: float, eps: float, count: int) -> NoiseDraw:
+    return NoiseDraw(site=_SITES[code], scale=scale, bound=bound, eps=eps, count=count)
 
 
 def _insertion_record(mechanism: int, owner: int, value: float, bound: float) -> InsertionRecord:
@@ -231,7 +215,7 @@ class PrivacyLedger:
 
     An audited index run adds one draw and one insertion per round, so these
     are kept in two :class:`RecordTable`: ``noise_draws`` holds a draw's site
-    code, scale and three parameter columns (33 bytes) and builds a
+    code, scale, bound, eps and count (33 bytes) and builds a
     :class:`NoiseDraw` per read, ``insertions`` an insertion's mechanism,
     owner, value and bound (24 bytes) and builds an :class:`InsertionRecord`.
     :meth:`draw_columns` and :meth:`insertion_columns` give the arrays
@@ -240,21 +224,18 @@ class PrivacyLedger:
 
     :meth:`record_draw` and :meth:`record_insertion` store a record whole or
     not at all.  They raise ``ValueError`` for what the columns cannot hold
-    as given: a context that does not match the site's parameters, an integer
-    parameter (``horizon``, ``pulls``) that is not an int in the signed 64-bit
-    range, or a negative owner.
+    as given: a draw site other than the three the mechanisms draw at, a
+    count that is not an int in the signed 64-bit range, a parameter that is
+    not a number, or a negative owner.
     """
 
-    __slots__ = ("mechanisms", "epochs", "noise_draws", "insertions", "_sites", "_layouts")
+    __slots__ = ("mechanisms", "epochs", "noise_draws", "insertions")
 
     def __init__(self):
         self.mechanisms: list = []
         self.epochs: list = []
-        # Site names by code; a site no mechanism draws at takes the next code.
-        self._sites = list(_DRAW_LAYOUT)
-        self._layouts = dict(_DRAW_LAYOUT)
         # Columns: site code, scale, bound, eps, count.
-        self.noise_draws = RecordTable("Bdddq", partial(_draw_record, self._sites))
+        self.noise_draws = RecordTable("Bdddq", _draw_record)
         # Columns: mechanism, owner, value, bound.
         self.insertions = RecordTable("iidd", _insertion_record)
 
@@ -262,45 +243,24 @@ class PrivacyLedger:
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
         return len(self.mechanisms) - 1
 
-    def record_draw(self, site: str, scale: float, *context) -> None:
-        """Record one draw at ``site`` with the site's parameters, in order.
-
-        ``context`` is what :meth:`NoiseSource.draw` passes.  A site no
-        mechanism draws at takes no parameters; its draw is stored so that
-        the audit flags it.
-        """
-        layout = self._layouts.get(site)
-        if layout is None:
-            if context:
-                raise ValueError(f"unknown draw site {site!r} takes no parameters")
-            layout = self._add_site(site)
-        code, size, bound, eps, count = layout
-        if len(context) != size:
-            raise ValueError(
-                f"a {site!r} draw takes {size} parameters "
-                f"{_DRAW_CONTEXT[site]}, got {len(context)}"
-            )
-        values = context + (0,)
+    def record_draw(self, site: str, scale: float, bound: float, eps: float, count: int) -> None:
+        """Record one draw, with the parameters :meth:`NoiseSource.draw` got."""
+        code = _SITE_CODE.get(site)
+        if code is None:
+            raise ValueError(f"unknown draw site {site!r}; the sites are {_SITES}")
         codes, scales, bounds, epss, counts = self.noise_draws.columns
         try:
-            counts.append(values[count])
-            bounds.append(values[bound])
-            epss.append(values[eps])
+            counts.append(count)
+            bounds.append(bound)
+            epss.append(eps)
             scales.append(scale)
             codes.append(code)
         except (TypeError, OverflowError) as exc:
             self.noise_draws.discard_partial_row()
             raise ValueError(
-                f"cannot record a {site!r} draw at scale {scale!r} with {context!r}: {exc}"
+                f"cannot record a {site!r} draw at scale {scale!r} with bound {bound!r}, "
+                f"eps {eps!r}, count {count!r}: {exc}"
             ) from None
-
-    def _add_site(self, site: str) -> tuple:
-        code = len(self._sites)
-        if code > 255:
-            raise ValueError(f"more than 256 draw sites, at {site!r}")
-        self._sites.append(site)
-        layout = self._layouts[site] = _draw_layout(code, ())
-        return layout
 
     def record_insertion(
         self, mechanism: int, owner: int | None, value: float, bound: float
@@ -329,14 +289,13 @@ class PrivacyLedger:
         return record
 
     def draw_columns(self) -> tuple:
-        """The draws by column: ``(sites, code, scale, bound, eps, count)``.
+        """The draws by column: ``(code, scale, bound, eps, count)``.
 
-        ``sites[code]`` is a draw's site.  ``bound`` holds its ``bound`` or
-        ``truncation`` parameter, ``eps`` its ``eps``, and ``count`` its
-        ``horizon`` or ``pulls`` (0 at a site without one).  The columns are
-        the ledger's own arrays: read them, do not change them.
+        A draw's site is ``_SITES[code]``; the other columns hold the
+        :class:`NoiseDraw` fields of the same names.  The columns are the
+        ledger's own arrays: read them, do not change them.
         """
-        return (tuple(self._sites), *self.noise_draws.columns)
+        return self.noise_draws.columns
 
     def insertion_columns(self) -> tuple:
         """The insertions by column: ``(mechanism, owner, value, bound)``.
@@ -381,14 +340,13 @@ class NoiseSource:
         self.draws_made = 0
         self._value = _HOOK_VALUE[hook]
 
-    def draw(self, scale: float, site: str, *context) -> float:
+    def draw(self, scale: float, site: str, bound: float, eps: float, count: int) -> float:
         """Draw one value at ``scale`` for the draw site ``site``.
 
-        ``context`` holds the site's parameters: ``bound, eps, horizon`` for
-        :data:`TREE_SITE`, ``truncation, pulls, eps`` for
-        :data:`SE_RELEASE_SITE` and ``truncation, eps`` for
-        :data:`LOCAL_REWARD_SITE`.  The ledger stores them by column, and
-        gives them those names in the :class:`NoiseDraw` records it builds.
+        ``bound``, ``eps`` and ``count`` are what the scale rests on: the
+        tree passes its value bound, budget and horizon, the central release
+        the truncation, budget and pulls, the local reward the truncation,
+        budget and 0.  The ledger records them as a :class:`NoiseDraw`.
         """
         self.draws_made += 1
         value = self._value
@@ -396,7 +354,7 @@ class NoiseSource:
             value = laplace_from_uniform(self.rng.random(), scale)
         ledger = self.ledger
         if ledger is not None:
-            ledger.record_draw(site, scale, *context)
+            ledger.record_draw(site, scale, bound, eps, count)
         return value
 
 

@@ -37,7 +37,6 @@ from .schedules import (
 )
 
 __all__ = [
-    "TRANSCRIPT_SCHEMA_VERSION",
     "TranscriptEntry",
     "DPRobustUCB",
     "DPRobustSE",
@@ -46,8 +45,6 @@ __all__ = [
     "CENTRAL_ELIMINATION_MULT",
     "LOCAL_ELIMINATION_MULT",
 ]
-
-TRANSCRIPT_SCHEMA_VERSION = 1
 
 # Elimination thresholds are these multiples of the epoch accuracy term.
 CENTRAL_ELIMINATION_MULT = 12.0
@@ -454,7 +451,7 @@ class DPRobustSE(_EliminationPolicy):
         scores = {}
         for a in self._viable:
             eta = self._sources[a].draw(
-                scale, SE_RELEASE_SITE, sched.truncation, pulls, self.eps
+                scale, SE_RELEASE_SITE, sched.truncation, self.eps, pulls
             )
             scores[a] = self._sums[a] / pulls + eta
         return scores
@@ -480,7 +477,7 @@ class LDPRobustSE(_EliminationPolicy):
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         sched = self._sched
         scale = 2.0 * sched.truncation / self.eps
-        eta = self._sources[arm].draw(scale, LOCAL_REWARD_SITE, sched.truncation, self.eps)
+        eta = self._sources[arm].draw(scale, LOCAL_REWARD_SITE, sched.truncation, self.eps, 0)
         return kept + eta
 
     def _epoch_scores(self) -> dict:

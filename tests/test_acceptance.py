@@ -99,7 +99,7 @@ def test_criterion_02_tree_noise_stays_inside_the_envelope() -> None:
 def test_criterion_03_laplace_tail_matches_its_closed_form() -> None:
     start = time.perf_counter()
     noise = NoiseSource(rng=derive_stream(303, 0))
-    draws = np.array([noise.draw(1.0, TREE_SITE) for _ in range(1_000_000)])
+    draws = np.array([noise.draw(1.0, TREE_SITE, 1.0, 1.0, 2) for _ in range(1_000_000)])
     worst = 0.0
     for t in (1.0, 2.0, 3.0):
         empirical = float(np.mean(np.abs(draws) >= t))
@@ -265,7 +265,8 @@ def test_criterion_08_elimination_beats_the_index_policy_on_the_grid() -> None:
                 base_seed=88,
                 checkpoint_count=1,
             )
-            _, summary = run_experiment(config)
+            # A pooled run equals a sequential one bit for bit (criterion 10).
+            _, summary = run_experiment(config, workers=2)
             means[(algo, setting, v, eps)] = summary.means[-1]
 
     ordering_failures = []

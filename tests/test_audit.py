@@ -27,8 +27,8 @@ from conftest import constant_samplers, drive
 class HalvingSource(NoiseSource):
     """Fault injection: draws (and records) at half the requested scale."""
 
-    def draw(self, scale, site, *context):
-        return super().draw(scale * 0.5, site, *context)
+    def draw(self, scale, site, bound, eps, count):
+        return super().draw(scale * 0.5, site, bound, eps, count)
 
 
 def sources(n: int, purpose: int, ledger, cls=NoiseSource) -> list:
@@ -123,12 +123,15 @@ def test_shared_mechanism_across_arms_breaks_disjointness() -> None:
     assert any(f.site == "disjointness" for f in report.findings)
 
 
-def test_unknown_draw_site_is_flagged() -> None:
+def test_a_draw_at_an_unknown_site_is_rejected_when_recorded() -> None:
     ledger = PrivacyLedger()
     clean_dprse(ledger)
-    ledger.record_draw("mystery", 1.0)
-    report = audit_run(ledger)
-    assert any(f.site == "mystery" for f in report.findings)
+    recorded = len(ledger.noise_draws)
+    with pytest.raises(ValueError, match="unknown draw site 'mystery'"):
+        ledger.record_draw("mystery", 1.0, 1.0, 1.0, 0)
+    assert len(ledger.noise_draws) == recorded
+    assert all(len(column) == recorded for column in ledger.draw_columns())
+    assert audit_run(ledger).ok
 
 
 def test_local_draw_count_mismatch_is_flagged() -> None:
@@ -143,7 +146,7 @@ def test_local_draw_count_mismatch_is_flagged() -> None:
 def test_central_draw_count_mismatch_is_flagged() -> None:
     ledger = PrivacyLedger()
     clean_dprse(ledger)
-    ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 2, 1.0)
+    ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 1.0, 2)
     report = audit_run(ledger)
     assert any(f.site == SE_RELEASE_SITE for f in report.findings)
 
@@ -152,8 +155,8 @@ def test_central_draw_count_mismatch_is_flagged() -> None:
     [
         (TREE_SITE, (1.0, 1.0, 1)),  # horizon 1: ln(1) = 0 divides the budget
         (TREE_SITE, (1.0, 1.0, 0)),  # horizon 0 has no logarithm
-        (SE_RELEASE_SITE, (1.0, 0, 1.0)),  # a release over no pulls
-        (LOCAL_REWARD_SITE, (1.0, 0.0)),  # eps 0
+        (SE_RELEASE_SITE, (1.0, 1.0, 0)),  # a release over no pulls
+        (LOCAL_REWARD_SITE, (1.0, 0.0, 0)),  # eps 0
     ],
 )
 def test_a_draw_without_a_mandated_scale_is_flagged_and_the_audit_goes_on(

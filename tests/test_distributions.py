@@ -51,6 +51,15 @@ def test_pareto_rejects_bad_parameters() -> None:
         ParetoModel(alpha=2.0, lam=0.0)
 
 
+@pytest.mark.parametrize(
+    "alpha,lam", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)]
+)
+def test_pareto_rejects_non_finite_parameters(alpha, lam) -> None:
+    # alpha=inf gave a NaN mean and lam=inf an infinite one.
+    with pytest.raises(ValueError, match="must be finite"):
+        ParetoModel(alpha=alpha, lam=lam)
+
+
 def test_pareto_infinite_moment_rejected() -> None:
     model = ParetoModel(alpha=1.5, lam=1.0)
     with pytest.raises(ValueError):
@@ -141,6 +150,14 @@ def test_instance_rejects_undersized_moment_bound() -> None:
     arms = (ParetoModel(alpha=2.0, lam=1.0),)
     with pytest.raises(ValueError):
         make_instance(arms, 0.5, u=0.1)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf])
+def test_instance_rejects_a_non_finite_moment_bound(u) -> None:
+    # Such a u was kept and failed only later, inside make_policy.
+    arms = (ParetoModel(alpha=2.0, lam=1.0),)
+    with pytest.raises(ValueError, match="must be finite"):
+        make_instance(arms, 0.5, u=u)
 
 
 def test_pareto_truncated_tail_bounded_by_moment_ratio() -> None:

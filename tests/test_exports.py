@@ -60,8 +60,9 @@ RELEASE_0_1_0_EXPORTS = [
 ]
 
 # Removed since: the vector Laplace samplers (the scalar map behind
-# NoiseSource.draw is the only one) and the unused Policy protocol.
-REMOVED = {"sample_laplace", "sample_laplace_many", "Policy"}
+# NoiseSource.draw is the only one), the unused Policy protocol and the
+# transcript schema version, which nothing read.
+REMOVED = {"sample_laplace", "sample_laplace_many", "Policy", "TRANSCRIPT_SCHEMA_VERSION"}
 
 
 def test_exports_are_the_release_list_minus_removed_names() -> None:

@@ -1,11 +1,11 @@
 """The columnar privacy ledger against the one-record-per-draw lists it replaced.
 
 ``ReferenceLedger`` keeps every draw and insertion as one dataclass record in
-a list, with the draw's parameters in a dict, and ``reference_audit`` is the
-audit that read those records.  Runs recorded into either ledger must give the
-same records, read every way a list can be read, and the same audit findings;
-the columnar ledger must also hold a fraction of the memory and reject at
-record time what its columns cannot hold.
+a list, and ``reference_audit`` is the audit that read those records.  Runs
+recorded into either ledger must give the same records, read every way a list
+can be read, and the same audit findings; the columnar ledger must also hold a
+fraction of the memory and reject at record time what its columns cannot hold,
+a draw at an unknown site included.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ from htbandits.mechanisms import (
 
 from test_audit import HalvingSource, clean_dprse, clean_dprucb, clean_ldprse
 
-REFERENCE_CONTEXT = {
-    TREE_SITE: ("bound", "eps", "horizon"),
-    SE_RELEASE_SITE: ("truncation", "pulls", "eps"),
-    LOCAL_REWARD_SITE: ("truncation", "eps"),
-}
-INTEGER_PARAMETERS = ("horizon", "pulls")
-
-
 class ReferenceLedger:
     """One record object per draw and insertion, kept in lists."""
 
@@ -55,10 +47,9 @@ class ReferenceLedger:
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
         return len(self.mechanisms) - 1
 
-    def record_draw(self, site, scale, *context):
-        names = REFERENCE_CONTEXT.get(site, ())
+    def record_draw(self, site, scale, bound, eps, count):
         self.noise_draws.append(
-            NoiseDraw(site=site, scale=scale, context=dict(zip(names, context, strict=True)))
+            NoiseDraw(site=site, scale=scale, bound=bound, eps=eps, count=count)
         )
 
     def record_insertion(self, mechanism, owner, value, bound):
@@ -74,14 +65,14 @@ class ReferenceLedger:
         return record
 
 
-def _reference_mandated_scale(site, context):
-    if site == TREE_SITE:
-        return 2.0 * context["bound"] / (context["eps"] / math.log(context["horizon"]))
-    if site == SE_RELEASE_SITE:
-        return 2.0 * context["truncation"] / (context["pulls"] * context["eps"])
-    if site == LOCAL_REWARD_SITE:
-        return 2.0 * context["truncation"] / context["eps"]
-    raise KeyError(site)
+def _reference_mandated_scale(draw):
+    if draw.site == TREE_SITE:
+        return 2.0 * draw.bound / (draw.eps / math.log(draw.count))
+    if draw.site == SE_RELEASE_SITE:
+        return 2.0 * draw.bound / (draw.count * draw.eps)
+    if draw.site == LOCAL_REWARD_SITE:
+        return 2.0 * draw.bound / draw.eps
+    raise KeyError(draw.site)
 
 
 def reference_audit(ledger) -> list:
@@ -92,11 +83,7 @@ def reference_audit(ledger) -> list:
         findings.append((site, index, message))
 
     for i, draw in enumerate(ledger.noise_draws):
-        try:
-            mandated = _reference_mandated_scale(draw.site, draw.context)
-        except KeyError:
-            add(draw.site, i, f"unknown draw site {draw.site!r}")
-            continue
+        mandated = _reference_mandated_scale(draw)
         if draw.scale != mandated:
             add(draw.site, i, f"scale {draw.scale!r} differs from mandated {mandated!r}")
 
@@ -179,20 +166,12 @@ def record_harness_run(ledger, algo, setting, eps, horizon):
     return policy
 
 
-def assert_same_value(name, got, want) -> None:
-    if name in INTEGER_PARAMETERS:
-        assert type(got) is int and got == want, (name, got, want)
-    else:
-        assert float.hex(got) == float.hex(want), (name, got, want)
-
-
 def assert_same_draw(got, want) -> None:
     assert type(got) is NoiseDraw
     assert got.site == want.site
-    assert float.hex(got.scale) == float.hex(want.scale)
-    assert list(got.context) == list(want.context)  # the names, in order
-    for name, value in got.context.items():
-        assert_same_value(name, value, want.context[name])
+    for name in ("scale", "bound", "eps"):
+        assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
+    assert type(got.count) is int and got.count == want.count
 
 
 def assert_same_insertion(got, want) -> None:
@@ -267,11 +246,6 @@ def shared_mechanism(ledger):
     ledger.register_mechanism("tree", owner=0)
 
 
-def unknown_site(ledger):
-    clean_dprse(ledger)
-    ledger.record_draw("mystery", 1.0)
-
-
 def local_count_mismatch(ledger):
     clean_ldprse(ledger)
     ledger.epochs[0].pulls_per_arm += 1
@@ -279,7 +253,7 @@ def local_count_mismatch(ledger):
 
 def central_count_mismatch(ledger):
     clean_dprse(ledger)
-    ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 2, 1.0)
+    ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 1.0, 2)
 
 
 RUNS = {
@@ -300,7 +274,6 @@ RUNS = {
     "ownerless_insertion": ownerless_insertion,
     "unregistered_mechanism": unregistered_mechanism,
     "shared_mechanism": shared_mechanism,
-    "unknown_site": unknown_site,
     "local_count_mismatch": local_count_mismatch,
     "central_count_mismatch": central_count_mismatch,
 }
@@ -344,8 +317,7 @@ def test_audited_run_holds_under_128_bytes_per_round() -> None:
 
 def assert_empty(ledger) -> None:
     assert len(ledger.noise_draws) == 0 and len(ledger.insertions) == 0
-    _, *draw_columns = ledger.draw_columns()
-    assert all(len(column) == 0 for column in draw_columns)
+    assert all(len(column) == 0 for column in ledger.draw_columns())
     assert all(len(column) == 0 for column in ledger.insertion_columns())
 
 
@@ -353,17 +325,19 @@ def assert_empty(ledger) -> None:
     "site,context",
     [
         (TREE_SITE, (1.0, 1.0)),  # one parameter short
-        (LOCAL_REWARD_SITE, (1.0, 1.0, 3)),  # one too many
-        (SE_RELEASE_SITE, (1.0, 2.5, 1.0)),  # pulls=2.5
-        (SE_RELEASE_SITE, (1.0, 2.0, 1.0)),  # pulls as a float
+        (LOCAL_REWARD_SITE, (1.0, 1.0, 0, 3)),  # one too many
+        (SE_RELEASE_SITE, (1.0, 1.0, 2.5)),  # pulls=2.5
+        (SE_RELEASE_SITE, (1.0, 1.0, 2.0)),  # pulls as a float
         (TREE_SITE, (1.0, 1.0, 2**63)),  # horizon past 64 bits
         (TREE_SITE, (1.0, "1.0", 64)),  # eps not a number
-        ("mystery", (1.0,)),  # a site no mechanism draws at
+        ("mystery", (1.0, 1.0, 0)),  # a site no mechanism draws at
     ],
 )
 def test_draws_the_columns_cannot_hold_are_rejected(site, context) -> None:
+    # A draw takes a bound, an eps and a count; another number of them is
+    # Python's own TypeError, anything else the columns cannot hold a ValueError.
     ledger = PrivacyLedger()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError if len(context) == 3 else TypeError):
         ledger.record_draw(site, 1.0, *context)
     assert_empty(ledger)
 
@@ -388,15 +362,16 @@ def test_a_rejected_record_leaves_the_earlier_ones_whole() -> None:
     ledger, reference = PrivacyLedger(), ReferenceLedger()
     for target in (ledger, reference):
         target.record_draw(TREE_SITE, 2.0, 1.0, 0.5, 64)
-        target.record_draw("mystery", 3.0)
+        target.record_draw(LOCAL_REWARD_SITE, 3.0, 1.5, 1.0, 0)
         target.record_insertion(0, None, 0.25, 1.0)
     with pytest.raises(ValueError):
-        ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 2.5, 1.0)
+        ledger.record_draw(SE_RELEASE_SITE, 1.0, 1.0, 1.0, 2.5)
+    with pytest.raises(ValueError):
+        ledger.record_draw("mystery", 1.0, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         ledger.record_insertion(0, 0, 0.5, "bound")
     assert ledger.noise_draws == reference.noise_draws
-    assert ledger.noise_draws[1].context == {}
+    assert ledger.noise_draws[1].count == 0
     assert ledger.insertions == reference.insertions
-    _, codes, *columns = ledger.draw_columns()
-    assert all(len(column) == 2 for column in (codes, *columns))
+    assert all(len(column) == 2 for column in ledger.draw_columns())
     assert all(len(column) == 1 for column in ledger.insertion_columns())

@@ -17,7 +17,7 @@ from htbandits import (
     laplace_from_uniform,
     tree_noise_bound,
 )
-from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
+from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE, NoiseDraw
 from htbandits.seeding import TREE_NOISE, derive_stream
 
 
@@ -80,7 +80,7 @@ def test_laplace_rejections_keep_their_messages() -> None:
 
 def test_laplace_tail_smoke() -> None:
     noise = NoiseSource(rng=derive_stream(1, 0, arm=0, purpose=TREE_NOISE))
-    sample = np.abs([noise.draw(1.0, TREE_SITE) for _ in range(100_000)])
+    sample = np.abs([noise.draw(1.0, TREE_SITE, 1.0, 1.0, 2) for _ in range(100_000)])
     assert abs((sample >= 1.0).mean() - math.exp(-1.0)) < 0.01
 
 
@@ -101,11 +101,11 @@ def test_noise_source_hooks_and_ledger_recording() -> None:
     ledger = PrivacyLedger()
     src = NoiseSource(hook=NoiseHook.UNIT, ledger=ledger)
     assert src.draw(13.0, TREE_SITE, 1.0, 1.0, 8) == 1.0
-    assert zero_source().draw(13.0, TREE_SITE) == 0.0
+    assert zero_source().draw(13.0, TREE_SITE, 1.0, 1.0, 8) == 0.0
     assert src.draws_made == 1
     assert ledger.noise_draws[0].site == TREE_SITE
     assert ledger.noise_draws[0].scale == 13.0
-    assert ledger.noise_draws[0].context["horizon"] == 8
+    assert ledger.noise_draws[0].count == 8
 
 
 def test_tree_zero_noise_exact_on_integer_stream() -> None:
@@ -162,30 +162,32 @@ def test_tree_noise_scale_uses_current_bound_and_budget_split() -> None:
     assert [ins.value for ins in ledger.insertions] == [0.5, 1.5]
     assert [ins.bound for ins in ledger.insertions] == [1.0, 2.0]
     assert ledger.mechanisms[0].kind == "tree"
-    assert [list(d.context.items()) for d in ledger.noise_draws] == [
-        [("bound", 1.0), ("eps", 0.5), ("horizon", 1024)],
-        [("bound", 2.0), ("eps", 0.5), ("horizon", 1024)],
+    assert [(d.bound, d.eps, d.count) for d in ledger.noise_draws] == [
+        (1.0, 0.5, 1024),
+        (2.0, 0.5, 1024),
     ]
 
 
 def test_draws_with_and_without_a_ledger_are_bit_equal() -> None:
-    # The ledger only records; the context dict is built for it alone.
+    # The ledger only records; it changes no drawn value.
     key = dict(base_seed=8, rep=0, arm=1, purpose=TREE_NOISE)
     ledger = PrivacyLedger()
     recorded = NoiseSource(rng=derive_stream(**key), ledger=ledger)
     bare = NoiseSource(rng=derive_stream(**key))
     sites = [
         (TREE_SITE, (1.5, 1.0, 64)),
-        (SE_RELEASE_SITE, (0.75, 12, 1.0)),
-        (LOCAL_REWARD_SITE, (0.75, 1.0)),
+        (SE_RELEASE_SITE, (0.75, 1.0, 12)),
+        (LOCAL_REWARD_SITE, (0.75, 1.0, 0)),
     ]
     for i in range(3000):
-        site, context = sites[i % 3]
+        site, parameters = sites[i % 3]
         scale = 0.25 * (1 + i % 7)
-        assert recorded.draw(scale, site, *context) == bare.draw(scale, site, *context)
+        assert recorded.draw(scale, site, *parameters) == bare.draw(scale, site, *parameters)
     assert recorded.draws_made == bare.draws_made == 3000
     assert len(ledger.noise_draws) == 3000
-    assert ledger.noise_draws[1].context == {"truncation": 0.75, "pulls": 12, "eps": 1.0}
+    assert ledger.noise_draws[1] == NoiseDraw(
+        site=SE_RELEASE_SITE, scale=0.5, bound=0.75, eps=1.0, count=12
+    )
 
 
 def test_tree_rejects_contract_violations() -> None:

@@ -61,7 +61,7 @@ def test_block_stream_feeds_the_scalar_laplace_map() -> None:
     rng = derive_stream(**key)
     for i in range(DRAWS):
         scale = 0.5 + (i % 7)
-        got = source.draw(scale, TREE_SITE)
+        got = source.draw(scale, TREE_SITE, 1.0, 1.0, 2)
         assert got == laplace_from_uniform(rng.random(), scale)
     assert source.draws_made == DRAWS
 
