@@ -405,14 +405,23 @@ def write_csv(
 
 
 def read_runs_csv(path) -> list:
-    """Read a ``.runs.csv`` back into :class:`RegretTrace` objects."""
+    """Read a ``.runs.csv`` back into :class:`RegretTrace` objects.
+
+    A wrong or missing header, or a row (a blank line included) whose field
+    count is not the header's, raises ``ValueError``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != RUNS_HEADER:
             raise ValueError(f"unexpected header {header}")
         per_rep: dict = {}
         for row in reader:
+            if len(row) != len(RUNS_HEADER):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(RUNS_HEADER)} fields,"
+                    f" got {len(row)}"
+                )
             rep = int(row[4])
             per_rep.setdefault(rep, []).append((int(row[5]), float(row[6])))
     return [

@@ -96,9 +96,20 @@ class _Transcript(RecordTable):
         return map(tuple.__new__, repeat(TranscriptEntry), entries)
 
 
+# The largest t with t * t below 2**53, so exact as a double.
+_EXACT_SQUARE_MAX = 94_906_265
+
 # Takes the pending arm's place once a round failed in observe; no arm equals
 # it, so every later select_arm or observe reaches an error branch.
 _FAILED = object()
+
+
+def _shared_ledger(noise_sources: list):
+    """The ledger all sources carry (None for none); raises if they differ."""
+    ledger = noise_sources[0].ledger
+    if any(src.ledger is not ledger for src in noise_sources):
+        raise ValueError("the noise sources carry different ledgers")
+    return ledger
 
 
 class _PolicyBase:
@@ -203,9 +214,10 @@ class DPRobustUCB(_PolicyBase):
     pass over the arms, the policy plays the arm maximizing
     noisy-sum / pulls + ``private_ucb_radius``; ties go to the lowest index.
 
-    Both schedules are evaluated from constants fixed at construction, with
-    the operations of :mod:`~htbandits.schedules` in the same order, so every
-    value is bit-identical to the public function's.
+    The truncation level is evaluated from constants fixed at construction.
+    The radius is the product ``C(t) * w_a`` that ``private_ucb_radius``
+    computes: ``C(t)`` once per round, and ``w_a = (n_a * eps) ** -exp`` when
+    arm ``a`` is pulled.  Both are bit-identical to the public functions.
 
     Parameters
     ----------
@@ -218,12 +230,14 @@ class DPRobustUCB(_PolicyBase):
         An integer (numpy's included).
     noise_sources : sequence of NoiseSource
         One source per arm, in arm order; each arm's tree records its draws and
-        insertions into that source's ledger.
+        insertions into that source's ledger.  Sources that carry different
+        ledgers are rejected.
     """
 
     def __init__(self, params: MomentParams, eps: float, horizon: int, noise_sources):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
+        _shared_ledger(noise_sources)
         horizon = _as_index("horizon", horizon)
         if horizon < self.num_arms:
             raise ValueError(
@@ -238,7 +252,8 @@ class DPRobustUCB(_PolicyBase):
         self.horizon = horizon
         u, v = params.u, params.v
         log_horizon = math.log(self.horizon)
-        # radius = coef * (ln(2 t**4) * log_pow / (n * eps)) ** exp
+        # radius = C(t) * w_a, with C(t) = coef * (ln(2 t**4) * log_pow) ** exp
+        # and w_a = (n_a * eps) ** -exp
         self._radius_coef = 18.0 * u ** (1.0 / (1.0 + v))
         self._radius_log_pow = log_horizon ** (1.5 + 1.0 / v)
         self._radius_exp = v / (1.0 + v)
@@ -251,9 +266,11 @@ class DPRobustUCB(_PolicyBase):
             for a, src in enumerate(noise_sources)
         ]
         self._counts = [0] * self.num_arms
-        # Per arm, updated when it is pulled: pulls * eps, noisy sum / pulls.
-        self._n_eps = [0.0] * self.num_arms
+        # Per arm, updated when it is pulled: w_a, noisy sum / pulls.
+        self._weights = [0.0] * self.num_arms
         self._means = [0.0] * self.num_arms
+        # C(t) of the latest round past the first pass over the arms.
+        self._radius_scale = math.nan
 
     @property
     def pull_counts(self) -> tuple:
@@ -262,13 +279,20 @@ class DPRobustUCB(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        log_term = math.log(2 * t**4) * self._radius_log_pow
-        coef, exp = self._radius_coef, self._radius_exp
-        means, n_eps = self._means, self._n_eps
+        if t <= _EXACT_SQUARE_MAX:
+            # t * t is exact as a double, so this is ln(2 * t**4) without a
+            # big int: the same double reaches the log.
+            tt = float(t * t)
+            log_term = math.log(2.0 * tt * tt)
+        else:
+            log_term = math.log(2 * t**4)
+        scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
+        self._radius_scale = scale
+        means, weights = self._means, self._weights
         best_score = -math.inf
         best_arm = 0
         for a in range(self.num_arms):
-            score = means[a] + coef * (log_term / n_eps[a]) ** exp
+            score = means[a] + scale * weights[a]
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -280,7 +304,7 @@ class DPRobustUCB(_PolicyBase):
         bound = (self._trunc_eps_u * n / self._trunc_log_pow) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._means[arm] = self._trees[arm].insert(kept, bound) / n
-        self._n_eps[arm] = n * self.eps
+        self._weights[arm] = (n * self.eps) ** -self._radius_exp
         return kept
 
 
@@ -312,9 +336,7 @@ class _EliminationPolicy(_PolicyBase):
     ):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
-        ledger = noise_sources[0].ledger
-        if any(src.ledger is not ledger for src in noise_sources):
-            raise ValueError("the noise sources carry different ledgers")
+        ledger = _shared_ledger(noise_sources)
         if not 0.0 < eps < math.inf:
             raise ValueError(f"eps must be finite and positive, got {eps}")
         horizon = _as_index("horizon", horizon)
@@ -493,8 +515,10 @@ class RobustUCB(_PolicyBase):
     maximizing truncated mean + :func:`~htbandits.schedules.nonprivate_ucb_radius`.
     Rounds before t=2 clamp the threshold's log argument to t=2.  Baseline for
     qualitative comparison; no privacy guarantee.  Like :class:`DPRobustUCB`,
-    it evaluates both schedules bit-identically from constants fixed at
-    construction.
+    it evaluates the threshold from constants fixed at construction and the
+    radius as the product ``C(t) * w_a`` of ``nonprivate_ucb_radius``, with
+    ``w_a = n_a ** -exp`` updated when arm ``a`` is pulled; both are
+    bit-identical to the public functions.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
@@ -505,7 +529,8 @@ class RobustUCB(_PolicyBase):
         nonprivate_ucb_threshold(params, 1, 2.0)
         self.params = params
         u, v = params.u, params.v
-        # radius = coef * (ln(t**2) / n) ** exp
+        # radius = C(t) * w_a, with C(t) = coef * ln(t**2) ** exp and
+        # w_a = n_a ** -exp
         self._radius_coef = 4.0 * u ** (1.0 / (1.0 + v))
         self._radius_exp = v / (1.0 + v)
         # threshold = (u * n / ln(t**2)) ** exp
@@ -513,7 +538,11 @@ class RobustUCB(_PolicyBase):
         self._trunc_exp = 1.0 / (1.0 + v)
         self._counts = [0] * self.num_arms
         self._sums = [0.0] * self.num_arms
+        # Per arm, updated when it is pulled: truncated mean, w_a.
         self._means = [0.0] * self.num_arms
+        self._weights = [0.0] * self.num_arms
+        # C(t) of the latest round past the first pass over the arms.
+        self._radius_scale = math.nan
 
     @property
     def pull_counts(self) -> tuple:
@@ -522,13 +551,13 @@ class RobustUCB(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        log_term = math.log(t**2)
-        coef, exp = self._radius_coef, self._radius_exp
-        means, counts = self._means, self._counts
+        scale = self._radius_coef * math.log(t * t) ** self._radius_exp
+        self._radius_scale = scale
+        means, weights = self._means, self._weights
         best_score = -math.inf
         best_arm = 0
         for a in range(self.num_arms):
-            score = means[a] + coef * (log_term / counts[a]) ** exp
+            score = means[a] + scale * weights[a]
             if score > best_score:
                 best_score = score
                 best_arm = a
@@ -542,4 +571,5 @@ class RobustUCB(_PolicyBase):
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n
+        self._weights[arm] = n ** -self._radius_exp
         return kept

@@ -3,10 +3,13 @@
 Every quantity here is a pure function of its arguments, computed in double
 precision with natural logarithms.  The elimination policies call the epoch
 schedules.  The index policies call their functions once, at construction, to
-validate their arguments; each round they evaluate the same formulas inline
-from constants, with the same operations in the same order, so the values are
-bit-identical and tests can recompute them here
-(``tests/test_index_fast_path.py``).
+validate their arguments, and evaluate the same formulas inline each round: a
+truncation level as the same expression, from constants fixed at
+construction, and a radius as the product ``C(t) * w`` of a per-round and a
+per-arm factor, which the radius functions here compute in the same order.
+The policies compute ``C(t)`` once per round and ``w`` when an arm is pulled.
+Every value they use is bit-identical to this module's, and tests compare the
+values with ``float.hex`` (``tests/test_index_fast_path.py``).
 """
 
 import logging
@@ -121,8 +124,11 @@ def private_ucb_radius(
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     v = params.v
-    w = math.log(2 * t**4) * math.log(horizon) ** (1.5 + 1.0 / v) / (n * eps)
-    return 18.0 * params.u ** (1.0 / (1.0 + v)) * w ** (v / (1.0 + v))
+    exp = v / (1.0 + v)
+    # C(t) * w: the per-round factor, then the per-arm factor.
+    log_term = math.log(2 * t**4) * math.log(horizon) ** (1.5 + 1.0 / v)
+    per_round = 18.0 * params.u ** (1.0 / (1.0 + v)) * log_term**exp
+    return per_round * (n * eps) ** -exp
 
 
 def nonprivate_ucb_threshold(params: MomentParams, n: int, t: float) -> float:
@@ -149,7 +155,10 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
     if not t > 1.0:
         raise ValueError(f"t must exceed 1, got {t}")
     v = params.v
-    return 4.0 * params.u ** (1.0 / (1.0 + v)) * (math.log(t**2) / n) ** (v / (1.0 + v))
+    exp = v / (1.0 + v)
+    # C(t) * w: the per-round factor, then the per-arm factor.
+    per_round = 4.0 * params.u ** (1.0 / (1.0 + v)) * math.log(t**2) ** exp
+    return per_round * n**-exp
 
 
 def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> None:

@@ -434,6 +434,23 @@ def test_read_runs_csv_rejects_a_wrong_header(tmp_path) -> None:
     bad.write_text("a,b,c\n")
     with pytest.raises(ValueError):
         read_runs_csv(bad)
+    bad.write_text("")
+    with pytest.raises(ValueError, match="unexpected header None"):
+        read_runs_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["dprucb,S1,1,0.9,0,10", "", "dprucb,S1,1,0.9,0,10,1.5,extra"],
+    ids=["short_row", "blank_line", "eight_fields"],
+)
+def test_read_runs_csv_rejects_a_row_without_seven_fields(tmp_path, row) -> None:
+    bad = tmp_path / "bad.runs.csv"
+    good = "dprucb,S1,1,0.9,0,5,0.5"
+    bad.write_text("\n".join([",".join(RUNS_HEADER), good, row, good]) + "\n")
+    with pytest.raises(ValueError, match="^line 3: expected 7 fields"):
+        read_runs_csv(bad)
+
 
 def reference_write_csv(path, config, instance, traces, summary) -> None:
     """The writer that wrote one ``csv.writer`` row and one write per line."""

@@ -7,9 +7,14 @@ policies read their streams through ``BlockStream``, as ``run_single`` does.
 Driven for the same rounds on the same seeds, with real Laplace noise and
 Pareto rewards, both must play the same arms and record the same transcript,
 bit for bit.  The private policy's ledgers must match too: every truncation
-level (as an insertion bound) and every noise scale.  A last-ulp change in a
-radius rarely changes which arm wins, so the arm sequence is the radius's
-only witness here.
+level (as an insertion bound) and every noise scale.
+
+A last-ulp change in a radius rarely changes which arm wins, so the value
+tests read the values themselves.  A policy keeps its radius as a per-round
+factor ``_radius_scale`` and a per-arm factor in ``_weights``; their product
+must equal the public radius, and the level at which a reward stops being
+kept must be the public truncation level, both compared with ``float.hex``
+over a grid of tail exponents, budgets, pull counts and rounds.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import pytest
 from htbandits import (
     DPRobustUCB,
     MomentParams,
+    NoiseHook,
     NoiseSource,
     PrivacyLedger,
     RobustUCB,
@@ -149,3 +155,85 @@ def test_nonprivate_index_fast_path_matches_the_schedules(v: float) -> None:
     play(fast, instance, blocked=True)
     play(reference, instance, blocked=False)
     assert_same_transcript(fast, reference)
+
+
+# Pull counts and rounds of the value tests.  The rounds run from the first
+# one past the round-robin pass over the arms to where t * t stops being exact
+# as a double (94,906,265), and beyond it.  Past 55,108, 2 * t**4 needs more
+# than 64 bits.  At 94,906,327 and 94,906,561 a double t * t * t * t rounds
+# differently from the integer t**4, so only the integer form of
+# ln(2 * t**4) is right there.
+VALUE_ARMS = 3
+VALUE_PULLS = (1, 2, 7, 1000, 2**20)
+VALUE_ROUNDS = (
+    VALUE_ARMS + 1,
+    VALUE_ARMS + 2,
+    1000,
+    55_108,
+    55_109,
+    2**20 + 1,
+    94_906_264,
+    94_906_265,
+    94_906_266,
+    94_906_327,
+    94_906_561,
+)
+VALUE_HORIZON = max(VALUE_ROUNDS)
+VALUE_U = 2.5
+VALUE_V = (0.1, 0.5, 0.9, 1.0)
+
+
+def at_the_level(level: float) -> tuple:
+    """Rewards at a truncation level, and just past it, with whether each is kept."""
+    above = math.nextafter(level, math.inf)
+    return ((level, True), (-level, True), (above, False), (-above, False))
+
+
+def assert_keeps_exactly_to(policy, arm: int, n: int, level: float) -> None:
+    """Observe ``arm``'s ``n``-th pull at and just past ``level``, both signs."""
+    for reward, keep in at_the_level(level):
+        policy._counts[arm] = n - 1
+        truncated = policy._observe(arm, reward)
+        assert (truncated is reward) == keep, (n, reward.hex(), level.hex())
+
+
+def assert_same_double(got: float, want: float, *where) -> None:
+    assert got.hex() == want.hex(), where
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 1000.0])
+@pytest.mark.parametrize("v", VALUE_V)
+def test_private_index_values_equal_the_schedules(v: float, eps: float) -> None:
+    params = MomentParams(u=VALUE_U, v=v)
+    ledger = PrivacyLedger()
+    sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(VALUE_ARMS)]
+    policy = DPRobustUCB(params, eps, VALUE_HORIZON, sources)
+    for n in VALUE_PULLS:
+        arm = n % VALUE_ARMS
+        level = private_ucb_truncation(params, eps, VALUE_HORIZON, n)
+        assert_keeps_exactly_to(policy, arm, n, level)
+        # The ledger holds the bound the tree checked the insertion against.
+        assert_same_double(ledger.insertions[-1].bound, level, n)
+        for t in VALUE_ROUNDS:
+            policy._select(t)
+            radius = policy._radius_scale * policy._weights[arm]
+            want = private_ucb_radius(params, eps, VALUE_HORIZON, n, t)
+            assert_same_double(radius, want, n, t)
+
+
+@pytest.mark.parametrize("v", VALUE_V)
+def test_nonprivate_index_values_equal_the_schedules(v: float) -> None:
+    params = MomentParams(u=VALUE_U, v=v)
+    policy = RobustUCB(VALUE_ARMS, params)
+    for n in VALUE_PULLS:
+        arm = n % VALUE_ARMS
+        for t in VALUE_ROUNDS:
+            # _observe reads the round being observed; rounds before t=2 clamp.
+            policy._round = t
+            level = nonprivate_ucb_threshold(params, n, float(t))
+            assert_keeps_exactly_to(policy, arm, n, level)
+            policy._select(t)
+            radius = policy._radius_scale * policy._weights[arm]
+            assert_same_double(radius, nonprivate_ucb_radius(params, n, t), n, t)
+    policy._round = 1
+    assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0))

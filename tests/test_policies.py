@@ -330,6 +330,23 @@ def test_elimination_policies_reject_sources_with_different_ledgers() -> None:
         assert policy.ledger is ledger
 
 
+def test_dprucb_rejects_sources_with_different_ledgers() -> None:
+    # Trees on sources without the ledger would draw noise it never records.
+    ledger = PrivacyLedger()
+    mixed = [
+        NoiseSource(hook=NoiseHook.ZERO, ledger=ledger),
+        NoiseSource(hook=NoiseHook.ZERO, ledger=PrivacyLedger()),
+    ]
+    partly = [mixed[0], NoiseSource(hook=NoiseHook.ZERO)]
+    for sources in (mixed, partly):
+        with pytest.raises(ValueError, match="different ledgers"):
+            DPRobustUCB(UNIT, 1.0, 100, sources)
+    policy = DPRobustUCB(UNIT, 1.0, 100, mixed[:1] + mixed[:1])
+    drive(policy, constant_samplers([0.5, 0.5]), 10)
+    assert len(ledger.noise_draws) == 10
+    DPRobustUCB(UNIT, 1.0, 100, zero_sources(2))
+
+
 def test_rucb_truncation_clamps_early_rounds() -> None:
     policy = RobustUCB(1, UNIT)
     drive(policy, constant_samplers([0.5]), 3)
