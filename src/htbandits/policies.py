@@ -96,9 +96,6 @@ class _Transcript(RecordTable):
         return map(tuple.__new__, repeat(TranscriptEntry), entries)
 
 
-# The largest t with t * t below 2**53, so exact as a double.
-_EXACT_SQUARE_MAX = 94_906_265
-
 # Takes the pending arm's place once a round failed in observe; no arm equals
 # it, so every later select_arm or observe reaches an error branch.
 _FAILED = object()
@@ -279,13 +276,7 @@ class DPRobustUCB(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        if t <= _EXACT_SQUARE_MAX:
-            # t * t is exact as a double, so this is ln(2 * t**4) without a
-            # big int: the same double reaches the log.
-            tt = float(t * t)
-            log_term = math.log(2.0 * tt * tt)
-        else:
-            log_term = math.log(2 * t**4)
+        log_term = math.log(2 * t**4)
         scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
         self._radius_scale = scale
         means, weights = self._means, self._weights

@@ -316,35 +316,27 @@ def test_rucb_rejects_an_arm_count_that_is_not_an_integer() -> None:
 
 
 def test_elimination_policies_reject_sources_with_different_ledgers() -> None:
+    # Also DPRobustUCB: trees on sources without the ledger would draw noise
+    # it never records.
     ledger = PrivacyLedger()
     mixed = [
         NoiseSource(hook=NoiseHook.ZERO, ledger=ledger),
         NoiseSource(hook=NoiseHook.ZERO, ledger=PrivacyLedger()),
     ]
     partly = [mixed[0], NoiseSource(hook=NoiseHook.ZERO)]
-    for cls in (DPRobustSE, LDPRobustSE):
+    shared = mixed[:1] + mixed[:1]
+    for cls, kwargs in (
+        (DPRobustSE, {"beta": 0.1}),
+        (LDPRobustSE, {"beta": 0.1}),
+        (DPRobustUCB, {}),
+    ):
         for sources in (mixed, partly):
-            with pytest.raises(ValueError):
-                cls(UNIT, 1.0, 100, sources, beta=0.1)
-        policy = cls(UNIT, 1.0, 100, mixed[:1] + mixed[:1], beta=0.1)
-        assert policy.ledger is ledger
-
-
-def test_dprucb_rejects_sources_with_different_ledgers() -> None:
-    # Trees on sources without the ledger would draw noise it never records.
-    ledger = PrivacyLedger()
-    mixed = [
-        NoiseSource(hook=NoiseHook.ZERO, ledger=ledger),
-        NoiseSource(hook=NoiseHook.ZERO, ledger=PrivacyLedger()),
-    ]
-    partly = [mixed[0], NoiseSource(hook=NoiseHook.ZERO)]
-    for sources in (mixed, partly):
-        with pytest.raises(ValueError, match="different ledgers"):
-            DPRobustUCB(UNIT, 1.0, 100, sources)
-    policy = DPRobustUCB(UNIT, 1.0, 100, mixed[:1] + mixed[:1])
-    drive(policy, constant_samplers([0.5, 0.5]), 10)
+            with pytest.raises(ValueError, match="different ledgers"):
+                cls(UNIT, 1.0, 100, sources, **kwargs)
+    for cls in (DPRobustSE, LDPRobustSE):
+        assert cls(UNIT, 1.0, 100, shared, beta=0.1).ledger is ledger
+    drive(DPRobustUCB(UNIT, 1.0, 100, shared), constant_samplers([0.5, 0.5]), 10)
     assert len(ledger.noise_draws) == 10
-    DPRobustUCB(UNIT, 1.0, 100, zero_sources(2))
 
 
 def test_rucb_truncation_clamps_early_rounds() -> None:
