@@ -71,6 +71,10 @@ class ParetoModel:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        # Python floats: with a numpy scalar every sample would be one (same
+        # values, slower).
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "lam", float(self.lam))
         # The exponent of every sample; not a field, so equality is unchanged.
         object.__setattr__(self, "_exponent", -1.0 / self.alpha)
 

@@ -112,6 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"v must lie in (0, 1], got {self.v}")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        # Python floats: a numpy scalar would carry numpy arithmetic into every
+        # round (same values, slower).  The CSV and .meta text is the same.
+        object.__setattr__(self, "v", float(self.v))
+        object.__setattr__(self, "eps", float(self.eps))
         for name in ("horizon", "reps", "base_seed", "checkpoint_count"):
             _as_index(name, getattr(self, name))
         if self.checkpoint_stride is not None:
@@ -133,6 +137,8 @@ class ExperimentConfig:
         beta = self.resolved_beta if self.algo in ("dprse", "ldprse") else self.beta
         if beta is not None and not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        if self.beta is not None:
+            object.__setattr__(self, "beta", float(self.beta))
         if self.algo == "dprucb":
             # The index policy opens with one pull of every arm.  Checked here
             # so that a run fails before any worker process starts.

@@ -414,7 +414,7 @@ class AdaptiveTree:
         self.horizon = horizon
         self.eps = float(eps)
         self.owner = owner
-        self._eps_prime = eps / math.log(horizon)
+        self._eps_prime = self.eps / math.log(horizon)
         self._noise = noise
         self._ledger = noise.ledger
         self._mech = (

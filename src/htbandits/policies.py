@@ -10,6 +10,11 @@ round, plus the first committed round.  A policy truncates a reward to itself
 or to ``0.0``, so the flag and the reward give the truncated reward; a policy
 that returns anything else makes ``observe`` raise.
 
+The two index policies share one core, ``_IndexPolicy``: after one
+round-robin pass over the arms they play the arm maximizing truncated mean +
+``C(t) * w_a``, ties to the lowest index.  They differ only in the mean
+estimator, the truncation level and the constants of ``C(t)`` and ``w_a``.
+
 Noise enters only through per-arm :class:`~htbandits.mechanisms.NoiseSource`
 objects supplied at construction, so runs are exactly reproducible and the
 zero-noise hook turns every policy into its noiseless counterpart.
@@ -200,21 +205,67 @@ class _PolicyBase:
         raise NotImplementedError
 
 
-class DPRobustUCB(_PolicyBase):
+class _IndexPolicy(_PolicyBase):
+    """One select loop and one per-arm state for both index policies.
+
+    ``C(t) = coef * (ln(m * t**k) * L) ** exp`` is computed once per round and
+    kept in ``_radius_scale``.  The subclass's ``_observe`` truncates a reward
+    and updates the pulled arm's ``_means`` and ``_weights`` (``w_a``).  A
+    subclass passes ``m``, ``k`` and the multiplier ``c`` of
+    ``coef = c * u ** (1/(1+v))``; ``L`` is 1.0 unless it sets
+    ``_radius_log_pow`` after its argument checks.  The exponents are shared:
+    ``exp = v/(1+v)`` for the radius and ``1/(1+v)`` for truncation.
+    """
+
+    def __init__(self, num_arms: int, params: MomentParams, c: float, m: int, k: int):
+        super().__init__(num_arms)
+        self.params = params
+        v = params.v
+        self._radius_exp = v / (1.0 + v)
+        self._trunc_exp = 1.0 / (1.0 + v)
+        self._radius_coef = c * params.u ** self._trunc_exp
+        self._radius_log_mult = m
+        self._radius_t_power = k
+        self._radius_log_pow = 1.0
+        self._counts = [0] * self.num_arms
+        # Per arm, updated when it is pulled: truncated mean, w_a.
+        self._means = [0.0] * self.num_arms
+        self._weights = [0.0] * self.num_arms
+        # C(t) of the latest round past the first pass over the arms.
+        self._radius_scale = math.nan
+
+    @property
+    def pull_counts(self) -> tuple:
+        return tuple(self._counts)
+
+    def _select(self, t: int) -> int:
+        if t <= self.num_arms:
+            return t - 1
+        log_term = math.log(self._radius_log_mult * t**self._radius_t_power)
+        scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
+        self._radius_scale = scale
+        means, weights = self._means, self._weights
+        best_score = -math.inf
+        best_arm = 0
+        for a in range(self.num_arms):
+            score = means[a] + scale * weights[a]
+            if score > best_score:
+                best_score = score
+                best_arm = a
+        return best_arm
+
+
+class DPRobustUCB(_IndexPolicy):
     """Differentially private index policy for heavy-tailed rewards.
 
     Each arm's truncated rewards feed a private running-sum tree with budget
     ``eps`` (parallel composition across arms keeps the whole policy
     ``eps``-private).  A reward observed as the arm's ``n``-th pull is
     truncated to zero unless its magnitude is at most
-    ``private_ucb_truncation(params, eps, horizon, n)``.  After one round-robin
-    pass over the arms, the policy plays the arm maximizing
-    noisy-sum / pulls + ``private_ucb_radius``; ties go to the lowest index.
-
-    The truncation level is evaluated from constants fixed at construction.
-    The radius is the product ``C(t) * w_a`` that ``private_ucb_radius``
-    computes: ``C(t)`` once per round, and ``w_a = (n_a * eps) ** -exp`` when
-    arm ``a`` is pulled.  Both are bit-identical to the public functions.
+    ``private_ucb_truncation(params, eps, horizon, n)``.  The index is
+    noisy-sum / pulls + ``private_ucb_radius``, with ``C(t)`` at
+    ``(m, k, L) = (2, 4, ln(horizon) ** (1.5 + 1/v))`` and
+    ``w_a = (n_a * eps) ** -exp``.
 
     Parameters
     ----------
@@ -233,7 +284,7 @@ class DPRobustUCB(_PolicyBase):
 
     def __init__(self, params: MomentParams, eps: float, horizon: int, noise_sources):
         noise_sources = list(noise_sources)
-        super().__init__(len(noise_sources))
+        super().__init__(len(noise_sources), params, 18.0, 2, 4)
         _shared_ledger(noise_sources)
         horizon = _as_index("horizon", horizon)
         if horizon < self.num_arms:
@@ -244,50 +295,17 @@ class DPRobustUCB(_PolicyBase):
         # schedules inline.
         private_ucb_radius(params, eps, horizon, 1, 1)
         private_ucb_truncation(params, eps, horizon, 1)
-        self.params = params
         self.eps = float(eps)
         self.horizon = horizon
-        u, v = params.u, params.v
         log_horizon = math.log(self.horizon)
-        # radius = C(t) * w_a, with C(t) = coef * (ln(2 t**4) * log_pow) ** exp
-        # and w_a = (n_a * eps) ** -exp
-        self._radius_coef = 18.0 * u ** (1.0 / (1.0 + v))
-        self._radius_log_pow = log_horizon ** (1.5 + 1.0 / v)
-        self._radius_exp = v / (1.0 + v)
+        self._radius_log_pow = log_horizon ** (1.5 + 1.0 / params.v)
         # truncation = (eps_u * n / log_pow) ** exp
-        self._trunc_eps_u = self.eps * u
+        self._trunc_eps_u = self.eps * params.u
         self._trunc_log_pow = log_horizon**1.5
-        self._trunc_exp = 1.0 / (1.0 + v)
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
         ]
-        self._counts = [0] * self.num_arms
-        # Per arm, updated when it is pulled: w_a, noisy sum / pulls.
-        self._weights = [0.0] * self.num_arms
-        self._means = [0.0] * self.num_arms
-        # C(t) of the latest round past the first pass over the arms.
-        self._radius_scale = math.nan
-
-    @property
-    def pull_counts(self) -> tuple:
-        return tuple(self._counts)
-
-    def _select(self, t: int) -> int:
-        if t <= self.num_arms:
-            return t - 1
-        log_term = math.log(2 * t**4)
-        scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
-        self._radius_scale = scale
-        means, weights = self._means, self._weights
-        best_score = -math.inf
-        best_arm = 0
-        for a in range(self.num_arms):
-            score = means[a] + scale * weights[a]
-            if score > best_score:
-                best_score = score
-                best_arm = a
-        return best_arm
 
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
@@ -498,61 +516,27 @@ class LDPRobustSE(_EliminationPolicy):
         return {a: self._sums[a] / pulls for a in self._viable}
 
 
-class RobustUCB(_PolicyBase):
+class RobustUCB(_IndexPolicy):
     """Non-private truncated-mean index policy (baseline).
 
     Truncates the ``n``-th reward of an arm at
     :func:`~htbandits.schedules.nonprivate_ucb_threshold` and plays the arm
-    maximizing truncated mean + :func:`~htbandits.schedules.nonprivate_ucb_radius`.
+    maximizing truncated mean + :func:`~htbandits.schedules.nonprivate_ucb_radius`,
+    with ``C(t)`` at ``(m, k, L) = (1, 2, 1.0)`` and ``w_a = n_a ** -exp``.
     Rounds before t=2 clamp the threshold's log argument to t=2.  Baseline for
-    qualitative comparison; no privacy guarantee.  Like :class:`DPRobustUCB`,
-    it evaluates the threshold from constants fixed at construction and the
-    radius as the product ``C(t) * w_a`` of ``nonprivate_ucb_radius``, with
-    ``w_a = n_a ** -exp`` updated when arm ``a`` is pulled; both are
-    bit-identical to the public functions.
+    qualitative comparison; no privacy guarantee.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
-        super().__init__(num_arms)
+        # ln(1 * t**2) * 1.0 is nonprivate_ucb_radius's ln(t**2), bit for bit.
+        super().__init__(num_arms, params, 4.0, 1, 2)
         # Anything the public schedules reject fails here, at construction;
         # rounds evaluate them inline.
         nonprivate_ucb_radius(params, 1, 2.0)
         nonprivate_ucb_threshold(params, 1, 2.0)
-        self.params = params
-        u, v = params.u, params.v
-        # radius = C(t) * w_a, with C(t) = coef * ln(t**2) ** exp and
-        # w_a = n_a ** -exp
-        self._radius_coef = 4.0 * u ** (1.0 / (1.0 + v))
-        self._radius_exp = v / (1.0 + v)
         # threshold = (u * n / ln(t**2)) ** exp
-        self._trunc_u = u
-        self._trunc_exp = 1.0 / (1.0 + v)
-        self._counts = [0] * self.num_arms
+        self._trunc_u = params.u
         self._sums = [0.0] * self.num_arms
-        # Per arm, updated when it is pulled: truncated mean, w_a.
-        self._means = [0.0] * self.num_arms
-        self._weights = [0.0] * self.num_arms
-        # C(t) of the latest round past the first pass over the arms.
-        self._radius_scale = math.nan
-
-    @property
-    def pull_counts(self) -> tuple:
-        return tuple(self._counts)
-
-    def _select(self, t: int) -> int:
-        if t <= self.num_arms:
-            return t - 1
-        scale = self._radius_coef * math.log(t * t) ** self._radius_exp
-        self._radius_scale = scale
-        means, weights = self._means, self._weights
-        best_score = -math.inf
-        best_arm = 0
-        for a in range(self.num_arms):
-            score = means[a] + scale * weights[a]
-            if score > best_score:
-                best_score = score
-                best_arm = a
-        return best_arm
 
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1

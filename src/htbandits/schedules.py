@@ -57,6 +57,10 @@ class MomentParams:
             raise ValueError(f"u must be finite and positive, got {self.u}")
         if not 0.0 < self.v <= 1.0:
             raise ValueError(f"v must lie in (0, 1], got {self.v}")
+        # Python floats: a numpy scalar would carry numpy arithmetic into every
+        # round of the index policies (same values, slower).
+        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "v", float(self.v))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,13 @@ import pytest
 
 from htbandits import (
     __version__,
+    AdaptiveTree,
     ExperimentConfig,
     FiniteSupportModel,
+    MomentParams,
+    NoiseHook,
+    NoiseSource,
+    ParetoModel,
     RegretTrace,
     aggregate,
     checkpoint_schedule,
@@ -300,6 +305,33 @@ def test_single_run_is_bit_identical_on_rerun() -> None:
     log_a = [(e.round, e.arm, e.reward, e.truncated_reward) for e in policy_a.transcript]
     log_b = [(e.round, e.arm, e.reward, e.truncated_reward) for e in policy_b.transcript]
     assert log_a == log_b
+
+
+def test_numpy_scalar_parameters_give_the_same_run_in_python_floats(tmp_path) -> None:
+    # A numpy scalar would carry numpy arithmetic into every round: the same
+    # values, more slowly.  Parameters become Python floats where they enter.
+    for algo in ("dprucb", "rucb"):
+        outputs = []
+        for scalar in (float, np.float64):
+            config = small_config(algo=algo, v=scalar(0.9), eps=scalar(1.0), beta=scalar(0.5))
+            assert {type(config.v), type(config.eps), type(config.beta)} == {float}
+            instance = make_instance_for(config.setting, config.v)
+            trace, policy = run_single(config, 0, instance=instance, return_policy=True)
+            paths = write_csv(
+                tmp_path / f"{algo}_{scalar.__name__}", config, instance, [trace], aggregate([trace])
+            )
+            runs, meta = paths["runs"].read_bytes(), paths["meta"].read_bytes()
+            outputs.append((trace, list(policy.transcript), runs, meta))
+            state = [policy._radius_scale, *policy._means]
+            if algo == "dprucb":
+                state += [tree.estimate for tree in policy._trees]
+            assert {type(x) for x in state} == {float}, (algo, scalar)
+        assert outputs[0] == outputs[1], algo
+    params = MomentParams(u=np.float64(2.0), v=np.float64(0.9))
+    model = ParetoModel(alpha=np.float64(2.0), lam=np.float64(0.5))
+    tree = AdaptiveTree(16, np.float64(1.0), NoiseSource(hook=NoiseHook.ZERO))
+    entered = (params.u, params.v, model.alpha, model.lam, tree._eps_prime)
+    assert {type(x) for x in entered} == {float}
 
 
 def test_a_rep_that_is_not_an_integer_is_rejected() -> None:

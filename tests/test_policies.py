@@ -56,8 +56,21 @@ def test_transcript_entry_fields_are_declared() -> None:
     )
 
 
-def test_driver_contract_enforced() -> None:
-    policy = DPRobustUCB(UNIT, 1.0, 16, zero_sources(2))
+def index_policy(cls, num_arms: int):
+    """A 16-round index policy on unit moments (zero noise for DPRobustUCB)."""
+    if cls is DPRobustUCB:
+        return DPRobustUCB(UNIT, 1.0, 16, zero_sources(num_arms))
+    return RobustUCB(num_arms, UNIT)
+
+
+INDEX_POLICIES = pytest.mark.parametrize(
+    "cls", [DPRobustUCB, RobustUCB], ids=lambda cls: cls.__name__
+)
+
+
+@INDEX_POLICIES
+def test_index_policy_enforces_the_select_observe_contract(cls) -> None:
+    policy = index_policy(cls, 2)
     with pytest.raises(RuntimeError):
         policy.observe(0, 1.0)
     with pytest.raises(ValueError):
@@ -71,8 +84,9 @@ def test_driver_contract_enforced() -> None:
     assert policy.select_arm(2) == 1
 
 
-def test_dprucb_initial_rounds_are_round_robin() -> None:
-    policy = DPRobustUCB(UNIT, 1.0, 16, zero_sources(3))
+@INDEX_POLICIES
+def test_index_policy_initial_rounds_are_round_robin(cls) -> None:
+    policy = index_policy(cls, 3)
     arms = []
     for t in range(1, 4):
         arm = policy.select_arm(t)
@@ -81,8 +95,9 @@ def test_dprucb_initial_rounds_are_round_robin() -> None:
     assert arms == [0, 1, 2]
 
 
-def test_dprucb_breaks_ties_toward_lowest_index() -> None:
-    policy = DPRobustUCB(UNIT, 1.0, 16, zero_sources(2))
+@INDEX_POLICIES
+def test_index_policy_breaks_ties_toward_lowest_index(cls) -> None:
+    policy = index_policy(cls, 2)
     drive(policy, constant_samplers([0.1, 0.1]), 2)
     assert policy.select_arm(3) == 0
 
@@ -121,9 +136,12 @@ def test_dprucb_tree_capacity_matches_the_horizon() -> None:
         policy.observe(arm, 0.0)
 
 
-def test_dprucb_never_commits() -> None:
-    policy = DPRobustUCB(UNIT, 1.0, 16, zero_sources(2))
+@INDEX_POLICIES
+def test_index_policy_never_commits(cls) -> None:
+    policy = index_policy(cls, 2)
+    drive(policy, constant_samplers([0.9, 0.1]), 16)
     assert policy.committed_arm() is None
+    assert not any(entry.committed for entry in policy.transcript)
 
 
 def test_central_se_strong_gap_eliminates_and_commits() -> None:
@@ -351,10 +369,6 @@ def test_rucb_prefers_the_better_arm() -> None:
     drive(policy, constant_samplers([0.9, 0.1]), 2000)
     counts = policy.pull_counts
     assert counts[0] > counts[1]
-
-
-def test_rucb_never_commits() -> None:
-    assert RobustUCB(2, UNIT).committed_arm() is None
 
 
 def test_local_se_keeps_the_optimal_arm_of_a_near_tie() -> None:
