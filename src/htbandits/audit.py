@@ -10,16 +10,17 @@ parallel composition), and that elimination runs drew exactly as much noise as
 their epoch ledger implies.  Audit a finished run; a run stopped mid-epoch can
 legitimately trail its epoch ledger.
 
-The audit reads the ledger's draw and insertion columns
-(:meth:`~htbandits.mechanisms.PrivacyLedger.draw_columns`,
-:meth:`~htbandits.mechanisms.PrivacyLedger.insertion_columns`) and builds no
-record, so it holds no more memory than the run's ledger.
+The audit reads the ``columns`` of the ledger's draw and insertion tables
+(:class:`~htbandits.mechanisms.RecordTable`) and builds no record, so it holds
+no more memory than the run's ledger.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .mechanisms import (
+    CENTRAL_EPOCH_KIND,
+    LOCAL_EPOCH_KIND,
     LOCAL_REWARD_SITE,
     SE_RELEASE_SITE,
     TREE_SITE,
@@ -64,7 +65,7 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
     """
     report = AuditReport()
 
-    codes, scales, bounds, epss, counts = ledger.draw_columns()
+    codes, scales, bounds, epss, counts = ledger.noise_draws.columns
     tree = _SITE_CODE[TREE_SITE]
     release = _SITE_CODE[SE_RELEASE_SITE]
     local = _SITE_CODE[LOCAL_REWARD_SITE]
@@ -100,7 +101,7 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
 
     mechanisms = ledger.mechanisms
     num_mechs = len(mechanisms)
-    for i, (mech, owner, value, bound) in enumerate(zip(*ledger.insertion_columns())):
+    for i, (mech, owner, value, bound) in enumerate(zip(*ledger.insertions.columns)):
         if not 0 <= mech < num_mechs:
             report.add("insertion", i, f"unregistered mechanism {mech}")
             continue
@@ -137,18 +138,15 @@ def audit_run(ledger: PrivacyLedger) -> AuditReport:
     central_draws = codes.count(release)
     local_draws = codes.count(local)
     expected_central = sum(
-        e.num_viable for e in ledger.epochs if e.kind == "central_se" and e.completed
+        e.num_viable for e in ledger.epochs if e.kind == CENTRAL_EPOCH_KIND and e.completed
     )
-    expected_local = sum(
-        e.num_viable * e.pulls_per_arm
+    local_pulls = [
+        (e.num_viable * e.pulls_per_arm, e.completed)
         for e in ledger.epochs
-        if e.kind == "local_se" and e.completed
-    )
-    open_local = sum(
-        e.num_viable * e.pulls_per_arm
-        for e in ledger.epochs
-        if e.kind == "local_se" and not e.completed
-    )
+        if e.kind == LOCAL_EPOCH_KIND
+    ]
+    expected_local = sum(n for n, done in local_pulls if done)
+    open_local = sum(n for n, done in local_pulls if not done)
     if central_draws != expected_central:
         report.add(
             SE_RELEASE_SITE,

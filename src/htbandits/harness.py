@@ -85,10 +85,10 @@ K_ARM_HARD_MEANS = (0.5, 0.4, 0.3, 0.2, 0.1)
 class ExperimentConfig:
     """Everything that determines an experiment's outcome.
 
-    ``checkpoint_stride`` set gives a linear checkpoint grid; left as None,
-    ``checkpoint_count`` geometric checkpoints are used.  ``beta`` is the
-    elimination confidence; None means ``1/horizon``.  ``zero_noise`` swaps in
-    the zero-noise test hook (no privacy guarantee).
+    Regret is recorded at ``checkpoint_count`` geometric checkpoints (see
+    :func:`checkpoint_schedule`).  ``beta`` is the elimination confidence;
+    None means ``1/horizon``.  ``zero_noise`` swaps in the zero-noise test hook
+    (no privacy guarantee).
     """
 
     algo: str
@@ -99,7 +99,6 @@ class ExperimentConfig:
     reps: int
     base_seed: int
     checkpoint_count: int = 200
-    checkpoint_stride: int | None = None
     beta: float | None = None
     zero_noise: bool = False
 
@@ -118,8 +117,6 @@ class ExperimentConfig:
         object.__setattr__(self, "eps", float(self.eps))
         for name in ("horizon", "reps", "base_seed", "checkpoint_count"):
             _as_index(name, getattr(self, name))
-        if self.checkpoint_stride is not None:
-            _as_index("checkpoint_stride", self.checkpoint_stride)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.reps < 1:
@@ -128,10 +125,6 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.checkpoint_count < 1:
             raise ValueError(f"checkpoint_count must be >= 1, got {self.checkpoint_count}")
-        if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
-            raise ValueError(
-                f"checkpoint_stride must be >= 1, got {self.checkpoint_stride}"
-            )
         # The elimination policies run at the resolved beta, which is 1.0 at
         # horizon 1; checked here so that a run fails before any worker starts.
         beta = self.resolved_beta if self.algo in ("dprse", "ldprse") else self.beta
@@ -153,9 +146,7 @@ class ExperimentConfig:
         return self.beta if self.beta is not None else 1.0 / self.horizon
 
     def checkpoints(self) -> tuple:
-        return checkpoint_schedule(
-            self.horizon, count=self.checkpoint_count, stride=self.checkpoint_stride
-        )
+        return checkpoint_schedule(self.horizon, count=self.checkpoint_count)
 
 
 @dataclass(frozen=True)
@@ -187,20 +178,14 @@ class SummaryStats:
 # Every repetition of a config asks for the same grid, so the last few grids
 # are kept.  A bad argument raises before anything is stored.
 @functools.lru_cache(maxsize=16, typed=True)
-def checkpoint_schedule(horizon: int, count: int = 200, stride: int | None = None) -> tuple:
-    """Checkpoint rounds: linear every ``stride``, or ``count`` geometric points.
+def checkpoint_schedule(horizon: int, count: int = 200) -> tuple:
+    """Checkpoint rounds: ``count`` geometric points from 1 to ``horizon``.
 
-    Both modes always include the final round.  Geometric points are rounded
-    to integers and deduplicated, so fewer than ``count`` may remain.
+    The final round is always included.  Points are rounded to integers and
+    deduplicated, so fewer than ``count`` may remain.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if stride is not None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        points = set(range(stride, horizon + 1, stride))
-        points.add(horizon)
-        return tuple(sorted(points))
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     # Python floats: rounding numpy scalars one at a time costs ~3x more.

@@ -30,6 +30,9 @@ __all__ = [
     "TREE_SITE",
     "SE_RELEASE_SITE",
     "LOCAL_REWARD_SITE",
+    "TREE_KIND",
+    "CENTRAL_EPOCH_KIND",
+    "LOCAL_EPOCH_KIND",
     "laplace_from_uniform",
     "NoiseHook",
     "NoiseDraw",
@@ -50,6 +53,11 @@ SE_RELEASE_SITE = "se_release"
 LOCAL_REWARD_SITE = "local_reward"
 _SITES = (TREE_SITE, SE_RELEASE_SITE, LOCAL_REWARD_SITE)
 _SITE_CODE = {site: code for code, site in enumerate(_SITES)}
+
+# The tree's mechanism kind and the elimination epoch kinds, as the ledger records them.
+TREE_KIND = "tree"
+CENTRAL_EPOCH_KIND = "central_se"
+LOCAL_EPOCH_KIND = "local_se"
 
 # The owner column's code for a mechanism that holds no single arm's data.
 _NO_OWNER = -1
@@ -218,9 +226,10 @@ class PrivacyLedger:
     code, scale, bound, eps and count (33 bytes) and builds a
     :class:`NoiseDraw` per read, ``insertions`` an insertion's mechanism,
     owner, value and bound (24 bytes) and builds an :class:`InsertionRecord`.
-    :meth:`draw_columns` and :meth:`insertion_columns` give the arrays
-    themselves.  ``mechanisms`` and ``epochs``, a few records per run, are
-    lists.
+    Each table's ``columns`` are the arrays themselves: a draw's site is
+    ``_SITES[code]``, an insertion without an owner has owner ``_NO_OWNER``
+    (-1).  Read them, do not change them.  ``mechanisms`` and ``epochs``, a
+    few records per run, are lists.
 
     :meth:`record_draw` and :meth:`record_insertion` store a record whole or
     not at all.  They raise ``ValueError`` for what the columns cannot hold
@@ -287,23 +296,6 @@ class PrivacyLedger:
         )
         self.epochs.append(record)
         return record
-
-    def draw_columns(self) -> tuple:
-        """The draws by column: ``(code, scale, bound, eps, count)``.
-
-        A draw's site is ``_SITES[code]``; the other columns hold the
-        :class:`NoiseDraw` fields of the same names.  The columns are the
-        ledger's own arrays: read them, do not change them.
-        """
-        return self.noise_draws.columns
-
-    def insertion_columns(self) -> tuple:
-        """The insertions by column: ``(mechanism, owner, value, bound)``.
-
-        The owner of an insertion without one is ``_NO_OWNER`` (-1).  The
-        columns are the ledger's own arrays: read them, do not change them.
-        """
-        return self.insertions.columns
 
 
 class NoiseSource:
@@ -401,7 +393,6 @@ class AdaptiveTree:
         "_noisy_stack",
         "_t",
         "_last_bound",
-        "_exact",
         "_estimate",
     )
 
@@ -418,7 +409,7 @@ class AdaptiveTree:
         self._noise = noise
         self._ledger = noise.ledger
         self._mech = (
-            self._ledger.register_mechanism("tree", owner)
+            self._ledger.register_mechanism(TREE_KIND, owner)
             if self._ledger is not None
             else None
         )
@@ -428,7 +419,6 @@ class AdaptiveTree:
         self._noisy_stack: list = []
         self._t = 0
         self._last_bound = 0.0
-        self._exact = 0.0
         self._estimate = 0.0
 
     @property
@@ -440,11 +430,6 @@ class AdaptiveTree:
     def estimate(self) -> float:
         """Noisy running sum after the latest insertion (0.0 before any)."""
         return self._estimate
-
-    @property
-    def exact_sum(self) -> float:
-        """Exact running sum, for tests and regret accounting only."""
-        return self._exact
 
     def insert(self, value: float, bound: float) -> float:
         """Insert one value and return the updated noisy running sum.
@@ -487,7 +472,6 @@ class AdaptiveTree:
             del stack[-level:]
         self._psums[level] = finalized
         stack.append(finalized + eta)
-        self._exact += value
         if self._ledger is not None:
             self._ledger.record_insertion(self._mech, self.owner, value, bound)
         # Sum from the lowest level up.  Builtin sum() is not used: since

@@ -25,6 +25,8 @@ from itertools import repeat, tee
 from typing import NamedTuple, Optional
 
 from .mechanisms import (
+    CENTRAL_EPOCH_KIND,
+    LOCAL_EPOCH_KIND,
     LOCAL_REWARD_SITE,
     SE_RELEASE_SITE,
     AdaptiveTree,
@@ -466,7 +468,7 @@ class DPRobustSE(_EliminationPolicy):
     commitment.
     """
 
-    _epoch_kind = "central_se"
+    _epoch_kind = CENTRAL_EPOCH_KIND
     _elimination_mult = CENTRAL_ELIMINATION_MULT
 
     def _make_schedule(self, num_viable: int, epoch: int):
@@ -499,7 +501,7 @@ class LDPRobustSE(_EliminationPolicy):
     threshold multiplier is 14.
     """
 
-    _epoch_kind = "local_se"
+    _epoch_kind = LOCAL_EPOCH_KIND
     _elimination_mult = LOCAL_ELIMINATION_MULT
 
     def _make_schedule(self, num_viable: int, epoch: int):

@@ -130,7 +130,7 @@ def test_a_draw_at_an_unknown_site_is_rejected_when_recorded() -> None:
     with pytest.raises(ValueError, match="unknown draw site 'mystery'"):
         ledger.record_draw("mystery", 1.0, 1.0, 1.0, 0)
     assert len(ledger.noise_draws) == recorded
-    assert all(len(column) == recorded for column in ledger.draw_columns())
+    assert all(len(column) == recorded for column in ledger.noise_draws.columns)
     assert audit_run(ledger).ok
 
 

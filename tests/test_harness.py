@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import itertools
 import math
 from dataclasses import fields
@@ -68,12 +69,6 @@ def small_config(**overrides) -> ExperimentConfig:
 # ---------------------------------------------------------------- schedules
 
 
-def test_stride_checkpoints_cover_every_multiple_and_the_horizon() -> None:
-    assert checkpoint_schedule(55, stride=10) == (10, 20, 30, 40, 50, 55)
-    assert checkpoint_schedule(7, stride=1) == (1, 2, 3, 4, 5, 6, 7)
-    assert checkpoint_schedule(1, stride=5) == (1,)
-
-
 def test_geometric_checkpoints_are_increasing_and_end_at_the_horizon() -> None:
     cps = checkpoint_schedule(100_000, count=200)
     assert len(cps) <= 200
@@ -94,16 +89,10 @@ def test_checkpoint_schedule_rejects_bad_arguments() -> None:
             checkpoint_schedule(0)
         with pytest.raises(ValueError):
             checkpoint_schedule(10, count=0)
-        with pytest.raises(ValueError):
-            checkpoint_schedule(10, stride=0)
 
 
-def uncached_checkpoint_schedule(horizon: int, count: int = 200, stride=None) -> tuple:
+def uncached_checkpoint_schedule(horizon: int, count: int = 200) -> tuple:
     """The checkpoint grid computed afresh on every call."""
-    if stride is not None:
-        points = set(range(stride, horizon + 1, stride))
-        points.add(horizon)
-        return tuple(sorted(points))
     raw = np.geomspace(1.0, float(horizon), num=min(count, horizon))
     points = {min(max(int(round(x)), 1), horizon) for x in raw}
     points.add(horizon)
@@ -119,11 +108,6 @@ def test_memoised_checkpoints_equal_a_fresh_computation() -> None:
         want = uncached_checkpoint_schedule(horizon, count=count)
         assert checkpoint_schedule(horizon, count=count) == want
         assert checkpoint_schedule(horizon, count=count) == want  # a hit
-    for stride in (1, 2, 3, 10, 64, 1000):
-        for horizon in range(1, 2001, 7):
-            want = uncached_checkpoint_schedule(horizon, stride=stride)
-            assert checkpoint_schedule(horizon, stride=stride) == want
-            assert checkpoint_schedule(horizon, stride=stride) == want
 
 
 def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -> None:
@@ -145,6 +129,23 @@ def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -
 # ------------------------------------------------------------ configuration
 
 
+def test_the_experiment_knobs_are_exactly_these() -> None:
+    # A new option shows up here as a test edit.
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "algo",
+        "setting",
+        "v",
+        "eps",
+        "horizon",
+        "reps",
+        "base_seed",
+        "checkpoint_count",
+        "beta",
+        "zero_noise",
+    ]
+    assert list(inspect.signature(checkpoint_schedule).parameters) == ["horizon", "count"]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -160,7 +161,6 @@ def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -
         ("reps", 0),
         ("base_seed", -1),
         ("checkpoint_count", 0),
-        ("checkpoint_stride", 0),
         ("beta", 1.0),
         # Counts that are not integers.
         ("horizon", 300.0),
@@ -168,7 +168,6 @@ def test_repetitions_of_one_config_build_the_checkpoint_grid_once(monkeypatch) -
         ("reps", 1.5),
         ("base_seed", 7.0),
         ("checkpoint_count", 20.0),
-        ("checkpoint_stride", 10.0),
     ],
 )
 def test_config_validation_rejects_bad_fields(field: str, value) -> None:
@@ -224,13 +223,13 @@ def test_elimination_run_matches_a_hand_stepped_trace() -> None:
         horizon=50,
         reps=1,
         base_seed=7,
-        checkpoint_stride=1,
         beta=0.1,
         zero_noise=True,
     )
     trace, policy = run_single(config, 0, instance=instance, return_policy=True)
+    assert [entry.arm for entry in policy.transcript] == [0, 1] * 6 + [0] * 38
     gap = instance.gaps[1]
-    expected = tuple((t, gap * (min(t, 12) // 2)) for t in range(1, 51))
+    expected = tuple((t, gap * (min(t, 12) // 2)) for t in config.checkpoints())
     assert trace.checkpoints == expected
     assert policy.completed_epochs == [(1, 2, 6)]
     assert policy.committed_arm() == 0
@@ -249,11 +248,11 @@ def test_budget_too_small_for_one_phase_commits_immediately() -> None:
         horizon=10,
         reps=1,
         base_seed=7,
-        checkpoint_stride=1,
         beta=0.1,
         zero_noise=True,
     )
     trace, policy = run_single(config, 0, instance=instance, return_policy=True)
+    assert [entry.arm for entry in policy.transcript] == [0] * 10
     assert policy.completed_epochs == []
     assert policy.committed_arm() == 0
     assert all(value == 0.0 for _, value in trace.checkpoints)
@@ -542,7 +541,7 @@ def synthetic_traces(rng, config) -> list:
 
 def test_write_csv_gives_the_csv_writer_bytes(tmp_path) -> None:
     rng = np.random.default_rng(3)
-    grids = (dict(checkpoint_count=12), dict(checkpoint_stride=7))
+    grids = (dict(checkpoint_count=12), dict(checkpoint_count=1))
     epsilons = (1e-05, 0.1, 1.0, 1000.0)
     cells = list(itertools.product(ALGORITHMS, SETTINGS, epsilons, (0.5, 1.0), grids, (1, 3)))
     assert len(cells) == 640

@@ -317,8 +317,8 @@ def test_audited_run_holds_under_128_bytes_per_round() -> None:
 
 def assert_empty(ledger) -> None:
     assert len(ledger.noise_draws) == 0 and len(ledger.insertions) == 0
-    assert all(len(column) == 0 for column in ledger.draw_columns())
-    assert all(len(column) == 0 for column in ledger.insertion_columns())
+    assert all(len(column) == 0 for column in ledger.noise_draws.columns)
+    assert all(len(column) == 0 for column in ledger.insertions.columns)
 
 
 @pytest.mark.parametrize(
@@ -373,5 +373,5 @@ def test_a_rejected_record_leaves_the_earlier_ones_whole() -> None:
     assert ledger.noise_draws == reference.noise_draws
     assert ledger.noise_draws[1].count == 0
     assert ledger.insertions == reference.insertions
-    assert all(len(column) == 2 for column in ledger.draw_columns())
-    assert all(len(column) == 1 for column in ledger.insertion_columns())
+    assert all(len(column) == 2 for column in ledger.noise_draws.columns)
+    assert all(len(column) == 1 for column in ledger.insertions.columns)

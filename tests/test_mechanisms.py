@@ -117,7 +117,6 @@ def test_tree_zero_noise_exact_on_integer_stream() -> None:
         running += x
         assert tree.insert(x, 1000.0) == running
         assert tree.estimate == running
-        assert tree.exact_sum == running
 
 
 def test_tree_real_valued_stream_close_without_noise() -> None:
@@ -136,7 +135,7 @@ def test_tree_unit_noise_shifts_by_popcount() -> None:
     tree = AdaptiveTree(256, 1.0, noise=NoiseSource(hook=NoiseHook.UNIT))
     for t in range(1, 257):
         estimate = tree.insert(1.0, 1.0)
-        assert estimate - tree.exact_sum == bin(t).count("1")
+        assert estimate - t == bin(t).count("1")  # t values of 1.0 inserted
 
 
 def test_tree_one_noise_draw_per_insert_and_none_on_reads() -> None:
@@ -238,7 +237,6 @@ def _tree_state(tree: AdaptiveTree, source: NoiseSource, ledger: PrivacyLedger) 
     return (
         tree.t,
         tree.estimate,
-        tree.exact_sum,
         source.draws_made,
         len(ledger.noise_draws),
         len(ledger.insertions),
