@@ -274,11 +274,13 @@ def run_single(
     values = []
     cp_iter = iter(cps)
     next_cp = next(cp_iter)
-    select = policy.select_arm
-    observe = policy.observe
+    # The harness keeps the select/observe contract itself, so it drives the
+    # policy core: the same _select and _observe as select_arm and observe.
+    select = policy._select
+    play = policy._play
     for t in range(1, config.horizon + 1):
         arm = select(t)
-        observe(arm, samplers[arm](reward_rngs[arm]))
+        play(t, arm, samplers[arm](reward_rngs[arm]))
         counts[arm] += 1
         if t == next_cp:
             values.append(math.fsum(map(operator.mul, gaps, counts)))

@@ -339,14 +339,21 @@ class NoiseSource:
         tree passes its value bound, budget and horizon, the central release
         the truncation, budget and pulls, the local reward the truncation,
         budget and 0.  The ledger records them as a :class:`NoiseDraw`.
+
+        A draw the source or its ledger rejects changes nothing: ``scale``
+        must be finite and non-negative under every hook, and the scale and
+        the ledger record are checked before the draw is counted or a uniform
+        is read.
         """
+        if not 0.0 <= scale < _INF:  # NaN fails too
+            raise ValueError(f"scale must be finite and non-negative, got {scale}")
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.record_draw(site, scale, bound, eps, count)
         self.draws_made += 1
         value = self._value
         if value is None:
             value = laplace_from_uniform(self.rng.random(), scale)
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.record_draw(site, scale, bound, eps, count)
         return value
 
 
@@ -359,8 +366,15 @@ class AdaptiveTree:
     levels reset, and fresh Laplace noise of scale ``2*bound/(eps/ln(horizon))``
     is added to the finalized sum exactly once.  The running-sum estimate after
     ``t`` insertions is the sum of the noisy partial sums at the set-bit levels
-    of ``t``, at most ``floor(log2(horizon)) + 1`` of them; reads never draw
-    noise.
+    of ``t``, at most ``floor(log2(horizon)) + 1`` of them, added from the
+    highest level down; reads never draw noise.
+
+    The tree keeps that sum as a stack of running sums, one per set bit of
+    ``t``: entry ``i`` is the sum of the ``i + 1`` highest noisy partial sums.
+    An insert drops the entries of the levels it merges and pushes the top
+    plus the new noisy sum, so a release costs one add, not one per set bit.
+    Which adds are made is post-processing of the same noisy sums, each drawn
+    once, so the privacy guarantee is unchanged.
 
     Bounds supplied with the values must be finite, positive and
     non-decreasing, and each value's magnitude must not exceed its bound; the
@@ -393,7 +407,6 @@ class AdaptiveTree:
         "_noisy_stack",
         "_t",
         "_last_bound",
-        "_estimate",
     )
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource, owner: int | None = None):
@@ -415,11 +428,11 @@ class AdaptiveTree:
         )
         levels = horizon.bit_length()
         self._psums = [0.0] * levels
-        # The noisy partial sums at the set bits of t, the highest level first.
+        # Running sums of the noisy partial sums at the set bits of t, from
+        # the highest level down: the top is the release.
         self._noisy_stack: list = []
         self._t = 0
         self._last_bound = 0.0
-        self._estimate = 0.0
 
     @property
     def t(self) -> int:
@@ -429,7 +442,8 @@ class AdaptiveTree:
     @property
     def estimate(self) -> float:
         """Noisy running sum after the latest insertion (0.0 before any)."""
-        return self._estimate
+        stack = self._noisy_stack
+        return stack[-1] if stack else 0.0
 
     def insert(self, value: float, bound: float) -> float:
         """Insert one value and return the updated noisy running sum.
@@ -471,15 +485,12 @@ class AdaptiveTree:
             # the stack; they merge into the new sum at `level`.
             del stack[-level:]
         self._psums[level] = finalized
-        stack.append(finalized + eta)
+        # The sums of the higher set bits are on the stack already: one add
+        # releases the new running sum (from 0.0 when `level` is t's only bit).
+        est = (stack[-1] if stack else 0.0) + (finalized + eta)
+        stack.append(est)
         if self._ledger is not None:
             self._ledger.record_insertion(self._mech, self.owner, value, bound)
-        # Sum from the lowest level up.  Builtin sum() is not used: since
-        # Python 3.12 it compensates float sums, which would change the value.
-        est = 0.0
-        for noisy in reversed(stack):
-            est += noisy
-        self._estimate = est
         return est
 
 

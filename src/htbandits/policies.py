@@ -1,9 +1,13 @@
 """Bandit policies: private index policy, private and local elimination, baseline.
 
-All policies share one driving contract: the harness calls ``select_arm(t)``
-with ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
-selected, exactly once per round, in order.  The contract is enforced; misuse
-raises.  Each observed round is recorded in ``transcript``, a
+All policies share one driving contract: ``select_arm(t)`` is called with
+``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
+selected, exactly once per round, in order.  The contract is there for
+outside callers and is enforced; misuse raises.  ``run_single`` builds its
+policy and keeps the contract itself, so it drives the policy core: ``_select``
+and then ``_play``, which sets the round, calls ``_observe`` and records the
+round.  Both routes reach the same ``_select`` and ``_observe``, so a round's
+arithmetic has one path.  Each observed round is recorded in ``transcript``, a
 :class:`~htbandits.mechanisms.RecordTable` of :class:`TranscriptEntry` stored
 by column at 13 bytes per round: the arm, the reward and a kept flag of each
 round, plus the first committed round.  A policy truncates a reward to itself
@@ -179,6 +183,22 @@ class _PolicyBase:
         self._record_reward(reward)
         self._record_kept(kept)
 
+    def _play(self, t: int, arm: int, reward: float) -> None:
+        """Round ``t``'s observe for a caller that keeps the contract itself.
+
+        ``run_single`` calls ``_select(t)`` and then this, for ``t = 1, 2,
+        ...``, with a float reward.  It reaches the same ``_observe`` as
+        :meth:`observe` and records the same transcript row, without the
+        contract checks, the check on the truncated reward or the rollback:
+        a round that raises here ends the run.  The round is set first,
+        because ``_observe`` may read it.
+        """
+        self._round = t
+        kept = self._observe(arm, reward)
+        self._record_arm(arm)
+        self._record_reward(reward)
+        self._record_kept(kept is reward)
+
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
             raise RuntimeError(
@@ -224,11 +244,14 @@ class _IndexPolicy(_PolicyBase):
         self.params = params
         v = params.v
         self._radius_exp = v / (1.0 + v)
+        # w_a's exponent, -exp: the same double as negating exp in each round.
+        self._neg_radius_exp = -self._radius_exp
         self._trunc_exp = 1.0 / (1.0 + v)
         self._radius_coef = c * params.u ** self._trunc_exp
         self._radius_log_mult = m
         self._radius_t_power = k
         self._radius_log_pow = 1.0
+        self._arms = range(self.num_arms)
         self._counts = [0] * self.num_arms
         # Per arm, updated when it is pulled: truncated mean, w_a.
         self._means = [0.0] * self.num_arms
@@ -249,7 +272,7 @@ class _IndexPolicy(_PolicyBase):
         means, weights = self._means, self._weights
         best_score = -math.inf
         best_arm = 0
-        for a in range(self.num_arms):
+        for a in self._arms:
             score = means[a] + scale * weights[a]
             if score > best_score:
                 best_score = score
@@ -315,7 +338,7 @@ class DPRobustUCB(_IndexPolicy):
         bound = (self._trunc_eps_u * n / self._trunc_log_pow) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._means[arm] = self._trees[arm].insert(kept, bound) / n
-        self._weights[arm] = (n * self.eps) ** -self._radius_exp
+        self._weights[arm] = (n * self.eps) ** self._neg_radius_exp
         return kept
 
 
@@ -548,5 +571,5 @@ class RobustUCB(_IndexPolicy):
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n
-        self._weights[arm] = n ** -self._radius_exp
+        self._weights[arm] = n ** self._neg_radius_exp
         return kept

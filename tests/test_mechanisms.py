@@ -108,6 +108,37 @@ def test_noise_source_hooks_and_ledger_recording() -> None:
     assert ledger.noise_draws[0].count == 8
 
 
+@pytest.mark.parametrize(
+    "hook, scale, site, count, match",
+    [
+        (NoiseHook.LAPLACE, math.nan, TREE_SITE, 2, "scale must be finite"),
+        (NoiseHook.LAPLACE, math.inf, TREE_SITE, 2, "scale must be finite"),
+        (NoiseHook.LAPLACE, -1.0, TREE_SITE, 2, "scale must be finite"),
+        (NoiseHook.LAPLACE, 1.0, "mystery", 2, "unknown draw site"),
+        (NoiseHook.LAPLACE, 1.0, TREE_SITE, 2**63, "cannot record"),
+        (NoiseHook.UNIT, math.nan, TREE_SITE, 2, "scale must be finite"),
+    ],
+    ids=["nan_scale", "infinite_scale", "negative_scale", "unknown_site", "huge_count", "unit_nan_scale"],
+)
+def test_a_rejected_draw_changes_nothing(hook, scale, site, count, match) -> None:
+    # A twin that sees only the accepted draws must stay equal, so a rejected
+    # draw may not count, record or read a uniform.
+    def build():
+        ledger = PrivacyLedger()
+        rng = derive_stream(5, 0, arm=0, purpose=TREE_NOISE)
+        return NoiseSource(rng=rng, hook=hook, ledger=ledger), ledger
+
+    (source, ledger), (twin, twin_ledger) = build(), build()
+    assert source.draw(1.0, TREE_SITE, 1.0, 1.0, 2) == twin.draw(1.0, TREE_SITE, 1.0, 1.0, 2)
+    with pytest.raises(ValueError, match=match):
+        source.draw(scale, site, 1.0, 1.0, count)
+    assert source.draws_made == twin.draws_made == 1
+    assert ledger.noise_draws == twin_ledger.noise_draws
+    assert len(ledger.noise_draws) == 1
+    assert source.draw(2.0, TREE_SITE, 1.0, 1.0, 2) == twin.draw(2.0, TREE_SITE, 1.0, 1.0, 2)
+    assert source.rng.random() == twin.rng.random()
+
+
 def test_tree_zero_noise_exact_on_integer_stream() -> None:
     rng = np.random.default_rng(0)
     values = rng.integers(-1000, 1000, size=512).astype(float)
@@ -351,8 +382,9 @@ class ReferenceTree:
     """The tree's insert with its estimate rebuilt from the set bits of ``t``.
 
     Every level keeps a noisy partial sum (zero when the level is not a set
-    bit), and each release walks the set bits of ``t`` from the lowest up.
-    The four argument checks are left out: the driver below keeps them.
+    bit), and each release walks the set bits of ``t`` from the highest
+    down, the order in which the tree's running sums add them.  The four
+    argument checks are left out: the test below keeps them.
     """
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource):
@@ -386,11 +418,9 @@ class ReferenceTree:
         noisy[level] = finalized + eta
         self._ledger.record_insertion(self._mech, None, value, bound)
         est = 0.0
-        bits = t
-        while bits:
-            low = bits & -bits
-            est += noisy[low.bit_length() - 1]
-            bits ^= low
+        for level in reversed(range(t.bit_length())):
+            if t >> level & 1:
+                est += noisy[level]
         self.estimate = est
         return est
 
@@ -411,6 +441,7 @@ def test_tree_noisy_sum_stack_matches_the_set_bit_reference(horizon: int) -> Non
         value = sign * bound
         assert tree.insert(value, bound) == reference.insert(value, bound)
         assert tree.estimate == reference.estimate
+        assert len(tree._noisy_stack) == t.bit_count()
     assert tree.t == horizon
     assert ledgers[0].insertions == ledgers[1].insertions
     assert ledgers[0].noise_draws == ledgers[1].noise_draws

@@ -2,14 +2,17 @@
 
 Reference subclasses keep one :class:`TranscriptEntry` per round in a plain
 list, with the commitment flag read when the arm is selected, as every policy
-did before its rounds were stored by column.  ``run_single`` drives both on
-the same streams (the policy classes are swapped in ``harness``), and every
+did before its rounds were stored by column.  ``run_single`` drives the policy
+core; the reference, built by ``make_policy`` from the same streams, is driven
+by a hand loop over the public ``select_arm``/``observe`` contract, and every
 way of reading the transcript must give the reference's entries: iteration,
 length, positive and negative indices, slices, entry and field types, and
-``IndexError`` past either end.  Further tests compare a transcript with the
-list of its entries, bound what a transcript holds per round, check that a
-finished policy and its columns are freed without the cycle collector, and
-check that a round whose observe fails is not recorded and ends the policy.
+``IndexError`` past either end.  The same hand loop on a plain policy must
+give ``run_single``'s transcript, ledger and final state bit for bit.  Further
+tests compare a transcript with the list of its entries, bound what a
+transcript holds per round, check that a finished policy and its columns are
+freed without the cycle collector, and check that a round whose observe fails
+is not recorded and ends the policy.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from htbandits import (
     RobustUCB,
     TranscriptEntry,
     audit_run,
-    harness,
     make_instance_for,
+    make_policy,
     run_single,
 )
+from htbandits.seeding import REWARDS, derive_stream
 
 V = 0.9
 SEED = 7
@@ -41,11 +45,6 @@ SEED = 7
 
 class ListTranscript:
     """Mixin: record each round as one ``TranscriptEntry`` in a list."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.transcript = []
-        self._pending_committed = False
 
     def select_arm(self, t: int) -> int:
         arm = super().select_arm(t)
@@ -69,11 +68,35 @@ class ListTranscript:
         self._committed = arm
 
 
-POLICY_CLASSES = {
-    "DPRobustUCB": DPRobustUCB,
-    "DPRobustSE": DPRobustSE,
-    "LDPRobustSE": LDPRobustSE,
-    "RobustUCB": RobustUCB,
+def list_reference(policy):
+    """``policy``, before its first round, as its per-round-list reference."""
+    policy.__class__ = type(f"List{type(policy).__name__}", (ListTranscript, type(policy)), {})
+    policy.transcript = []
+    policy._pending_committed = False
+    return policy
+
+
+def drive_by_contract(config: ExperimentConfig, policy) -> None:
+    """Play ``config``'s repetition 0 through ``select_arm``/``observe``.
+
+    The rewards come from the streams ``run_single`` reads, so the policy
+    sees the rounds ``run_single`` would play.
+    """
+    instance = make_instance_for(config.setting, config.v)
+    rngs = [
+        derive_stream(config.base_seed, 0, arm=a, purpose=REWARDS)
+        for a in range(instance.num_arms)
+    ]
+    for t in range(1, config.horizon + 1):
+        arm = policy.select_arm(t)
+        policy.observe(arm, instance.arms[arm].sample(rngs[arm]))
+
+
+ALGO_CLASSES = {
+    "dprucb": DPRobustUCB,
+    "dprse": DPRobustSE,
+    "ldprse": LDPRobustSE,
+    "rucb": RobustUCB,
 }
 
 # (algo, setting, eps, horizon, completed epochs, when the policy commits)
@@ -109,13 +132,13 @@ def assert_same_entries(got, want) -> None:
 
 @pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits", CASES)
 def test_columnar_transcript_reads_like_the_per_round_list(
-    monkeypatch, algo, setting, eps, horizon, epochs, commits
+    algo, setting, eps, horizon, epochs, commits
 ) -> None:
     config = config_for(algo, setting, eps, horizon)
     _, policy = run_single(config, 0, return_policy=True)
-    for name, cls in POLICY_CLASSES.items():
-        monkeypatch.setattr(harness, name, type(f"List{name}", (ListTranscript, cls), {}))
-    _, reference = run_single(config, 0, return_policy=True)
+    instance = make_instance_for(setting, V)
+    reference = list_reference(make_policy(config, instance, 0))
+    drive_by_contract(config, reference)
     assert isinstance(reference.transcript, list)
 
     assert len(getattr(policy, "completed_epochs", ())) == epochs
@@ -144,6 +167,58 @@ def test_columnar_transcript_reads_like_the_per_round_list(
     for i in (horizon, -horizon - 1):
         with pytest.raises(IndexError):
             transcript[i]
+
+
+@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits", CASES)
+def test_run_single_and_the_public_contract_play_the_same_run(
+    monkeypatch, algo, setting, eps, horizon, epochs, commits
+) -> None:
+    # run_single drives _select and _play; the contract reaches the same
+    # _select and _observe, so both give the same run bit for bit.  Both set
+    # the round before _observe runs, which RobustUCB's truncation and a
+    # commitment made in _observe read; a truncation that moves with it
+    # seldom changes a kept flag, so the round _observe sees is checked too.
+    cls = ALGO_CLASSES[algo]
+    core_observe = cls._observe
+    rounds_seen = []
+
+    def observe_spy(self, arm: int, reward: float) -> float:
+        rounds_seen.append(self.rounds_played)
+        return core_observe(self, arm, reward)
+
+    monkeypatch.setattr(cls, "_observe", observe_spy)
+    config = config_for(algo, setting, eps, horizon)
+    ledgers = (PrivacyLedger(), PrivacyLedger())
+    _, policy = run_single(config, 0, ledger=ledgers[0], return_policy=True)
+    assert rounds_seen == list(range(1, horizon + 1))
+    rounds_seen.clear()
+    by_contract = make_policy(config, make_instance_for(setting, V), 0, ledger=ledgers[1])
+    drive_by_contract(config, by_contract)
+    assert rounds_seen == list(range(1, horizon + 1))
+
+    assert bits(policy.transcript) == bits(by_contract.transcript)
+    assert policy.rounds_played == by_contract.rounds_played == horizon
+    assert policy.committed_arm() == by_contract.committed_arm()
+    if algo in ("dprucb", "rucb"):
+        assert policy.committed_arm() is None
+        assert policy.pull_counts == by_contract.pull_counts
+    else:
+        assert policy.committed_arm() is not None
+        assert len(policy.completed_epochs) == epochs
+        assert policy.completed_epochs == by_contract.completed_epochs
+    # Every column of the draws and the insertions, byte for byte.
+    columns = [
+        [c.tobytes() for table in (ledger.noise_draws, ledger.insertions) for c in table.columns]
+        for ledger in ledgers
+    ]
+    assert columns[0] == columns[1]
+    assert ledgers[0].mechanisms == ledgers[1].mechanisms
+    assert ledgers[0].epochs == ledgers[1].epochs
+    if algo == "dprucb":
+        assert len(ledgers[0].noise_draws) == len(ledgers[0].insertions) == horizon
+    elif epochs:
+        assert len(ledgers[0].insertions) > 0
+    assert audit_run(ledgers[0]).ok
 
 
 @pytest.mark.parametrize("algo", ["dprucb", "dprse", "ldprse", "rucb"])
