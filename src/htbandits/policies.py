@@ -18,13 +18,18 @@ The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
 ``C(t) * w_a``, ties to the lowest index.  They differ only in the mean
 estimator, the truncation level and the constants of ``C(t)`` and ``w_a``.
+Schedule values that depend only on those constants and a round or a pull
+count are read from tables in a bounded process-wide memo, which the
+repetitions of a config share.
 
 Noise enters only through per-arm :class:`~htbandits.mechanisms.NoiseSource`
 objects supplied at construction, so runs are exactly reproducible and the
 zero-noise hook turns every policy into its noiseless counterpart.
 """
 
+import functools
 import math
+from array import array
 from itertools import repeat, tee
 from typing import NamedTuple, Optional
 
@@ -227,30 +232,94 @@ class _PolicyBase:
         raise NotImplementedError
 
 
+# A schedule table holds entries 0 to _TABLE_CAP - 1 at most: 1 MiB of
+# doubles.  The memo keeps the last _MEMO_TABLES tables asked for.
+_TABLE_CAP = 2**17
+_MEMO_TABLES = 8
+# A table that misses grows this many entries past the one asked for, so it
+# grows once per 64 rounds or pulls rather than once per round.
+_FILL_AHEAD = 64
+
+
+# The three tabled schedules, each in the order of schedules.py.
+def _scale_of_round(coef: float, m: int, k: int, log_pow: float, exp: float, t: int) -> float:
+    """``C(t) = coef * (ln(m * t**k) * L) ** exp``."""
+    return coef * (math.log(m * t**k) * log_pow) ** exp
+
+
+def _weight_of_pulls(eps: float, neg_exp: float, n: int) -> float:
+    """``w = (n * eps) ** -exp``."""
+    return (n * eps) ** neg_exp
+
+
+def _bound_of_pulls(eps_u: float, log_pow: float, exp: float, n: int) -> float:
+    """The private truncation level ``(eps * u * n / ln(T) ** 1.5) ** exp``."""
+    return (eps_u * n / log_pow) ** exp
+
+
+@functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)
+def _schedule_table(formula, *constants) -> array:
+    """The shared table of ``formula`` at ``constants``; empty when first made.
+
+    Entries are indexed by round or pull count, so entry 0 is a NaN
+    placeholder.
+    """
+    return array("d", (math.nan,))
+
+
+def _shared(formula, *constants) -> tuple:
+    """The memo's table of ``formula`` at ``constants``, and the formula at them."""
+    return _schedule_table(formula, *constants), functools.partial(formula, *constants)
+
+
+class _Inline:
+    """Stands in for a table past its cap: entry ``i`` is ``formula(i)``.
+
+    A lookup past the end of an ``array`` raises ``IndexError``, which costs
+    more than the formula itself.  ``formula`` is a ``functools.partial`` of a
+    module-level function, not a bound method, so a policy that holds this
+    view is still freed by reference counting alone.
+    """
+
+    __slots__ = ("_formula",)
+
+    def __init__(self, formula):
+        self._formula = formula
+
+    def __getitem__(self, i: int) -> float:
+        return self._formula(i)
+
+
 class _IndexPolicy(_PolicyBase):
     """One select loop and one per-arm state for both index policies.
 
-    ``C(t) = coef * (ln(m * t**k) * L) ** exp`` is computed once per round and
+    ``C(t) = coef * (ln(m * t**k) * L) ** exp`` is read once per round and
     kept in ``_radius_scale``.  The subclass's ``_observe`` truncates a reward
-    and updates the pulled arm's ``_means`` and ``_weights`` (``w_a``).  A
-    subclass passes ``m``, ``k`` and the multiplier ``c`` of
-    ``coef = c * u ** (1/(1+v))``; ``L`` is 1.0 unless it sets
-    ``_radius_log_pow`` after its argument checks.  The exponents are shared:
-    ``exp = v/(1+v)`` for the radius and ``1/(1+v)`` for truncation.
+    and updates the pulled arm's ``_means`` and ``_weights`` (``w_a =
+    (n_a * eps_w) ** -exp``).  Once its argument checks have passed, a
+    subclass passes the multiplier ``c`` of ``coef = c * u ** (1/(1+v))``,
+    ``m``, ``k``, ``L`` and ``eps_w`` to :meth:`_share_tables`.  The exponents
+    are shared: ``exp = v/(1+v)`` for the radius and ``1/(1+v)`` for
+    truncation.
+
+    ``C(t)`` by round, ``w`` by pull count and the private policy's
+    truncation level by pull count depend only on constants of the config,
+    so every policy with the same constants reads them from one table: an
+    ``array('d')`` in a process-wide memo (``_schedule_table``, a typed
+    ``lru_cache``) keyed by the formula and every constant it reads.  The
+    repetitions of a config compute each value once.  A table is empty when
+    made and grows as rounds and pulls reach it, each entry the formula's
+    double, so the double an inline evaluation gives.  It stops at
+    ``_TABLE_CAP = 2**17`` entries (1 MiB); past that the policy evaluates
+    the formula inline.  The memo keeps the last 8 tables, so it holds at
+    most 8 * (2**17 doubles + the array's 1/16 growth slack), under 9 MiB,
+    whatever the horizon or the number of configs.
     """
 
-    def __init__(self, num_arms: int, params: MomentParams, c: float, m: int, k: int):
+    def __init__(self, num_arms: int, params: MomentParams):
         super().__init__(num_arms)
         self.params = params
-        v = params.v
-        self._radius_exp = v / (1.0 + v)
-        # w_a's exponent, -exp: the same double as negating exp in each round.
-        self._neg_radius_exp = -self._radius_exp
-        self._trunc_exp = 1.0 / (1.0 + v)
-        self._radius_coef = c * params.u ** self._trunc_exp
-        self._radius_log_mult = m
-        self._radius_t_power = k
-        self._radius_log_pow = 1.0
+        self._trunc_exp = 1.0 / (1.0 + params.v)
         self._arms = range(self.num_arms)
         self._counts = [0] * self.num_arms
         # Per arm, updated when it is pulled: truncated mean, w_a.
@@ -259,6 +328,28 @@ class _IndexPolicy(_PolicyBase):
         # C(t) of the latest round past the first pass over the arms.
         self._radius_scale = math.nan
 
+    def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
+        """Take the tables of ``C(t)`` and of ``w`` from the memo."""
+        v = self.params.v
+        exp = v / (1.0 + v)
+        coef = c * self.params.u ** self._trunc_exp
+        self._scales, self._scale_at = _shared(_scale_of_round, coef, m, k, log_pow, exp)
+        # w's exponent, -exp: the same double as negating exp for each pull.
+        self._pull_weights, self._weight_at = _shared(_weight_of_pulls, weight_eps, -exp)
+
+    def _grow(self, name: str, formula, i: int) -> float:
+        """Entry ``i`` of the table in attribute ``name``, which ends before it.
+
+        Grows the table to ``i + _FILL_AHEAD`` entries, or to the cap; at or
+        past the cap, the attribute becomes an :class:`_Inline` view instead.
+        """
+        if i >= _TABLE_CAP:
+            setattr(self, name, _Inline(formula))
+            return formula(i)
+        table = getattr(self, name)
+        table.extend(map(formula, range(len(table), min(i + _FILL_AHEAD, _TABLE_CAP))))
+        return table[i]
+
     @property
     def pull_counts(self) -> tuple:
         return tuple(self._counts)
@@ -266,8 +357,10 @@ class _IndexPolicy(_PolicyBase):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
-        log_term = math.log(self._radius_log_mult * t**self._radius_t_power)
-        scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
+        try:
+            scale = self._scales[t]
+        except IndexError:
+            scale = self._grow("_scales", self._scale_at, t)
         self._radius_scale = scale
         means, weights = self._means, self._weights
         best_score = -math.inf
@@ -309,24 +402,24 @@ class DPRobustUCB(_IndexPolicy):
 
     def __init__(self, params: MomentParams, eps: float, horizon: int, noise_sources):
         noise_sources = list(noise_sources)
-        super().__init__(len(noise_sources), params, 18.0, 2, 4)
+        super().__init__(len(noise_sources), params)
         _shared_ledger(noise_sources)
         horizon = _as_index("horizon", horizon)
         if horizon < self.num_arms:
             raise ValueError(
                 f"horizon {horizon} is below the number of arms {self.num_arms}"
             )
-        # The schedules' argument checks run once, here; rounds evaluate the
-        # schedules inline.
+        # The schedules' argument checks run once, here; rounds read the
+        # schedules from the memo's tables.
         private_ucb_radius(params, eps, horizon, 1, 1)
         private_ucb_truncation(params, eps, horizon, 1)
         self.eps = float(eps)
         self.horizon = horizon
         log_horizon = math.log(self.horizon)
-        self._radius_log_pow = log_horizon ** (1.5 + 1.0 / params.v)
-        # truncation = (eps_u * n / log_pow) ** exp
-        self._trunc_eps_u = self.eps * params.u
-        self._trunc_log_pow = log_horizon**1.5
+        self._share_tables(18.0, 2, 4, log_horizon ** (1.5 + 1.0 / params.v), self.eps)
+        self._bounds, self._bound_at = _shared(
+            _bound_of_pulls, self.eps * params.u, log_horizon**1.5, self._trunc_exp
+        )
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
@@ -335,10 +428,16 @@ class DPRobustUCB(_IndexPolicy):
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        bound = (self._trunc_eps_u * n / self._trunc_log_pow) ** self._trunc_exp
+        try:
+            bound = self._bounds[n]
+        except IndexError:
+            bound = self._grow("_bounds", self._bound_at, n)
         kept = reward if abs(reward) <= bound else 0.0
         self._means[arm] = self._trees[arm].insert(kept, bound) / n
-        self._weights[arm] = (n * self.eps) ** self._neg_radius_exp
+        try:
+            self._weights[arm] = self._pull_weights[n]
+        except IndexError:
+            self._weights[arm] = self._grow("_pull_weights", self._weight_at, n)
         return kept
 
 
@@ -553,15 +652,17 @@ class RobustUCB(_IndexPolicy):
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
-        # ln(1 * t**2) * 1.0 is nonprivate_ucb_radius's ln(t**2), bit for bit.
-        super().__init__(num_arms, params, 4.0, 1, 2)
-        # Anything the public schedules reject fails here, at construction;
-        # rounds evaluate them inline.
+        super().__init__(num_arms, params)
+        # Anything the public schedules reject fails here, at construction.
         nonprivate_ucb_radius(params, 1, 2.0)
         nonprivate_ucb_threshold(params, 1, 2.0)
-        # threshold = (u * n / ln(t**2)) ** exp
+        # threshold = (u * n / ln(t**2)) ** exp reads the round as well as the
+        # pull count, so each pull evaluates it inline.
         self._trunc_u = params.u
         self._sums = [0.0] * self.num_arms
+        # ln(1 * t**2) * 1.0 and (n * 1.0) ** -exp are the schedules' ln(t**2)
+        # and n ** -exp, bit for bit.
+        self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
@@ -571,5 +672,8 @@ class RobustUCB(_IndexPolicy):
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n
-        self._weights[arm] = n ** self._neg_radius_exp
+        try:
+            self._weights[arm] = self._pull_weights[n]
+        except IndexError:
+            self._weights[arm] = self._grow("_pull_weights", self._weight_at, n)
         return kept

@@ -14,7 +14,10 @@ tests read the values themselves.  A policy keeps its radius as a per-round
 factor ``_radius_scale`` and a per-arm factor in ``_weights``; their product
 must equal the public radius, and the level at which a reward stops being
 kept must be the public truncation level, both compared with ``float.hex``
-over a grid of tail exponents, budgets, pull counts and rounds.
+over a grid of tail exponents, budgets, pull counts and rounds.  The grid
+runs twice on one emptied schedule memo: cold, when every value is computed
+as a table grows to it, and warm, when the points inside the tables' cap are
+read back from the tables the cold pass filled.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from htbandits import (
     private_ucb_radius,
     private_ucb_truncation,
 )
+from htbandits.policies import _TABLE_CAP, _schedule_table
 from htbandits.seeding import REWARDS, TREE_NOISE, BlockStream, derive_stream
 
 ROUNDS = 20_000
@@ -159,7 +163,9 @@ def test_nonprivate_index_fast_path_matches_the_schedules(v: float) -> None:
 
 # Pull counts and rounds of the value tests.  The rounds run from the first
 # one past the round-robin pass over the arms to 2**20 + 1.  Past 55,108,
-# 2 * t**4 needs more than 64 bits.
+# 2 * t**4 needs more than 64 bits.  Rounds 4 to 55,109 and pull counts 1 to
+# 1000 lie inside the schedule tables' cap of 2**17 entries; round 2**20 + 1
+# and pull count 2**20 lie past it, where the policies evaluate inline.
 VALUE_ARMS = 3
 VALUE_PULLS = (1, 2, 7, 1000, 2**20)
 VALUE_ROUNDS = (VALUE_ARMS + 1, VALUE_ARMS + 2, 1000, 55_108, 55_109, 2**20 + 1)
@@ -186,14 +192,30 @@ def assert_same_double(got: float, want: float, *where) -> None:
     assert got.hex() == want.hex(), where
 
 
-@pytest.mark.parametrize("eps", [0.1, 1.0, 1000.0])
-@pytest.mark.parametrize("v", VALUE_V)
-def test_private_index_values_equal_the_schedules(v: float, eps: float) -> None:
-    params = MomentParams(u=VALUE_U, v=v)
-    ledger = PrivacyLedger()
-    sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(VALUE_ARMS)]
-    policy = DPRobustUCB(params, eps, VALUE_HORIZON, sources)
+def same_objects(got, want) -> bool:
+    return all(a is b for a, b in zip(got, want))
+
+
+def assert_in_and_past_the_cap(tables) -> None:
+    """The cold pass filled every table to its in-cap points, and no further than the cap."""
+    for table, points in zip(tables, (VALUE_ROUNDS, VALUE_PULLS, VALUE_PULLS)):
+        inside = [i for i in points if i < _TABLE_CAP]
+        assert max(inside) < len(table) <= _TABLE_CAP
+        assert max(points) >= _TABLE_CAP
+
+
+def assert_private_values(params: MomentParams, eps: float) -> tuple:
+    """Check the grid and return the tables its policies share.
+
+    Each pull count gets a fresh policy: one that has read past a table's cap
+    evaluates that schedule inline from then on.
+    """
+    tables = []
     for n in VALUE_PULLS:
+        ledger = PrivacyLedger()
+        sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(VALUE_ARMS)]
+        policy = DPRobustUCB(params, eps, VALUE_HORIZON, sources)
+        tables.append((policy._scales, policy._bounds, policy._pull_weights))
         arm = n % VALUE_ARMS
         level = private_ucb_truncation(params, eps, VALUE_HORIZON, n)
         assert_keeps_exactly_to(policy, arm, n, level)
@@ -204,13 +226,26 @@ def test_private_index_values_equal_the_schedules(v: float, eps: float) -> None:
             radius = policy._radius_scale * policy._weights[arm]
             want = private_ucb_radius(params, eps, VALUE_HORIZON, n, t)
             assert_same_double(radius, want, n, t)
+    assert all(same_objects(got, tables[0]) for got in tables)
+    return tables[0]
 
 
+@pytest.mark.parametrize("eps", [0.1, 1.0, 1000.0])
 @pytest.mark.parametrize("v", VALUE_V)
-def test_nonprivate_index_values_equal_the_schedules(v: float) -> None:
+def test_private_index_values_equal_the_schedules(v: float, eps: float) -> None:
     params = MomentParams(u=VALUE_U, v=v)
-    policy = RobustUCB(VALUE_ARMS, params)
+    _schedule_table.cache_clear()
+    tables = assert_private_values(params, eps)
+    assert_in_and_past_the_cap(tables)
+    assert same_objects(assert_private_values(params, eps), tables)
+
+
+def assert_nonprivate_values(params: MomentParams) -> tuple:
+    """Check the grid, a fresh policy per pull count, and return the shared tables."""
+    tables = []
     for n in VALUE_PULLS:
+        policy = RobustUCB(VALUE_ARMS, params)
+        tables.append((policy._scales, policy._pull_weights))
         arm = n % VALUE_ARMS
         for t in VALUE_ROUNDS:
             # _observe reads the round being observed; rounds before t=2 clamp.
@@ -220,5 +255,17 @@ def test_nonprivate_index_values_equal_the_schedules(v: float) -> None:
             policy._select(t)
             radius = policy._radius_scale * policy._weights[arm]
             assert_same_double(radius, nonprivate_ucb_radius(params, n, t), n, t)
+    policy = RobustUCB(VALUE_ARMS, params)
     policy._round = 1
     assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0))
+    assert all(same_objects(got, tables[0]) for got in tables)
+    return tables[0]
+
+
+@pytest.mark.parametrize("v", VALUE_V)
+def test_nonprivate_index_values_equal_the_schedules(v: float) -> None:
+    params = MomentParams(u=VALUE_U, v=v)
+    _schedule_table.cache_clear()
+    scales, weights = assert_nonprivate_values(params)
+    assert_in_and_past_the_cap((scales, weights))
+    assert same_objects(assert_nonprivate_values(params), (scales, weights))

@@ -228,7 +228,11 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
     rounds = 50_000
     config = config_for(algo, "S1", 1.0, rounds)
     instance = make_instance_for("S1", V)
-    config.checkpoints()  # the memoised grid is not the run's to hold
+    # The memoised checkpoint grid and schedule tables are not the run's to
+    # hold.  Playing the same repetition first fills the tables to the rounds
+    # and pull counts the run reaches; another repetition may pull an arm more
+    # often, and the table it grows would count here whole.
+    run_single(config, 0, instance=instance)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
