@@ -29,6 +29,7 @@ zero-noise hook turns every policy into its noiseless counterpart.
 
 import functools
 import math
+import struct
 from array import array
 from itertools import repeat, tee
 from typing import NamedTuple, Optional
@@ -233,61 +234,66 @@ class _PolicyBase:
 
 
 # A schedule table holds entries 0 to _TABLE_CAP - 1 at most: 1 MiB of
-# doubles.  The memo keeps the last _MEMO_TABLES tables asked for.
+# doubles.  The memo keeps the last _MEMO_TABLES tables asked for: a private
+# config reads 3 tables and a baseline one 2, and one unit of the
+# benchmark's 40-cell audited grid asks for 10 distinct tables.
 _TABLE_CAP = 2**17
-_MEMO_TABLES = 8
+_MEMO_TABLES = 16
 # A table that misses grows this many entries past the one asked for, so it
-# grows once per 64 rounds or pulls rather than once per round.
-_FILL_AHEAD = 64
+# grows once per 256 rounds or pulls rather than once per round.
+_FILL_AHEAD = 256
 
 
-# The three tabled schedules, each in the order of schedules.py.
-def _scale_of_round(coef: float, m: int, k: int, log_pow: float, exp: float, t: int) -> float:
-    """``C(t) = coef * (ln(m * t**k) * L) ** exp``."""
-    return coef * (math.log(m * t**k) * log_pow) ** exp
+# The three tabled schedules over a range of rounds or pull counts, each the
+# expression the policies evaluate inline past the cap, from the same
+# constants.
+def _scales_of_rounds(coef: float, m: int, k: int, log_pow: float, exp: float, rounds) -> list:
+    """``C(t) = coef * (ln(m * t**k) * L) ** exp`` for each round ``t``."""
+    log = math.log
+    return [coef * (log(m * t**k) * log_pow) ** exp for t in rounds]
 
 
-def _weight_of_pulls(eps: float, neg_exp: float, n: int) -> float:
-    """``w = (n * eps) ** -exp``."""
-    return (n * eps) ** neg_exp
+def _weights_of_pulls(eps: float, neg_exp: float, pulls) -> list:
+    """``w = (n * eps) ** -exp`` for each pull count ``n``."""
+    return [(n * eps) ** neg_exp for n in pulls]
 
 
-def _bound_of_pulls(eps_u: float, log_pow: float, exp: float, n: int) -> float:
-    """The private truncation level ``(eps * u * n / ln(T) ** 1.5) ** exp``."""
-    return (eps_u * n / log_pow) ** exp
+def _bounds_of_pulls(eps_u: float, log_pow: float, exp: float, pulls) -> list:
+    """The private truncation level ``(eps * u * n / ln(T)**1.5) ** exp`` per ``n``."""
+    return [(eps_u * n / log_pow) ** exp for n in pulls]
 
 
-@functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)
-def _schedule_table(formula, *constants) -> array:
-    """The shared table of ``formula`` at ``constants``; empty when first made.
+class _Schedule(array):
+    """A schedule's doubles by round or pull count, with the fill that extends them.
 
-    Entries are indexed by round or pull count, so entry 0 is a NaN
-    placeholder.
-    """
-    return array("d", (math.nan,))
-
-
-def _shared(formula, *constants) -> tuple:
-    """The memo's table of ``formula`` at ``constants``, and the formula at them."""
-    return _schedule_table(formula, *constants), functools.partial(formula, *constants)
-
-
-class _Inline:
-    """Stands in for a table past its cap: entry ``i`` is ``formula(i)``.
-
-    A lookup past the end of an ``array`` raises ``IndexError``, which costs
-    more than the formula itself.  ``formula`` is a ``functools.partial`` of a
-    module-level function, not a bound method, so a policy that holds this
-    view is still freed by reference counting alone.
+    Entry 0 is a NaN placeholder and nothing else is computed when the table
+    is made; :meth:`grow` extends it as rounds or pull counts reach it.
     """
 
-    __slots__ = ("_formula",)
+    __slots__ = ("_fill",)
 
-    def __init__(self, formula):
-        self._formula = formula
+    def __new__(cls, fill, *constants):
+        table = super().__new__(cls, "d", (math.nan,))
+        table._fill = functools.partial(fill, *constants)
+        return table
 
-    def __getitem__(self, i: int) -> float:
-        return self._formula(i)
+    def __reduce_ex__(self, protocol):
+        # A pickled or copied table starts empty again and refills as read.
+        return type(self), (self._fill.func, *self._fill.args)
+
+    # array's own copy methods would drop _fill; copy through __reduce_ex__.
+    __copy__ = __deepcopy__ = None
+
+    def grow(self, i: int) -> float:
+        """Entry ``i < _TABLE_CAP``, after growing the table ``_FILL_AHEAD`` past ``i``."""
+        values = self._fill(range(len(self), min(i + _FILL_AHEAD, _TABLE_CAP)))
+        # Packing the block costs less than extend's conversion of each item.
+        self.frombytes(struct.pack(f"{len(values)}d", *values))
+        return self[i]
+
+
+# The memo: a typed lru_cache keyed by the fill and every constant it reads.
+_schedule = functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)(_Schedule)
 
 
 class _IndexPolicy(_PolicyBase):
@@ -304,22 +310,23 @@ class _IndexPolicy(_PolicyBase):
 
     ``C(t)`` by round, ``w`` by pull count and the private policy's
     truncation level by pull count depend only on constants of the config,
-    so every policy with the same constants reads them from one table: an
-    ``array('d')`` in a process-wide memo (``_schedule_table``, a typed
-    ``lru_cache``) keyed by the formula and every constant it reads.  The
-    repetitions of a config compute each value once.  A table is empty when
-    made and grows as rounds and pulls reach it, each entry the formula's
-    double, so the double an inline evaluation gives.  It stops at
-    ``_TABLE_CAP = 2**17`` entries (1 MiB); past that the policy evaluates
-    the formula inline.  The memo keeps the last 8 tables, so it holds at
-    most 8 * (2**17 doubles + the array's 1/16 growth slack), under 9 MiB,
+    so every policy with the same constants reads them from one table: a
+    :class:`_Schedule` (an ``array('d')``) in a process-wide memo
+    (``_schedule``, a typed ``lru_cache``) keyed by the fill function and
+    every constant it reads.  The repetitions of a config in one process
+    compute each value once; a process's first repetition of a config
+    computes them as it goes.  A table is empty when made and grows as
+    rounds and pulls reach it, each entry the double the inline expression
+    gives.  Rounds and pull counts at or past ``_TABLE_CAP = 2**17`` are
+    not tabled: the policy evaluates them inline, as it would without the
+    memo.  The memo keeps the last 16 tables, so it holds at most
+    16 * (2**17 doubles + the array's 1/16 growth slack), under 18 MiB,
     whatever the horizon or the number of configs.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
         super().__init__(num_arms)
         self.params = params
-        self._trunc_exp = 1.0 / (1.0 + params.v)
         self._arms = range(self.num_arms)
         self._counts = [0] * self.num_arms
         # Per arm, updated when it is pulled: truncated mean, w_a.
@@ -329,38 +336,42 @@ class _IndexPolicy(_PolicyBase):
         self._radius_scale = math.nan
 
     def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
-        """Take the tables of ``C(t)`` and of ``w`` from the memo."""
+        """Set the constants of ``C(t)`` and ``w``, and take their tables from the memo."""
         v = self.params.v
         exp = v / (1.0 + v)
-        coef = c * self.params.u ** self._trunc_exp
-        self._scales, self._scale_at = _shared(_scale_of_round, coef, m, k, log_pow, exp)
+        coef = c * self.params.u ** (1.0 / (1.0 + v))
+        self._radius_coef = coef
+        self._radius_log_mult = m
+        self._radius_t_power = k
+        self._radius_log_pow = log_pow
+        self._radius_exp = exp
+        # Rounds from here on are past the tables' cap and the round-robin.
+        self._untabled = max(_TABLE_CAP, self.num_arms + 1)
         # w's exponent, -exp: the same double as negating exp for each pull.
-        self._pull_weights, self._weight_at = _shared(_weight_of_pulls, weight_eps, -exp)
-
-    def _grow(self, name: str, formula, i: int) -> float:
-        """Entry ``i`` of the table in attribute ``name``, which ends before it.
-
-        Grows the table to ``i + _FILL_AHEAD`` entries, or to the cap; at or
-        past the cap, the attribute becomes an :class:`_Inline` view instead.
-        """
-        if i >= _TABLE_CAP:
-            setattr(self, name, _Inline(formula))
-            return formula(i)
-        table = getattr(self, name)
-        table.extend(map(formula, range(len(table), min(i + _FILL_AHEAD, _TABLE_CAP))))
-        return table[i]
+        # The pull-count schedules keep their constants as tuples, which only
+        # pulls past the cap unpack: CPython 3.11 stops sharing an instance
+        # dict's keys at 30 attributes, and then every attribute load of a
+        # round gets slower.
+        self._weight_constants = (weight_eps, -exp)
+        self._scales = _schedule(_scales_of_rounds, coef, m, k, log_pow, exp)
+        self._pull_weights = _schedule(_weights_of_pulls, *self._weight_constants)
 
     @property
     def pull_counts(self) -> tuple:
         return tuple(self._counts)
 
     def _select(self, t: int) -> int:
-        if t <= self.num_arms:
+        # A round past the cap makes one comparison, as without the memo.
+        if t >= self._untabled:
+            log_term = math.log(self._radius_log_mult * t**self._radius_t_power)
+            scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
+        elif t <= self.num_arms:
             return t - 1
-        try:
-            scale = self._scales[t]
-        except IndexError:
-            scale = self._grow("_scales", self._scale_at, t)
+        else:
+            try:
+                scale = self._scales[t]
+            except IndexError:
+                scale = self._scales.grow(t)
         self._radius_scale = scale
         means, weights = self._means, self._weights
         best_score = -math.inf
@@ -410,16 +421,15 @@ class DPRobustUCB(_IndexPolicy):
                 f"horizon {horizon} is below the number of arms {self.num_arms}"
             )
         # The schedules' argument checks run once, here; rounds read the
-        # schedules from the memo's tables.
+        # schedules from the memo's tables, or past the cap evaluate them.
         private_ucb_radius(params, eps, horizon, 1, 1)
         private_ucb_truncation(params, eps, horizon, 1)
         self.eps = float(eps)
         self.horizon = horizon
         log_horizon = math.log(self.horizon)
         self._share_tables(18.0, 2, 4, log_horizon ** (1.5 + 1.0 / params.v), self.eps)
-        self._bounds, self._bound_at = _shared(
-            _bound_of_pulls, self.eps * params.u, log_horizon**1.5, self._trunc_exp
-        )
+        self._bound_constants = (self.eps * params.u, log_horizon**1.5, 1.0 / (1.0 + params.v))
+        self._bounds = _schedule(_bounds_of_pulls, *self._bound_constants)
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
@@ -428,16 +438,21 @@ class DPRobustUCB(_IndexPolicy):
     def _observe(self, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        try:
-            bound = self._bounds[n]
-        except IndexError:
-            bound = self._grow("_bounds", self._bound_at, n)
+        if n < _TABLE_CAP:
+            try:
+                bound = self._bounds[n]
+                weight = self._pull_weights[n]
+            except IndexError:
+                bound = self._bounds.grow(n)
+                weight = self._pull_weights.grow(n)
+        else:
+            eps_u, log_pow, exp = self._bound_constants
+            bound = (eps_u * n / log_pow) ** exp
+            eps, neg_exp = self._weight_constants
+            weight = (n * eps) ** neg_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._means[arm] = self._trees[arm].insert(kept, bound) / n
-        try:
-            self._weights[arm] = self._pull_weights[n]
-        except IndexError:
-            self._weights[arm] = self._grow("_pull_weights", self._weight_at, n)
+        self._weights[arm] = weight
         return kept
 
 
@@ -659,9 +674,10 @@ class RobustUCB(_IndexPolicy):
         # threshold = (u * n / ln(t**2)) ** exp reads the round as well as the
         # pull count, so each pull evaluates it inline.
         self._trunc_u = params.u
+        self._trunc_exp = 1.0 / (1.0 + params.v)
         self._sums = [0.0] * self.num_arms
         # ln(1 * t**2) * 1.0 and (n * 1.0) ** -exp are the schedules' ln(t**2)
-        # and n ** -exp, bit for bit.
+        # and n ** -exp, bit for bit: w is w at eps 1.0.
         self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
     def _observe(self, arm: int, reward: float) -> float:
@@ -672,8 +688,11 @@ class RobustUCB(_IndexPolicy):
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n
-        try:
-            self._weights[arm] = self._pull_weights[n]
-        except IndexError:
-            self._weights[arm] = self._grow("_pull_weights", self._weight_at, n)
+        if n < _TABLE_CAP:
+            try:
+                self._weights[arm] = self._pull_weights[n]
+            except IndexError:
+                self._weights[arm] = self._pull_weights.grow(n)
+        else:
+            self._weights[arm] = n ** self._weight_constants[1]
         return kept

@@ -7,11 +7,11 @@ validate their arguments, and evaluate the same formulas from constants fixed
 at construction: a truncation level as the same expression, and a radius as
 the product ``C(t) * w`` of a per-round and a per-arm factor, which the radius
 functions here compute in the same order.  ``C(t)`` by round, ``w`` by pull
-count and the private truncation level by pull count are kept in tables
-shared by every policy with the same constants, so the repetitions of a config
-compute each value once (``policies._IndexPolicy``); the non-private
-truncation level reads the round as well as the pull count and is evaluated
-when an arm is pulled.  Every value the policies use is bit-identical to this
+count and the private truncation level by pull count are kept, up to 2**17
+rounds or pulls, in tables shared by every policy with the same constants, so
+the repetitions of a config in one process compute each value once
+(``policies._IndexPolicy``); the non-private truncation level reads the round
+as well as the pull count and is evaluated when an arm is pulled.  Every value the policies use is bit-identical to this
 module's, and tests compare the values with ``float.hex``
 (``tests/test_index_fast_path.py``).
 """

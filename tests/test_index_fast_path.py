@@ -40,7 +40,7 @@ from htbandits import (
     private_ucb_radius,
     private_ucb_truncation,
 )
-from htbandits.policies import _TABLE_CAP, _schedule_table
+from htbandits.policies import _TABLE_CAP, _schedule
 from htbandits.seeding import REWARDS, TREE_NOISE, BlockStream, derive_stream
 
 ROUNDS = 20_000
@@ -205,17 +205,11 @@ def assert_in_and_past_the_cap(tables) -> None:
 
 
 def assert_private_values(params: MomentParams, eps: float) -> tuple:
-    """Check the grid and return the tables its policies share.
-
-    Each pull count gets a fresh policy: one that has read past a table's cap
-    evaluates that schedule inline from then on.
-    """
-    tables = []
+    """Check the grid on one policy and return the tables it read."""
+    ledger = PrivacyLedger()
+    sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(VALUE_ARMS)]
+    policy = DPRobustUCB(params, eps, VALUE_HORIZON, sources)
     for n in VALUE_PULLS:
-        ledger = PrivacyLedger()
-        sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(VALUE_ARMS)]
-        policy = DPRobustUCB(params, eps, VALUE_HORIZON, sources)
-        tables.append((policy._scales, policy._bounds, policy._pull_weights))
         arm = n % VALUE_ARMS
         level = private_ucb_truncation(params, eps, VALUE_HORIZON, n)
         assert_keeps_exactly_to(policy, arm, n, level)
@@ -226,26 +220,23 @@ def assert_private_values(params: MomentParams, eps: float) -> tuple:
             radius = policy._radius_scale * policy._weights[arm]
             want = private_ucb_radius(params, eps, VALUE_HORIZON, n, t)
             assert_same_double(radius, want, n, t)
-    assert all(same_objects(got, tables[0]) for got in tables)
-    return tables[0]
+    return policy._scales, policy._bounds, policy._pull_weights
 
 
 @pytest.mark.parametrize("eps", [0.1, 1.0, 1000.0])
 @pytest.mark.parametrize("v", VALUE_V)
 def test_private_index_values_equal_the_schedules(v: float, eps: float) -> None:
     params = MomentParams(u=VALUE_U, v=v)
-    _schedule_table.cache_clear()
+    _schedule.cache_clear()
     tables = assert_private_values(params, eps)
     assert_in_and_past_the_cap(tables)
     assert same_objects(assert_private_values(params, eps), tables)
 
 
 def assert_nonprivate_values(params: MomentParams) -> tuple:
-    """Check the grid, a fresh policy per pull count, and return the shared tables."""
-    tables = []
+    """Check the grid on one policy and return the tables it read."""
+    policy = RobustUCB(VALUE_ARMS, params)
     for n in VALUE_PULLS:
-        policy = RobustUCB(VALUE_ARMS, params)
-        tables.append((policy._scales, policy._pull_weights))
         arm = n % VALUE_ARMS
         for t in VALUE_ROUNDS:
             # _observe reads the round being observed; rounds before t=2 clamp.
@@ -255,17 +246,15 @@ def assert_nonprivate_values(params: MomentParams) -> tuple:
             policy._select(t)
             radius = policy._radius_scale * policy._weights[arm]
             assert_same_double(radius, nonprivate_ucb_radius(params, n, t), n, t)
-    policy = RobustUCB(VALUE_ARMS, params)
     policy._round = 1
     assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0))
-    assert all(same_objects(got, tables[0]) for got in tables)
-    return tables[0]
+    return policy._scales, policy._pull_weights
 
 
 @pytest.mark.parametrize("v", VALUE_V)
 def test_nonprivate_index_values_equal_the_schedules(v: float) -> None:
     params = MomentParams(u=VALUE_U, v=v)
-    _schedule_table.cache_clear()
+    _schedule.cache_clear()
     scales, weights = assert_nonprivate_values(params)
     assert_in_and_past_the_cap((scales, weights))
     assert same_objects(assert_nonprivate_values(params), (scales, weights))

@@ -5,14 +5,19 @@ level by pull count are kept in tables that every policy with the same
 constants shares, so the repetitions of one config compute each value once.
 These tests check that each table is filled once over five repetitions,
 that a table is shared exactly by the policies whose formula constants agree,
-that a run on a warm memo is the run on a cold one bit for bit, and that the
-memo's memory stays under the bound ``_IndexPolicy``'s docstring states
-however far the policies run and however many configs they come from.
+that a run on a warm memo is the run on a cold one bit for bit, that rounds
+past the tables' cap still leave the first pass over the arms to the
+round-robin, and that the memo's memory stays under the bound
+``_IndexPolicy``'s docstring states however far the policies run and however
+many configs they come from.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
+import math
+import pickle
 import tracemalloc
 import weakref
 from collections import Counter
@@ -31,17 +36,17 @@ from htbandits import (
     run_single,
 )
 from htbandits import policies
-from htbandits.policies import _TABLE_CAP, _schedule_table
+from htbandits.policies import _TABLE_CAP, _schedule
 
-# The bound _IndexPolicy's docstring states: 8 tables of at most 2**17
-# doubles plus the array's growth slack, under 9 MiB.
-MEMO_BOUND = 9 * 2**20
+# The bound _IndexPolicy's docstring states: 16 tables of at most 2**17
+# doubles plus the array's growth slack, under 18 MiB.
+MEMO_BOUND = 18 * 2**20
 
-# Each table's attribute and the name of the formula that computes its entries.
-FORMULAS = {
-    "_scales": "_scale_of_round",
-    "_pull_weights": "_weight_of_pulls",
-    "_bounds": "_bound_of_pulls",
+# Each table's attribute and the name of the function that fills it.
+FILLS = {
+    "_scales": "_scales_of_rounds",
+    "_pull_weights": "_weights_of_pulls",
+    "_bounds": "_bounds_of_pulls",
 }
 TABLES = {"dprucb": ("_scales", "_pull_weights", "_bounds"), "rucb": ("_scales", "_pull_weights")}
 
@@ -56,16 +61,16 @@ def config_for(algo: str, horizon: int, reps: int = 5) -> ExperimentConfig:
 def test_repetitions_of_one_config_fill_each_schedule_table_once(monkeypatch, algo) -> None:
     computed = Counter()
 
-    def counting(name, formula):
-        def count(*constants_and_index) -> float:
-            computed[name, constants_and_index[-1]] += 1
-            return formula(*constants_and_index)
+    def counting(name, fill):
+        def count(*constants_and_indices) -> list:
+            computed.update((name, i) for i in constants_and_indices[-1])
+            return fill(*constants_and_indices)
 
         return count
 
-    for name, formula in FORMULAS.items():
-        monkeypatch.setattr(policies, formula, counting(name, getattr(policies, formula)))
-    _schedule_table.cache_clear()
+    for name, fill in FILLS.items():
+        monkeypatch.setattr(policies, fill, counting(name, getattr(policies, fill)))
+    _schedule.cache_clear()
     horizon = 3000
     config = config_for(algo, horizon)
     played = [run_single(config, rep, return_policy=True)[1] for rep in range(5)]
@@ -89,14 +94,14 @@ def private_policy(u: float, v: float, eps: float, horizon: int) -> DPRobustUCB:
 def test_a_table_is_shared_exactly_where_its_constants_agree() -> None:
     # C(t) reads u, v and the horizon; w reads eps and v; the truncation level
     # reads u, v, eps and the horizon.
-    _schedule_table.cache_clear()
+    _schedule.cache_clear()
     base = private_policy(2.5, 0.9, 1.0, 1000)
     same = private_policy(2.5, 0.9, 1.0, 1000)
     # RobustUCB's C(t) has other constants; its w is w at eps 1.0.
     baseline = RobustUCB(3, MomentParams(u=2.5, v=0.9))
     assert baseline._scales is not base._scales
     assert baseline._pull_weights is base._pull_weights
-    # 5 tables so far; the memo keeps 8, and each policy holds its own.
+    # 5 tables so far; the memo keeps 16, and each policy holds its own.
     shares = {
         "eps": (private_policy(2.5, 0.9, 2.0, 1000), {"_scales"}),
         "horizon": (private_policy(2.5, 0.9, 1.0, 2000), {"_pull_weights"}),
@@ -136,9 +141,9 @@ def state_bits(policy) -> tuple:
 
 @pytest.mark.parametrize("algo", ["dprucb", "rucb"])
 def test_a_warm_memo_plays_the_same_run_as_a_cold_one(algo: str) -> None:
-    _schedule_table.cache_clear()
+    _schedule.cache_clear()
     cold_trace, cold, cold_ledger = play_rep_3(algo)
-    _schedule_table.cache_clear()
+    _schedule.cache_clear()
     for rep in range(3):
         _, filled = run_single(config_for(algo, 3000), rep, return_policy=True)
     rounds_filled = len(filled._scales)
@@ -149,6 +154,33 @@ def test_a_warm_memo_plays_the_same_run_as_a_cold_one(algo: str) -> None:
     assert warm_trace == cold_trace
     assert state_bits(warm) == state_bits(cold)
     assert warm_ledger == cold_ledger
+
+
+def test_past_the_cap_the_round_robin_still_comes_first() -> None:
+    # Rounds past the cap skip the tables, but not the first pass over the
+    # arms: with more arms than the cap, round cap + 1 still plays its arm.
+    arms = _TABLE_CAP + 2
+    policy = RobustUCB(arms, MomentParams(u=2.5, v=0.9))
+    for t in (1, _TABLE_CAP, _TABLE_CAP + 1, arms):
+        assert policy._select(t) == t - 1
+    assert math.isnan(policy._radius_scale)
+
+
+@pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+@pytest.mark.parametrize("algo", ["dprucb", "rucb"])
+def test_a_copied_policy_plays_on_as_the_original(algo: str, duplicate) -> None:
+    # A copy's tables start empty and refill with the same doubles.  (Its
+    # transcript is left out: a deep copy's recorders write to a copy of the
+    # columns the transcript does not show, with or without the memo.)
+    _schedule.cache_clear()
+    config = config_for(algo, 2000)
+    _, policy = run_single(config, 0, return_policy=True)
+    twin = duplicate(policy)
+    assert len(twin._scales) == 1 < len(policy._scales)
+    for p in (policy, twin):
+        for t in range(2001, 2400):
+            p._play(t, p._select(t), 0.25)
+    assert state_bits(twin)[1:] == state_bits(policy)[1:]
 
 
 def drive_past_the_cap(policy) -> weakref.ref:
@@ -165,12 +197,12 @@ def drive_past_the_cap(policy) -> weakref.ref:
 
 
 def test_the_memo_stays_bounded() -> None:
-    # Three private configs that differ in eps and horizon and one baseline
-    # make 10 tables, each filled to the cap: more than the memo keeps.  What
-    # stays allocated once the policies are gone is the memo's.  A policy
-    # past the cap is freed when its last reference goes, without the cycle
-    # collector.
-    _schedule_table.cache_clear()
+    # Six private configs that differ in eps and horizon and one baseline
+    # make 19 tables (the baseline shares w at eps 1.0), each filled to the
+    # cap: more than the memo keeps.  What stays allocated once the policies
+    # are gone is the memo's.  A policy that has read past the cap is freed
+    # when its last reference goes, without the cycle collector.
+    _schedule.cache_clear()
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -178,15 +210,15 @@ def test_the_memo_stays_bounded() -> None:
         before = tracemalloc.get_traced_memory()[0]
         freed = [
             drive_past_the_cap(private_policy(2.5, 0.9, eps, horizon * _TABLE_CAP))
-            for eps, horizon in ((0.5, 3), (1.0, 4), (2.0, 5))
+            for eps, horizon in ((0.5, 3), (1.0, 4), (2.0, 5), (3.0, 6), (4.0, 7), (5.0, 8))
         ]
         freed.append(drive_past_the_cap(RobustUCB(3, MomentParams(u=2.5, v=0.9))))
-        assert [ref() for ref in freed] == [None] * 4
+        assert [ref() for ref in freed] == [None] * 7
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
         gc.enable()
-    made, kept = _schedule_table.cache_info().misses, _schedule_table.cache_info().currsize
-    assert made == 10 > kept == 8
+    made, kept = _schedule.cache_info().misses, _schedule.cache_info().currsize
+    assert made == 19 > kept == 16
     # The memo is full of full tables, so the bound is not slack.
     assert kept * _TABLE_CAP * 8 < held < MEMO_BOUND, f"{held / 2**20:.2f} MiB"
