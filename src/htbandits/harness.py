@@ -275,7 +275,7 @@ def run_single(
     cp_iter = iter(cps)
     next_cp = next(cp_iter)
     # The harness keeps the select/observe contract itself, so it drives the
-    # policy core: the same _select and _observe as select_arm and observe.
+    # policy core: the _select and _play that select_arm and observe call.
     select = policy._select
     play = policy._play
     for t in range(1, config.horizon + 1):

@@ -5,14 +5,15 @@ All policies share one driving contract: ``select_arm(t)`` is called with
 selected, exactly once per round, in order.  The contract is there for
 outside callers and is enforced; misuse raises.  ``run_single`` builds its
 policy and keeps the contract itself, so it drives the policy core: ``_select``
-and then ``_play``, which sets the round, calls ``_observe`` and records the
-round.  Both routes reach the same ``_select`` and ``_observe``, so a round's
-arithmetic has one path.  Each observed round is recorded in ``transcript``, a
+and then ``_play``, which sets the round, calls ``_observe``, checks the
+truncated reward and records the round.  ``observe`` checks the contract and
+then calls ``_play`` too, so a round has one path on both routes.  Each
+observed round is recorded in ``transcript``, a
 :class:`~htbandits.mechanisms.RecordTable` of :class:`TranscriptEntry` stored
 by column at 13 bytes per round: the arm, the reward and a kept flag of each
 round, plus the first committed round.  A policy truncates a reward to itself
 or to ``0.0``, so the flag and the reward give the truncated reward; a policy
-that returns anything else makes ``observe`` raise.
+that returns anything else makes ``_play`` raise on either route.
 
 The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
@@ -140,10 +141,6 @@ class _PolicyBase:
             raise ValueError(f"num_arms must be >= 1, got {num_arms}")
         self.num_arms = num_arms
         self.transcript = _Transcript()
-        arms, rewards, kept = self.transcript.columns
-        self._record_arm = arms.append
-        self._record_reward = rewards.append
-        self._record_kept = kept.append
         self._round = 0
         self._pending: Optional[int] = None
         # The arm every remaining round plays; the index policies never commit.
@@ -166,44 +163,37 @@ class _PolicyBase:
         if arm != self._pending:
             self._raise_if_failed()
             raise ValueError(f"observe got arm {arm}, selected arm was {self._pending}")
-        self._round += 1
+        t = self._round + 1
         self._pending = None
         try:
-            reward = float(reward)
-            kept = self._observe(arm, reward)
-            # The transcript stores whether the reward was kept, so a truncated
-            # reward must be the reward itself or +0.0.
-            if kept is reward:
-                kept = 1
-            elif kept == 0.0 and math.copysign(1.0, kept) == 1.0:
-                kept = 0
-            else:
-                raise ValueError(
-                    f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
-                )
+            self._play(t, arm, float(reward))
         except BaseException:
-            self._round -= 1
+            self._round = t - 1
             self._pending = _FAILED
             raise
-        self._record_arm(arm)
-        self._record_reward(reward)
-        self._record_kept(kept)
 
     def _play(self, t: int, arm: int, reward: float) -> None:
-        """Round ``t``'s observe for a caller that keeps the contract itself.
+        """Observe and record round ``t``, for a caller that keeps the contract.
 
+        :meth:`observe` calls this once its contract checks have passed, and
         ``run_single`` calls ``_select(t)`` and then this, for ``t = 1, 2,
-        ...``, with a float reward.  It reaches the same ``_observe`` as
-        :meth:`observe` and records the same transcript row, without the
-        contract checks, the check on the truncated reward or the rollback:
-        a round that raises here ends the run.  The round is set first,
-        because ``_observe`` may read it.
+        ...``, with a float reward.  The round is set first, because
+        ``_observe`` may read it.  The transcript stores whether the reward
+        was kept, so a truncated reward must be the reward itself or +0.0;
+        anything else raises ``ValueError`` before the round is recorded.
+        Only :meth:`observe` rolls the round back: a round that raises here
+        ends ``run_single``'s run.
         """
         self._round = t
         kept = self._observe(arm, reward)
-        self._record_arm(arm)
-        self._record_reward(reward)
-        self._record_kept(kept is reward)
+        if kept is not reward and (kept != 0.0 or math.copysign(1.0, kept) < 0.0):
+            raise ValueError(
+                f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
+            )
+        arms, rewards, flags = self.transcript.columns
+        arms.append(arm)
+        rewards.append(reward)
+        flags.append(kept is reward)
 
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
@@ -266,27 +256,32 @@ def _bounds_of_pulls(eps_u: float, log_pow: float, exp: float, pulls) -> list:
 class _Schedule(array):
     """A schedule's doubles by round or pull count, with the fill that extends them.
 
-    Entry 0 is a NaN placeholder and nothing else is computed when the table
-    is made; :meth:`grow` extends it as rounds or pull counts reach it.
+    ``constants`` is the tuple of constants the fill reads before the rounds or
+    pull counts, in its order; a policy unpacks them to evaluate the schedule
+    past the cap.  Entry 0 is a NaN placeholder and nothing else is computed
+    when the table is made; :meth:`grow` extends it as rounds or pull counts
+    reach it.
     """
 
-    __slots__ = ("_fill",)
+    __slots__ = ("_fill", "constants")
 
     def __new__(cls, fill, *constants):
         table = super().__new__(cls, "d", (math.nan,))
-        table._fill = functools.partial(fill, *constants)
+        table._fill = fill
+        table.constants = constants
         return table
 
     def __reduce_ex__(self, protocol):
         # A pickled or copied table starts empty again and refills as read.
-        return type(self), (self._fill.func, *self._fill.args)
+        return type(self), (self._fill, *self.constants)
 
     # array's own copy methods would drop _fill; copy through __reduce_ex__.
     __copy__ = __deepcopy__ = None
 
     def grow(self, i: int) -> float:
         """Entry ``i < _TABLE_CAP``, after growing the table ``_FILL_AHEAD`` past ``i``."""
-        values = self._fill(range(len(self), min(i + _FILL_AHEAD, _TABLE_CAP)))
+        rows = range(len(self), min(i + _FILL_AHEAD, _TABLE_CAP))
+        values = self._fill(*self.constants, rows)
         # Packing the block costs less than extend's conversion of each item.
         self.frombytes(struct.pack(f"{len(values)}d", *values))
         return self[i]
@@ -319,9 +314,11 @@ class _IndexPolicy(_PolicyBase):
     rounds and pulls reach it, each entry the double the inline expression
     gives.  Rounds and pull counts at or past ``_TABLE_CAP = 2**17`` are
     not tabled: the policy evaluates them inline, as it would without the
-    memo.  The memo keeps the last 16 tables, so it holds at most
-    16 * (2**17 doubles + the array's 1/16 growth slack), under 18 MiB,
-    whatever the horizon or the number of configs.
+    memo, from the constants the table carries (``_Schedule.constants``),
+    so a schedule's constants are kept in one place.  The memo keeps the
+    last 16 tables, so it holds at most 16 * (2**17 doubles + the array's
+    1/16 growth slack), under 18 MiB, whatever the horizon or the number of
+    configs.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
@@ -336,25 +333,15 @@ class _IndexPolicy(_PolicyBase):
         self._radius_scale = math.nan
 
     def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
-        """Set the constants of ``C(t)`` and ``w``, and take their tables from the memo."""
+        """Take the tables of ``C(t)`` and ``w`` for these constants from the memo."""
         v = self.params.v
         exp = v / (1.0 + v)
         coef = c * self.params.u ** (1.0 / (1.0 + v))
-        self._radius_coef = coef
-        self._radius_log_mult = m
-        self._radius_t_power = k
-        self._radius_log_pow = log_pow
-        self._radius_exp = exp
         # Rounds from here on are past the tables' cap and the round-robin.
         self._untabled = max(_TABLE_CAP, self.num_arms + 1)
-        # w's exponent, -exp: the same double as negating exp for each pull.
-        # The pull-count schedules keep their constants as tuples, which only
-        # pulls past the cap unpack: CPython 3.11 stops sharing an instance
-        # dict's keys at 30 attributes, and then every attribute load of a
-        # round gets slower.
-        self._weight_constants = (weight_eps, -exp)
         self._scales = _schedule(_scales_of_rounds, coef, m, k, log_pow, exp)
-        self._pull_weights = _schedule(_weights_of_pulls, *self._weight_constants)
+        # w's exponent, -exp: the same double as negating exp for each pull.
+        self._pull_weights = _schedule(_weights_of_pulls, weight_eps, -exp)
 
     @property
     def pull_counts(self) -> tuple:
@@ -363,8 +350,8 @@ class _IndexPolicy(_PolicyBase):
     def _select(self, t: int) -> int:
         # A round past the cap makes one comparison, as without the memo.
         if t >= self._untabled:
-            log_term = math.log(self._radius_log_mult * t**self._radius_t_power)
-            scale = self._radius_coef * (log_term * self._radius_log_pow) ** self._radius_exp
+            coef, m, k, log_pow, exp = self._scales.constants
+            scale = coef * (math.log(m * t**k) * log_pow) ** exp
         elif t <= self.num_arms:
             return t - 1
         else:
@@ -428,8 +415,9 @@ class DPRobustUCB(_IndexPolicy):
         self.horizon = horizon
         log_horizon = math.log(self.horizon)
         self._share_tables(18.0, 2, 4, log_horizon ** (1.5 + 1.0 / params.v), self.eps)
-        self._bound_constants = (self.eps * params.u, log_horizon**1.5, 1.0 / (1.0 + params.v))
-        self._bounds = _schedule(_bounds_of_pulls, *self._bound_constants)
+        self._bounds = _schedule(
+            _bounds_of_pulls, self.eps * params.u, log_horizon**1.5, 1.0 / (1.0 + params.v)
+        )
         self._trees = [
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
@@ -446,9 +434,9 @@ class DPRobustUCB(_IndexPolicy):
                 bound = self._bounds.grow(n)
                 weight = self._pull_weights.grow(n)
         else:
-            eps_u, log_pow, exp = self._bound_constants
+            eps_u, log_pow, exp = self._bounds.constants
             bound = (eps_u * n / log_pow) ** exp
-            eps, neg_exp = self._weight_constants
+            eps, neg_exp = self._pull_weights.constants
             weight = (n * eps) ** neg_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._means[arm] = self._trees[arm].insert(kept, bound) / n
@@ -694,5 +682,5 @@ class RobustUCB(_IndexPolicy):
             except IndexError:
                 self._weights[arm] = self._pull_weights.grow(n)
         else:
-            self._weights[arm] = n ** self._weight_constants[1]
+            self._weights[arm] = n ** self._pull_weights.constants[1]
         return kept

@@ -144,6 +144,19 @@ def test_index_policy_never_commits(cls) -> None:
     assert not any(entry.committed for entry in policy.transcript)
 
 
+@pytest.mark.parametrize("algo", ["dprucb", "rucb", "dprse", "ldprse"])
+def test_a_policy_keeps_fewer_than_30_instance_attributes(algo: str) -> None:
+    # CPython 3.11 keeps an instance's attributes as shared-key inline values
+    # only up to 29 of them; at 30 the instance gets a dict of its own, and
+    # every attribute load of a round slows down: in a toy class ten loads
+    # took 139-155 ns with 30 attributes against 122-124 ns with 29.
+    config = ExperimentConfig(
+        algo=algo, setting="S1", v=0.9, eps=1000.0, horizon=300, reps=1, base_seed=7
+    )
+    _, policy = run_single(config, 0, return_policy=True)
+    assert len(vars(policy)) < 30, sorted(vars(policy))
+
+
 def test_central_se_strong_gap_eliminates_and_commits() -> None:
     # u=1, v=1, eps=1, beta=0.1, 2 arms: epoch 1 runs ceil(576*ln(80)/0.25 + 1)
     # = 10098 pulls per arm at truncation ~48, so constants 0.9/0.1 pass

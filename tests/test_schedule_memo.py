@@ -169,18 +169,23 @@ def test_past_the_cap_the_round_robin_still_comes_first() -> None:
 @pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
 @pytest.mark.parametrize("algo", ["dprucb", "rucb"])
 def test_a_copied_policy_plays_on_as_the_original(algo: str, duplicate) -> None:
-    # A copy's tables start empty and refill with the same doubles.  (Its
-    # transcript is left out: a deep copy's recorders write to a copy of the
-    # columns the transcript does not show, with or without the memo.)
+    # A copy's tables start empty and refill with the same doubles, and it
+    # records its rounds in its own transcript, not in the original's.
     _schedule.cache_clear()
     config = config_for(algo, 2000)
     _, policy = run_single(config, 0, return_policy=True)
+    recorded = state_bits(policy)[0]
     twin = duplicate(policy)
     assert len(twin._scales) == 1 < len(policy._scales)
-    for p in (policy, twin):
-        for t in range(2001, 2400):
-            p._play(t, p._select(t), 0.25)
-    assert state_bits(twin)[1:] == state_bits(policy)[1:]
+    assert state_bits(twin)[0] == recorded
+    for t in range(2001, 2400):
+        twin._play(t, twin._select(t), 0.25)
+    assert state_bits(policy)[0] == recorded
+    assert len(policy.transcript) == policy.rounds_played == 2000
+    assert len(twin.transcript) == twin.rounds_played == 2399
+    for t in range(2001, 2400):
+        policy._play(t, policy._select(t), 0.25)
+    assert state_bits(twin) == state_bits(policy)
 
 
 def drive_past_the_cap(policy) -> weakref.ref:

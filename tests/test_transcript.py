@@ -250,16 +250,22 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
 )
 def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
     # The transcript keeps a flag: the truncated reward is the reward or +0.0.
+    # Both routes check it: observe, and _select then _play as run_single
+    # calls them.
     class Misreporting(RobustUCB):
         def _observe(self, arm: int, reward: float) -> float:
             super()._observe(arm, reward)
             return truncate(reward)
 
-    policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
-    arm = policy.select_arm(1)
-    with pytest.raises(ValueError, match="to itself or to 0.0"):
-        policy.observe(arm, 0.25)
-    assert len(policy.transcript) == 0
+    routes = {
+        "observe": lambda policy: policy.observe(policy.select_arm(1), 0.25),
+        "_play": lambda policy: policy._play(1, policy._select(1), 0.25),
+    }
+    for route, play_round_1 in routes.items():
+        policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
+        with pytest.raises(ValueError, match="to itself or to 0.0"):
+            play_round_1(policy)
+        assert [len(column) for column in policy.transcript.columns] == [0, 0, 0], route
 
 
 @pytest.mark.parametrize("failed_round", [1, 4])
