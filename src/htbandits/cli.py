@@ -8,6 +8,7 @@ htbandits --algo dprse --setting S1 --v 0.9 --eps 1.0 --horizon 100000 \
 
 import argparse
 import sys
+from pathlib import Path
 
 from .distributions import format_value
 from .harness import (
@@ -68,6 +69,7 @@ def main(argv=None) -> int:
             zero_noise=args.zero_noise,
         )
         instance = make_instance_for(config.setting, config.v)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # fail before any run
         traces, summary = run_experiment(config, workers=args.workers)
         paths = write_csv(args.out, config, instance, traces, summary)
     except (ValueError, OSError) as exc:

@@ -501,12 +501,12 @@ def tree_noise_bound(bound: float, eps: float, horizon: float, delta: float) -> 
     exact prefix sum by at most
     ``(2*bound/eps) * ln(horizon)**1.5 * ln(1/delta)``.
     """
-    if not bound >= 0.0:
-        raise ValueError(f"bound must be non-negative, got {bound}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not horizon > 1.0:
-        raise ValueError(f"horizon must exceed 1, got {horizon}")
+    if not 0.0 <= bound < _INF:  # NaN fails too
+        raise ValueError(f"bound must be finite and non-negative, got {bound}")
+    if not 0.0 < eps < _INF:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not 1.0 < horizon < _INF:
+        raise ValueError(f"horizon must be finite and exceed 1, got {horizon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return (2.0 * bound / eps) * math.log(horizon) ** 1.5 * math.log(1.0 / delta)

@@ -4,11 +4,11 @@ All policies share one driving contract: ``select_arm(t)`` is called with
 ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is there for
 outside callers and is enforced; misuse raises.  ``run_single`` builds its
-policy and keeps the contract itself, so it drives the policy core: ``_select``
-and then ``_play``, which sets the round, calls ``_observe``, checks the
-truncated reward and records the round.  ``observe`` checks the contract and
-then calls ``_play`` too, so a round has one path on both routes.  Each
-observed round is recorded in ``transcript``, a
+policy and keeps the contract itself, so it drives the policy core: ``_select(t)``
+and then ``_play(t, ...)``, which passes the round to ``_observe``, checks the
+truncated reward and only then sets the round and records it.  ``observe``
+checks the contract and then calls ``_play`` too, so a round has one path on
+both routes.  Each observed round is recorded in ``transcript``, a
 :class:`~htbandits.mechanisms.RecordTable` of :class:`TranscriptEntry` stored
 by column at 13 bytes per round: the arm, the reward and a kept flag of each
 round, plus the first committed round.  A policy truncates a reward to itself
@@ -130,9 +130,10 @@ def _shared_ledger(noise_sources: list):
 class _PolicyBase:
     """Round bookkeeping, contract enforcement, transcript recording.
 
-    A round whose ``observe`` raises is not recorded: ``rounds_played`` stays
-    at the transcript's length.  The policy's own state may be half updated by
-    then, so every later ``select_arm`` or ``observe`` raises ``RuntimeError``.
+    A round that raises is not recorded: ``rounds_played`` stays at the
+    transcript's length.  The policy's own state may be half updated by then,
+    so after ``observe`` raises every later ``select_arm`` or ``observe``
+    raises ``RuntimeError``.
     """
 
     def __init__(self, num_arms: int):
@@ -163,12 +164,10 @@ class _PolicyBase:
         if arm != self._pending:
             self._raise_if_failed()
             raise ValueError(f"observe got arm {arm}, selected arm was {self._pending}")
-        t = self._round + 1
         self._pending = None
         try:
-            self._play(t, arm, float(reward))
+            self._play(self._round + 1, arm, float(reward))
         except BaseException:
-            self._round = t - 1
             self._pending = _FAILED
             raise
 
@@ -177,19 +176,19 @@ class _PolicyBase:
 
         :meth:`observe` calls this once its contract checks have passed, and
         ``run_single`` calls ``_select(t)`` and then this, for ``t = 1, 2,
-        ...``, with a float reward.  The round is set first, because
-        ``_observe`` may read it.  The transcript stores whether the reward
-        was kept, so a truncated reward must be the reward itself or +0.0;
-        anything else raises ``ValueError`` before the round is recorded.
-        Only :meth:`observe` rolls the round back: a round that raises here
-        ends ``run_single``'s run.
+        ...``, with a float reward.  ``_observe`` is given the round.  The
+        transcript stores whether the reward was kept, so a truncated reward
+        must be the reward itself or +0.0; anything else raises
+        ``ValueError``.  Only a round that passes this check sets
+        ``rounds_played`` to ``t`` and is recorded, so a round that raises
+        leaves both at ``t - 1`` on either route.
         """
-        self._round = t
-        kept = self._observe(arm, reward)
+        kept = self._observe(t, arm, reward)
         if kept is not reward and (kept != 0.0 or math.copysign(1.0, kept) < 0.0):
             raise ValueError(
                 f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
             )
+        self._round = t
         arms, rewards, flags = self.transcript.columns
         arms.append(arm)
         rewards.append(reward)
@@ -204,12 +203,11 @@ class _PolicyBase:
     def committed_arm(self) -> Optional[int]:
         return self._committed
 
-    def _commit(self, arm: int) -> None:
-        # Either from _select, before round _round + 1 is played, or from
-        # _observe, after round _round: round _round + 1 is the first one the
-        # committed arm plays.
+    def _commit(self, arm: int, first_round: int) -> None:
+        # first_round is the first round the committed arm plays: t when
+        # _select(t) commits, t + 1 when _observe(t, ...) does.
         self._committed = arm
-        self.transcript._first_committed = self._round + 1
+        self.transcript._first_committed = first_round
 
     @property
     def rounds_played(self) -> int:
@@ -218,8 +216,8 @@ class _PolicyBase:
     def _select(self, t: int) -> int:
         raise NotImplementedError
 
-    def _observe(self, arm: int, reward: float) -> float:
-        # Returns the truncated reward: ``reward`` itself, or 0.0.
+    def _observe(self, t: int, arm: int, reward: float) -> float:
+        # Returns round t's truncated reward: ``reward`` itself, or 0.0.
         raise NotImplementedError
 
 
@@ -423,7 +421,7 @@ class DPRobustUCB(_IndexPolicy):
             for a, src in enumerate(noise_sources)
         ]
 
-    def _observe(self, arm: int, reward: float) -> float:
+    def _observe(self, t: int, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
         if n < _TABLE_CAP:
@@ -447,12 +445,16 @@ class DPRobustUCB(_IndexPolicy):
 class _EliminationPolicy(_PolicyBase):
     """Shared state machine of the two successive-elimination policies.
 
-    Epochs run back to back.  Within an epoch the viable arms are pulled in
-    index order, cycling ``pulls_per_arm`` times.  An epoch whose total pull
-    budget does not fit into the remaining horizon is never started: the
-    policy commits to the best arm under the latest release scores (the
-    lowest-index viable arm if no epoch ever completed) and plays it forever.
-    Committed rounds pass rewards through untouched and unused.
+    Epochs run back to back, each kept as its schedule, ``_sched``, and its
+    last round, ``_epoch_end``: a round ``t > _epoch_end`` begins epoch
+    ``len(completed_epochs) + 1`` and round ``_epoch_end`` ends it.  Round
+    ``t`` pulls viable arm ``(t - _epoch_end - 1) % len(_viable)``, so the
+    viable arms are pulled in index order, cycling ``pulls_per_arm`` times.
+    An epoch whose total pull budget does not fit into the remaining horizon
+    is never started: the policy commits to the best arm under the latest
+    release scores (the lowest-index viable arm if no epoch ever completed)
+    and plays it forever.  Committed rounds pass rewards through untouched
+    and unused.
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
@@ -489,11 +491,10 @@ class _EliminationPolicy(_PolicyBase):
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
-        self._epoch = 0
         self._sched = None
+        self._epoch_end = 0
         self._epoch_record = None
-        self._pull_idx = 0
-        self._sums = {}
+        self._sums = [0.0] * self.num_arms  # per arm, the epoch's sum
         self._last_scores = {}
         self.completed_epochs: list = []
         if ledger is not None:
@@ -527,26 +528,27 @@ class _EliminationPolicy(_PolicyBase):
         # max keeps the first of equal scores: the lowest-indexed viable arm.
         return max(self._viable, key=self._last_scores.__getitem__)
 
-    def _begin_epoch(self) -> None:
-        self._epoch += 1
-        sched = self._make_schedule(len(self._viable), self._epoch)
-        needed = sched.pulls_per_arm * len(self._viable)
-        if self._round + needed > self.horizon:
-            self._commit(self._best_known())
+    def _begin_epoch(self, t: int) -> None:
+        epoch = len(self.completed_epochs) + 1
+        sched = self._make_schedule(len(self._viable), epoch)
+        end = t - 1 + sched.pulls_per_arm * len(self._viable)
+        if end > self.horizon:
+            self._commit(self._best_known(), t)
             return
         self._sched = sched
-        self._pull_idx = 0
-        self._sums = {a: 0.0 for a in self._viable}
+        self._epoch_end = end
+        for a in self._viable:
+            self._sums[a] = 0.0
         if self.ledger is not None:
             self._epoch_record = self.ledger.record_epoch(
-                self._epoch_kind, self._epoch, len(self._viable), sched.pulls_per_arm
+                self._epoch_kind, epoch, len(self._viable), sched.pulls_per_arm
             )
 
-    def _end_epoch(self) -> None:
+    def _end_epoch(self, t: int) -> None:
         scores = self._epoch_scores()
         self._last_scores = scores
         self.completed_epochs.append(
-            (self._epoch, len(self._viable), self._sched.pulls_per_arm)
+            (len(self.completed_epochs) + 1, len(self._viable), self._sched.pulls_per_arm)
         )
         if self._epoch_record is not None:
             self._epoch_record.completed = True
@@ -555,20 +557,18 @@ class _EliminationPolicy(_PolicyBase):
         threshold = self._elimination_mult * self._sched.accuracy
         self._viable = [a for a in self._viable if not best - scores[a] > threshold]
         if len(self._viable) == 1:
-            self._commit(self._viable[0])
-        self._sched = None
-        self._pull_idx = 0
+            self._commit(self._viable[0], t + 1)
 
     def _select(self, t: int) -> int:
         if self._committed is not None:
             return self._committed
-        if self._sched is None:
-            self._begin_epoch()
+        if t > self._epoch_end:
+            self._begin_epoch(t)
             if self._committed is not None:
                 return self._committed
-        return self._viable[self._pull_idx % len(self._viable)]
+        return self._viable[(t - self._epoch_end - 1) % len(self._viable)]
 
-    def _observe(self, arm: int, reward: float) -> float:
+    def _observe(self, t: int, arm: int, reward: float) -> float:
         if self._committed is not None:
             return reward
         sched = self._sched
@@ -576,9 +576,8 @@ class _EliminationPolicy(_PolicyBase):
         if self.ledger is not None:
             self.ledger.record_insertion(self._mechs[arm], arm, kept, sched.truncation)
         self._sums[arm] += self._epoch_contribution(arm, kept)
-        self._pull_idx += 1
-        if self._pull_idx == sched.pulls_per_arm * len(self._viable):
-            self._end_epoch()
+        if t == self._epoch_end:
+            self._end_epoch(t)
         return kept
 
 
@@ -668,10 +667,10 @@ class RobustUCB(_IndexPolicy):
         # and n ** -exp, bit for bit: w is w at eps 1.0.
         self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
-    def _observe(self, arm: int, reward: float) -> float:
+    def _observe(self, t: int, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        t = max(float(self._round), 2.0)
+        t = max(float(t), 2.0)
         bound = (self._trunc_u * n / math.log(t**2)) ** self._trunc_exp
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept

@@ -11,9 +11,10 @@ count and the private truncation level by pull count are kept, up to 2**17
 rounds or pulls, in tables shared by every policy with the same constants, so
 the repetitions of a config in one process compute each value once
 (``policies._IndexPolicy``); the non-private truncation level reads the round
-as well as the pull count and is evaluated when an arm is pulled.  Every value the policies use is bit-identical to this
-module's, and tests compare the values with ``float.hex``
-(``tests/test_index_fast_path.py``).
+as well as the pull count and is evaluated when an arm is pulled.  Every
+value the policies use is bit-identical to this module's, and tests compare
+the values with ``float.hex`` (``tests/test_index_fast_path.py``).  Every
+argument check rejects NaN and infinity.
 """
 
 import logging
@@ -97,9 +98,14 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
-def _check_horizon(horizon: float) -> None:
-    if not horizon > 1.0:
-        raise ValueError(f"horizon must exceed 1, got {horizon}")
+def _check_count(name: str, value: int) -> None:
+    if not 1 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
+
+
+def _check_above_one(name: str, value: float) -> None:
+    if not 1.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and exceed 1, got {value}")
 
 
 def private_ucb_truncation(
@@ -110,9 +116,8 @@ def private_ucb_truncation(
     ``(eps * u * n / ln(horizon)**1.5) ** (1/(1+v))``; non-decreasing in ``n``.
     """
     _check_eps(eps)
-    _check_horizon(horizon)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_above_one("horizon", horizon)
+    _check_count("n", n)
     return (eps * params.u * n / math.log(horizon) ** 1.5) ** (1.0 / (1.0 + params.v))
 
 
@@ -126,11 +131,9 @@ def private_ucb_radius(
     at most ``1/t**4``.
     """
     _check_eps(eps)
-    _check_horizon(horizon)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    _check_above_one("horizon", horizon)
+    _check_count("n", n)
+    _check_count("t", t)
     v = params.v
     exp = v / (1.0 + v)
     # C(t) * w: the per-round factor, then the per-arm factor.
@@ -144,10 +147,8 @@ def nonprivate_ucb_threshold(params: MomentParams, n: int, t: float) -> float:
 
     ``(u * n / ln(t**2)) ** (1/(1+v))``; requires ``t > 1``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not t > 1.0:
-        raise ValueError(f"t must exceed 1, got {t}")
+    _check_count("n", n)
+    _check_above_one("t", t)
     return (params.u * n / math.log(t**2)) ** (1.0 / (1.0 + params.v))
 
 
@@ -158,10 +159,8 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
     ``4 * u**(1/(1+v)) * (ln(t**2) / n) ** (v/(1+v))``.  Used for qualitative
     comparison runs only.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not t > 1.0:
-        raise ValueError(f"t must exceed 1, got {t}")
+    _check_count("n", n)
+    _check_above_one("t", t)
     v = params.v
     exp = v / (1.0 + v)
     # C(t) * w: the per-round factor, then the per-arm factor.
@@ -172,10 +171,8 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
 def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> None:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if num_viable < 1:
-        raise ValueError(f"num_viable must be >= 1, got {num_viable}")
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
+    _check_count("num_viable", num_viable)
+    _check_count("epoch", epoch)
 
 
 def _clamp_pulls(raw: float, label: str) -> tuple:

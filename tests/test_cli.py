@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import htbandits.cli
 from htbandits import harness
 from htbandits.cli import main
 
@@ -100,3 +101,15 @@ def test_cli_rejects_a_one_round_elimination_run_before_starting_workers(
         assert code == 1
         assert capsys.readouterr().err == "error: beta must lie in (0, 1), got 1.0\n"
     assert pools == []
+
+
+def test_cli_rejects_an_unusable_out_before_any_repetition(tmp_path, capsys, monkeypatch) -> None:
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(htbandits.cli, "run_experiment", run_experiment)
+    (tmp_path / "file").write_text("")
+    code = main(["--algo", "rucb", "--setting", "S1", "--v", "0.9", "--eps", "1",
+                 "--horizon", "10", "--out", str(tmp_path / "file" / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [Errno")

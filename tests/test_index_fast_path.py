@@ -64,7 +64,7 @@ class ReferenceDPRobustUCB(DPRobustUCB):
                 best_arm = a
         return best_arm
 
-    def _observe(self, arm: int, reward: float) -> float:
+    def _observe(self, t: int, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
         bound = private_ucb_truncation(self.params, self.eps, self.horizon, n)
@@ -88,10 +88,10 @@ class ReferenceRobustUCB(RobustUCB):
                 best_arm = a
         return best_arm
 
-    def _observe(self, arm: int, reward: float) -> float:
+    def _observe(self, t: int, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        bound = nonprivate_ucb_threshold(self.params, n, max(float(self._round), 2.0))
+        bound = nonprivate_ucb_threshold(self.params, n, max(float(t), 2.0))
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         return kept
@@ -180,11 +180,11 @@ def at_the_level(level: float) -> tuple:
     return ((level, True), (-level, True), (above, False), (-above, False))
 
 
-def assert_keeps_exactly_to(policy, arm: int, n: int, level: float) -> None:
-    """Observe ``arm``'s ``n``-th pull at and just past ``level``, both signs."""
+def assert_keeps_exactly_to(policy, arm: int, n: int, level: float, t: int = 1) -> None:
+    """Observe ``arm``'s ``n``-th pull, in round ``t``, at and just past ``level``, both signs."""
     for reward, keep in at_the_level(level):
         policy._counts[arm] = n - 1
-        truncated = policy._observe(arm, reward)
+        truncated = policy._observe(t, arm, reward)
         assert (truncated is reward) == keep, (n, reward.hex(), level.hex())
 
 
@@ -240,14 +240,12 @@ def assert_nonprivate_values(params: MomentParams) -> tuple:
         arm = n % VALUE_ARMS
         for t in VALUE_ROUNDS:
             # _observe reads the round being observed; rounds before t=2 clamp.
-            policy._round = t
             level = nonprivate_ucb_threshold(params, n, float(t))
-            assert_keeps_exactly_to(policy, arm, n, level)
+            assert_keeps_exactly_to(policy, arm, n, level, t)
             policy._select(t)
             radius = policy._radius_scale * policy._weights[arm]
             assert_same_double(radius, nonprivate_ucb_radius(params, n, t), n, t)
-    policy._round = 1
-    assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0))
+    assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0), 1)
     return policy._scales, policy._pull_weights
 
 

@@ -378,6 +378,16 @@ def test_tree_noise_bound_monotonicity_and_validation() -> None:
         tree_noise_bound(1.0, 1.0, 1024, 1.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["bound", "eps", "horizon"])
+def test_tree_noise_bound_rejects_a_non_finite_argument(position: int, value: float) -> None:
+    # An infinite eps or horizon gave an envelope of 0.0 or inf, a NaN one NaN.
+    args = [1.0, 1.0, 1024, 0.05]
+    args[position] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        tree_noise_bound(*args)
+
+
 class ReferenceTree:
     """The tree's insert with its estimate rebuilt from the set bits of ``t``.
 

@@ -18,6 +18,7 @@ from htbandits import (
     PrivacyLedger,
     RobustUCB,
     TranscriptEntry,
+    audit_run,
     central_se_schedule,
     local_se_schedule,
     make_two_arm_hard_instance,
@@ -225,6 +226,30 @@ def test_central_se_budget_commit_picks_best_release_score() -> None:
     scores = policy.last_release_scores()
     assert scores[0] == pytest.approx(0.02, rel=1e-12)
     assert scores[1] == pytest.approx(0.004, rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [20_196, 20_195])
+def test_an_epoch_that_ends_on_the_last_round(horizon: int) -> None:
+    # Epoch 1 is 10,098 pulls per arm, so it fits a horizon of 2 * 10,098
+    # rounds exactly: it ends on the last round and eliminates arm 1, and the
+    # commitment starts after the horizon.  One round less and it never runs.
+    ledger = PrivacyLedger()
+    sources = [NoiseSource(hook=NoiseHook.ZERO, ledger=ledger) for _ in range(2)]
+    policy = DPRobustSE(UNIT, 1.0, horizon, sources, beta=0.1)
+    drive(policy, constant_samplers([0.5, 0.0]), horizon)
+    assert policy.rounds_played == len(policy.transcript) == horizon
+    assert policy.committed_arm() == 0
+    committed = [entry.committed for entry in policy.transcript]
+    if horizon == 20_196:
+        assert policy.completed_epochs == [(1, 2, 10_098)]
+        assert [record.completed for record in ledger.epochs] == [True]
+        assert audit_run(ledger).ok
+        assert not any(committed)
+    else:
+        assert policy.completed_epochs == []
+        assert ledger.epochs == []
+        assert all(committed)
+        assert all(entry.arm == 0 for entry in policy.transcript)
 
 
 def test_central_se_committed_arm_never_changes() -> None:

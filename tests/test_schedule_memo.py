@@ -196,7 +196,7 @@ def drive_past_the_cap(policy) -> weakref.ref:
         policy._select(t)
     for n in (_TABLE_CAP - 1, 2 * _TABLE_CAP):
         policy._counts[0] = n - 1
-        policy._observe(0, 0.0)
+        policy._observe(n, 0, 0.0)
     assert [len(table) for table in tables] == [_TABLE_CAP] * len(tables)
     return weakref.ref(policy)
 

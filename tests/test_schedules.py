@@ -173,3 +173,32 @@ def test_schedule_argument_validation() -> None:
         private_ucb_radius(UNIT, 1.0, 1024, 10, 0)
     with pytest.raises(ValueError):
         nonprivate_ucb_threshold(UNIT, 1, 1.0)
+
+
+# Each public schedule with one count, round or horizon argument replaced.
+NON_FINITE_CALLS = {
+    "private_truncation_n": lambda x: private_ucb_truncation(UNIT, 1.0, 10, x),
+    "private_truncation_horizon": lambda x: private_ucb_truncation(UNIT, 1.0, x, 1),
+    "private_radius_n": lambda x: private_ucb_radius(UNIT, 1.0, 1024, x, 10),
+    "private_radius_t": lambda x: private_ucb_radius(UNIT, 1.0, 1024, 10, x),
+    "private_radius_horizon": lambda x: private_ucb_radius(UNIT, 1.0, x, 10, 10),
+    "nonprivate_threshold_n": lambda x: nonprivate_ucb_threshold(UNIT, x, 10.0),
+    "nonprivate_threshold_t": lambda x: nonprivate_ucb_threshold(UNIT, 1, x),
+    "nonprivate_radius_n": lambda x: nonprivate_ucb_radius(UNIT, x, 10.0),
+    "nonprivate_radius_t": lambda x: nonprivate_ucb_radius(UNIT, 1, x),
+    "central_num_viable": lambda x: central_se_schedule(UNIT, 1.0, 0.1, x, 1),
+    "central_epoch": lambda x: central_se_schedule(UNIT, 1.0, 0.1, 5, x),
+    "local_num_viable": lambda x: local_se_schedule(UNIT, 1.0, 0.1, x, 1),
+    "local_epoch": lambda x: local_se_schedule(UNIT, 1.0, 0.1, 5, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_every_schedule_rejects_a_non_finite_argument(call, value, caplog) -> None:
+    # NaN passed every "< 1" check and infinity every "> 1" check: a NaN
+    # truncation level, a 0.0 one at an infinite horizon, a "saturated" epoch.
+    with caplog.at_level(logging.WARNING, logger="htbandits.schedules"):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(value)
+    assert caplog.messages == []

@@ -59,12 +59,12 @@ class ListTranscript:
         self._round += 1
         self._pending = None
         reward = float(reward)
-        kept = self._observe(arm, reward)
+        kept = self._observe(self._round, arm, reward)
         self.transcript.append(
             TranscriptEntry(self._round, arm, reward, kept, self._pending_committed)
         )
 
-    def _commit(self, arm: int) -> None:
+    def _commit(self, arm: int, first_round: int) -> None:
         self._committed = arm
 
 
@@ -174,17 +174,17 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     monkeypatch, algo, setting, eps, horizon, epochs, commits
 ) -> None:
     # run_single drives _select and _play; the contract reaches the same
-    # _select and _observe, so both give the same run bit for bit.  Both set
-    # the round before _observe runs, which RobustUCB's truncation and a
-    # commitment made in _observe read; a truncation that moves with it
-    # seldom changes a kept flag, so the round _observe sees is checked too.
+    # _select and _observe, so both give the same run bit for bit.  Both pass
+    # _observe the round, which RobustUCB's truncation and a commitment made
+    # in _observe read; a truncation that moves with it seldom changes a kept
+    # flag, so the round _observe is given is checked too.
     cls = ALGO_CLASSES[algo]
     core_observe = cls._observe
     rounds_seen = []
 
-    def observe_spy(self, arm: int, reward: float) -> float:
-        rounds_seen.append(self.rounds_played)
-        return core_observe(self, arm, reward)
+    def observe_spy(self, t: int, arm: int, reward: float) -> float:
+        rounds_seen.append(t)
+        return core_observe(self, t, arm, reward)
 
     monkeypatch.setattr(cls, "_observe", observe_spy)
     config = config_for(algo, setting, eps, horizon)
@@ -253,8 +253,8 @@ def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
     # Both routes check it: observe, and _select then _play as run_single
     # calls them.
     class Misreporting(RobustUCB):
-        def _observe(self, arm: int, reward: float) -> float:
-            super()._observe(arm, reward)
+        def _observe(self, t: int, arm: int, reward: float) -> float:
+            super()._observe(t, arm, reward)
             return truncate(reward)
 
     routes = {
@@ -266,6 +266,7 @@ def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
         with pytest.raises(ValueError, match="to itself or to 0.0"):
             play_round_1(policy)
         assert [len(column) for column in policy.transcript.columns] == [0, 0, 0], route
+        assert policy.rounds_played == 0, route
 
 
 @pytest.mark.parametrize("failed_round", [1, 4])
@@ -273,9 +274,9 @@ def test_a_failed_observe_stops_the_policy(failed_round: int) -> None:
     # The round that fails is not recorded, and the policy, whose state the
     # failure may have left half updated, plays no further round.
     class Misreporting(RobustUCB):
-        def _observe(self, arm: int, reward: float) -> float:
-            kept = super()._observe(arm, reward)
-            return 0.5 * reward if self.rounds_played == failed_round else kept
+        def _observe(self, t: int, arm: int, reward: float) -> float:
+            kept = super()._observe(t, arm, reward)
+            return 0.5 * reward if t == failed_round else kept
 
     policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
     for t in range(1, failed_round):
