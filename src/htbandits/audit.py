@@ -10,9 +10,9 @@ parallel composition), and that elimination runs drew exactly as much noise as
 their epoch ledger implies.  Audit a finished run; a run stopped mid-epoch can
 legitimately trail its epoch ledger.
 
-The audit reads the ``columns`` of the ledger's draw and insertion tables
-(:class:`~htbandits.mechanisms.RecordTable`) and builds no record, so it holds
-no more memory than the run's ledger.
+The ledger's draws and insertions are stored only as columns
+(:class:`~htbandits.mechanisms.RecordTable`); the audit reads those arrays row
+by row and builds no record, so it holds no more memory than the run's ledger.
 """
 
 import math

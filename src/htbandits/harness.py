@@ -291,17 +291,6 @@ def run_single(
     return trace
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use.
-
-    Only ``run_experiment(workers > 1)`` starts a pool, so importing the
-    package does not load ``multiprocessing``.
-    """
-    from concurrent.futures import ProcessPoolExecutor as pool_class
-
-    return pool_class(*args, **kwargs)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """Run all repetitions and return ``(traces, summary)``.
 
@@ -315,6 +304,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     if workers == 1:
         traces = [run_single(config, rep) for rep in reps]
     else:
+        # Imported here, so importing the package does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(run_single, itertools.repeat(config), reps))
     return traces, aggregate(traces)

@@ -11,19 +11,18 @@ them from real noise.
 Noise is drawn at three sites: the tree's partial sums, the central
 elimination release and the local per-reward perturbation.  Every draw passes
 the same three parameters its scale rests on, a sensitivity bound, a budget
-and a count, and the ledger records each draw as a flat :class:`NoiseDraw`
-``(site, scale, bound, eps, count)``; a draw at any other site is rejected
-when it is recorded.  The ledger keeps its draws and insertions in two
+and a count, and the ledger records each draw as one row ``(site, scale,
+bound, eps, count)``; a draw at any other site is rejected when it is
+recorded.  The ledger keeps its draws and insertions in two
 :class:`RecordTable`, typed arrays by column, about 57 bytes per round of an
-audited index run; they build :class:`NoiseDraw` and :class:`InsertionRecord`
-values only when read.  The policies' transcripts are record tables too.
+audited index run.  The columns are the record: the audit reads them, and no
+record object is built.  The policies' transcripts are stored by column too.
 """
 
 import enum
 import math
 import operator
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "LOCAL_EPOCH_KIND",
     "laplace_from_uniform",
     "NoiseHook",
-    "NoiseDraw",
-    "InsertionRecord",
     "MechanismRecord",
     "EpochRecord",
     "RecordTable",
@@ -108,32 +105,6 @@ _HOOK_VALUE = {NoiseHook.LAPLACE: None, NoiseHook.ZERO: 0.0, NoiseHook.UNIT: 1.0
 
 
 @dataclass
-class NoiseDraw:
-    """One recorded noise draw: its site, its scale and what the scale rests on.
-
-    ``bound`` is the sensitivity bound (the tree's value bound, or the reward
-    truncation), ``eps`` the budget and ``count`` the tree's horizon, the
-    release's pulls, or 0 for a per-reward draw.
-    """
-
-    site: str
-    scale: float
-    bound: float
-    eps: float
-    count: int
-
-
-@dataclass
-class InsertionRecord:
-    """One value entering a mechanism, with the bound it was checked against."""
-
-    mechanism: int
-    owner: int | None
-    value: float
-    bound: float
-
-
-@dataclass
 class MechanismRecord:
     """A registered mechanism and the arm whose data it holds."""
 
@@ -152,55 +123,21 @@ class EpochRecord:
     completed: bool = False
 
 
-class RecordTable(Sequence):
-    """Records kept by column in typed arrays and built when they are read.
+class RecordTable:
+    """Rows stored by column: ``columns`` holds one typed array per field.
 
-    ``columns`` holds one array per field, all of one length.  The table reads
-    like a list of its records: ``len``, iteration, int indices (negative ones
-    count from the end; ``IndexError`` past either end) and slices (a list).
-    It compares equal to a list of the same records.  ``row`` maps one value
-    of each column to a record; full iteration reads the arrays themselves
-    and partial reads index them, so no array is copied.
-
-    Writers append column by column and call :meth:`discard_partial_row` when
-    an append fails, so a row is stored whole or not at all.
+    The arrays have one length, the table's ``len``.  Writers append column by
+    column and call :meth:`discard_partial_row` when an append fails, so a row
+    is stored whole or not at all.
     """
 
-    __slots__ = ("columns", "_row")
+    __slots__ = ("columns",)
 
-    def __init__(self, typecodes: str, row=None):
+    def __init__(self, typecodes: str):
         self.columns = tuple(map(array, typecodes))
-        self._row = row
-
-    def _records(self, rows: range, columns):
-        # The records of ``rows``, given each column's values at them.
-        return map(self._row, *columns)
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        return self._records(range(len(self)), self.columns)
-
-    def __getitem__(self, index):
-        rows = range(len(self))
-        if isinstance(index, slice):
-            rows = rows[index]
-            return list(
-                self._records(rows, [map(c.__getitem__, rows) for c in self.columns])
-            )
-        try:
-            i = rows[index]  # a negative index counts from the end
-        except IndexError:
-            raise IndexError(f"{type(self).__name__} index out of range") from None
-        return self[i : i + 1][0]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, RecordTable)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
     def discard_partial_row(self) -> None:
         """Cut every column back to the shortest, dropping a half-written row."""
@@ -209,27 +146,17 @@ class RecordTable(Sequence):
             del column[n:]
 
 
-def _draw_record(code: int, scale: float, bound: float, eps: float, count: int) -> NoiseDraw:
-    return NoiseDraw(site=_SITES[code], scale=scale, bound=bound, eps=eps, count=count)
-
-
-def _insertion_record(mechanism: int, owner: int, value: float, bound: float) -> InsertionRecord:
-    owner = None if owner == _NO_OWNER else owner
-    return InsertionRecord(mechanism=mechanism, owner=owner, value=value, bound=bound)
-
-
 class PrivacyLedger:
     """Append-only record of everything privacy-relevant a run did.
 
     An audited index run adds one draw and one insertion per round, so these
     are kept in two :class:`RecordTable`: ``noise_draws`` holds a draw's site
-    code, scale, bound, eps and count (33 bytes) and builds a
-    :class:`NoiseDraw` per read, ``insertions`` an insertion's mechanism,
-    owner, value and bound (24 bytes) and builds an :class:`InsertionRecord`.
-    Each table's ``columns`` are the arrays themselves: a draw's site is
+    code, scale, bound, eps and count (33 bytes), ``insertions`` an
+    insertion's mechanism, owner, value and bound (24 bytes).  Row ``i`` of a
+    table is entry ``i`` of each of its ``columns``: a draw's site is
     ``_SITES[code]``, an insertion without an owner has owner ``_NO_OWNER``
-    (-1).  Read them, do not change them.  ``mechanisms`` and ``epochs``, a
-    few records per run, are lists.
+    (-1).  Read the columns, do not change them.  ``mechanisms`` and
+    ``epochs``, a few records per run, are lists.
 
     :meth:`record_draw` and :meth:`record_insertion` store a record whole or
     not at all.  They raise ``ValueError`` for what the columns cannot hold
@@ -244,9 +171,9 @@ class PrivacyLedger:
         self.mechanisms: list = []
         self.epochs: list = []
         # Columns: site code, scale, bound, eps, count.
-        self.noise_draws = RecordTable("Bdddq", _draw_record)
+        self.noise_draws = RecordTable("Bdddq")
         # Columns: mechanism, owner, value, bound.
-        self.insertions = RecordTable("iidd", _insertion_record)
+        self.insertions = RecordTable("iidd")
 
     def register_mechanism(self, kind: str, owner: int | None) -> int:
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
@@ -338,7 +265,7 @@ class NoiseSource:
         ``bound``, ``eps`` and ``count`` are what the scale rests on: the
         tree passes its value bound, budget and horizon, the central release
         the truncation, budget and pulls, the local reward the truncation,
-        budget and 0.  The ledger records them as a :class:`NoiseDraw`.
+        budget and 0.  The ledger records them in its draw columns.
 
         A draw the source or its ledger rejects changes nothing: ``scale``
         must be finite and non-negative under every hook, and the scale and
@@ -377,9 +304,15 @@ class AdaptiveTree:
     once, so the privacy guarantee is unchanged.
 
     Bounds supplied with the values must be finite, positive and
-    non-decreasing, and each value's magnitude must not exceed its bound; the
-    whole release stream is then ``eps``-differentially private for streams
-    differing in one entry.
+    non-decreasing, and each value's magnitude must not exceed its bound.
+    Each finalized sum is then ``eps/ln(horizon)``-differentially private for
+    streams differing in one entry, but a value enters the partial sums of up
+    to ``horizon.bit_length()`` levels (the first value enters one at every
+    level).  Under basic composition (Dwork & Roth 2014, section 3.5) the
+    release stream is therefore ``horizon.bit_length() / ln(horizon) *
+    eps``-private, not ``eps``-private: 1.48 ``eps`` at a horizon of 1e5 with
+    a constant bound.  Growing bounds spend less: a partial sum whose bound
+    exceeds a value's spends less than ``eps/ln(horizon)`` on it.
 
     Parameters
     ----------
@@ -387,7 +320,8 @@ class AdaptiveTree:
         Capacity; at most ``horizon`` insertions are accepted.  An integer
         (numpy's included), at least 2.
     eps : float
-        Privacy budget for the full stream of releases, finite and positive.
+        Budget that each partial sum's noise gets ``1/ln(horizon)`` of,
+        finite and positive; see above for what the release stream spends.
     noise : NoiseSource
         Source for the per-finalization draws.
     owner : int or None

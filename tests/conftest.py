@@ -1,8 +1,10 @@
-"""Shared test helpers: stub RNGs, policy drivers, the schedule sweep grid."""
+"""Shared test helpers: stub RNGs, policy drivers, ledger rows, the schedule sweep grid."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from htbandits.mechanisms import _NO_OWNER, _SITES
 
 
 class StubRNG:
@@ -29,6 +31,19 @@ def drive(policy, samplers, horizon: int) -> None:
 def constant_samplers(values):
     """Per-arm samplers that always return the given constants."""
     return [lambda value=value: value for value in values]
+
+
+def draw_rows(ledger) -> list:
+    """The ledger's draws, read from its columns, as ``(site, scale, bound, eps, count)``."""
+    codes, *parameters = ledger.noise_draws.columns
+    return list(zip(map(_SITES.__getitem__, codes), *parameters))
+
+
+def insertion_rows(ledger) -> list:
+    """The ledger's insertions as ``(mechanism, owner, value, bound)``, no owner as None."""
+    mechanisms, owners, values, bounds = ledger.insertions.columns
+    owners = [None if owner == _NO_OWNER else owner for owner in owners]
+    return list(zip(mechanisms, owners, values, bounds))
 
 
 def schedule_sweep_grid():

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 import htbandits.cli
-from htbandits import harness
 from htbandits.cli import main
 
 
@@ -79,7 +80,7 @@ def test_cli_rejects_a_short_dprucb_horizon_before_starting_workers(
 ) -> None:
     pools = []
     monkeypatch.setattr(
-        harness, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
+        concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
     )
     code = main(["--algo", "dprucb", "--setting", "S1", "--v", "0.9", "--eps", "1",
                  "--horizon", "3", "--workers", "2", "--out", str(tmp_path / "x")])
@@ -93,7 +94,7 @@ def test_cli_rejects_a_one_round_elimination_run_before_starting_workers(
 ) -> None:
     pools = []
     monkeypatch.setattr(
-        harness, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
+        concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
     )
     for algo in ("dprse", "ldprse"):
         code = main(["--algo", algo, "--setting", "S1", "--v", "0.9", "--eps", "1",

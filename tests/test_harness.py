@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import inspect
 import itertools
@@ -30,7 +31,6 @@ from htbandits import (
     run_single,
     write_csv,
 )
-from htbandits import harness
 from htbandits.distributions import format_value, instance_description
 from htbandits.harness import (
     ALGORITHMS,
@@ -364,7 +364,7 @@ def test_a_worker_count_that_is_not_an_integer_is_rejected_before_a_pool_starts(
 ) -> None:
     pools = []
     monkeypatch.setattr(
-        harness, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
+        concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
     )
     config = small_config(horizon=50, reps=2)
     for workers in (2.0, 1.5, "2"):

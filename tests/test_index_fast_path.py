@@ -144,8 +144,8 @@ def test_private_index_fast_path_matches_the_schedules(v: float, eps: float) -> 
         runs.append((policy, ledger))
     (fast, fast_ledger), (reference, reference_ledger) = runs
     assert_same_transcript(fast, reference)
-    assert fast_ledger.insertions == reference_ledger.insertions
-    assert fast_ledger.noise_draws == reference_ledger.noise_draws
+    assert fast_ledger.insertions.columns == reference_ledger.insertions.columns
+    assert fast_ledger.noise_draws.columns == reference_ledger.noise_draws.columns
     if eps <= 1.0:  # at eps=1000 the truncation level outgrows every reward
         assert any(e.truncated_reward != e.reward for e in fast.transcript)
 
@@ -214,7 +214,7 @@ def assert_private_values(params: MomentParams, eps: float) -> tuple:
         level = private_ucb_truncation(params, eps, VALUE_HORIZON, n)
         assert_keeps_exactly_to(policy, arm, n, level)
         # The ledger holds the bound the tree checked the insertion against.
-        assert_same_double(ledger.insertions[-1].bound, level, n)
+        assert_same_double(ledger.insertions.columns[3][-1], level, n)
         for t in VALUE_ROUNDS:
             policy._select(t)
             radius = policy._radius_scale * policy._weights[arm]

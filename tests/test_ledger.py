@@ -1,11 +1,11 @@
 """The columnar privacy ledger against the one-record-per-draw lists it replaced.
 
-``ReferenceLedger`` keeps every draw and insertion as one dataclass record in
-a list, and ``reference_audit`` is the audit that read those records.  Runs
-recorded into either ledger must give the same records, read every way a list
-can be read, and the same audit findings; the columnar ledger must also hold a
-fraction of the memory and reject at record time what its columns cannot hold,
-a draw at an unknown site included.
+``ReferenceLedger`` keeps every draw and insertion as one tuple in a list, and
+``reference_audit`` is the audit over those records.  Runs recorded into
+either ledger must give the same records, the columnar ledger's read row by
+row from its columns, and the same audit findings; the columnar ledger must
+also hold a fraction of the memory and reject at record time what its columns
+cannot hold, a draw at an unknown site included.
 """
 
 from __future__ import annotations
@@ -27,15 +27,19 @@ from htbandits.mechanisms import (
     SE_RELEASE_SITE,
     TREE_SITE,
     EpochRecord,
-    InsertionRecord,
     MechanismRecord,
-    NoiseDraw,
 )
 
+from conftest import draw_rows, insertion_rows
 from test_audit import HalvingSource, clean_dprse, clean_dprucb, clean_ldprse
 
+
 class ReferenceLedger:
-    """One record object per draw and insertion, kept in lists."""
+    """One record per draw and insertion, kept in lists as plain tuples.
+
+    A draw is ``(site, scale, bound, eps, count)``, an insertion
+    ``(mechanism, owner, value, bound)``, as given.
+    """
 
     def __init__(self):
         self.noise_draws = []
@@ -48,14 +52,10 @@ class ReferenceLedger:
         return len(self.mechanisms) - 1
 
     def record_draw(self, site, scale, bound, eps, count):
-        self.noise_draws.append(
-            NoiseDraw(site=site, scale=scale, bound=bound, eps=eps, count=count)
-        )
+        self.noise_draws.append((site, scale, bound, eps, count))
 
     def record_insertion(self, mechanism, owner, value, bound):
-        self.insertions.append(
-            InsertionRecord(mechanism=mechanism, owner=owner, value=value, bound=bound)
-        )
+        self.insertions.append((mechanism, owner, value, bound))
 
     def record_epoch(self, kind, epoch, num_viable, pulls_per_arm):
         record = EpochRecord(
@@ -65,41 +65,41 @@ class ReferenceLedger:
         return record
 
 
-def _reference_mandated_scale(draw):
-    if draw.site == TREE_SITE:
-        return 2.0 * draw.bound / (draw.eps / math.log(draw.count))
-    if draw.site == SE_RELEASE_SITE:
-        return 2.0 * draw.bound / (draw.count * draw.eps)
-    if draw.site == LOCAL_REWARD_SITE:
-        return 2.0 * draw.bound / draw.eps
-    raise KeyError(draw.site)
+def _reference_mandated_scale(site, bound, eps, count):
+    if site == TREE_SITE:
+        return 2.0 * bound / (eps / math.log(count))
+    if site == SE_RELEASE_SITE:
+        return 2.0 * bound / (count * eps)
+    if site == LOCAL_REWARD_SITE:
+        return 2.0 * bound / eps
+    raise KeyError(site)
 
 
-def reference_audit(ledger) -> list:
+def reference_audit(ledger: ReferenceLedger) -> list:
     """The audit over one record per draw and insertion, as ``(site, index, message)``."""
     findings = []
 
     def add(site, index, message):
         findings.append((site, index, message))
 
-    for i, draw in enumerate(ledger.noise_draws):
-        mandated = _reference_mandated_scale(draw)
-        if draw.scale != mandated:
-            add(draw.site, i, f"scale {draw.scale!r} differs from mandated {mandated!r}")
+    for i, (site, scale, bound, eps, count) in enumerate(ledger.noise_draws):
+        mandated = _reference_mandated_scale(site, bound, eps, count)
+        if scale != mandated:
+            add(site, i, f"scale {scale!r} differs from mandated {mandated!r}")
 
     num_mechs = len(ledger.mechanisms)
-    for i, ins in enumerate(ledger.insertions):
-        if not 0 <= ins.mechanism < num_mechs:
-            add("insertion", i, f"unregistered mechanism {ins.mechanism}")
+    for i, (mechanism, owner, value, bound) in enumerate(ledger.insertions):
+        if not 0 <= mechanism < num_mechs:
+            add("insertion", i, f"unregistered mechanism {mechanism}")
             continue
-        if abs(ins.value) > ins.bound:
-            add("insertion", i, f"|value| = {abs(ins.value)!r} exceeds bound {ins.bound!r}")
-        registered = ledger.mechanisms[ins.mechanism].owner
-        if ins.owner != registered:
+        if abs(value) > bound:
+            add("insertion", i, f"|value| = {abs(value)!r} exceeds bound {bound!r}")
+        registered = ledger.mechanisms[mechanism].owner
+        if owner != registered:
             add(
                 "disjointness",
                 i,
-                f"mechanism {ins.mechanism} (arm {registered}) received data of arm {ins.owner}",
+                f"mechanism {mechanism} (arm {registered}) received data of arm {owner}",
             )
 
     seen_owners: dict = {}
@@ -117,8 +117,8 @@ def reference_audit(ledger) -> list:
         else:
             seen_owners[key] = m
 
-    central_draws = sum(1 for d in ledger.noise_draws if d.site == SE_RELEASE_SITE)
-    local_draws = sum(1 for d in ledger.noise_draws if d.site == LOCAL_REWARD_SITE)
+    central_draws = sum(1 for draw in ledger.noise_draws if draw[0] == SE_RELEASE_SITE)
+    local_draws = sum(1 for draw in ledger.noise_draws if draw[0] == LOCAL_REWARD_SITE)
     expected_central = sum(
         e.num_viable for e in ledger.epochs if e.kind == "central_se" and e.completed
     )
@@ -167,38 +167,24 @@ def record_harness_run(ledger, algo, setting, eps, horizon):
 
 
 def assert_same_draw(got, want) -> None:
-    assert type(got) is NoiseDraw
-    assert got.site == want.site
-    for name in ("scale", "bound", "eps"):
-        assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
-    assert type(got.count) is int and got.count == want.count
+    (site, *floats, count), (want_site, *want_floats, want_count) = got, want
+    assert site == want_site
+    assert list(map(float.hex, floats)) == list(map(float.hex, want_floats))  # scale, bound, eps
+    assert type(count) is int and count == want_count
 
 
 def assert_same_insertion(got, want) -> None:
-    assert type(got) is InsertionRecord
-    assert type(got.mechanism) is int and got.mechanism == want.mechanism
-    assert got.owner == want.owner
-    assert float.hex(got.value) == float.hex(want.value)
-    assert float.hex(got.bound) == float.hex(want.bound)
+    (mechanism, owner, *floats), (want_mechanism, want_owner, *want_floats) = got, want
+    assert type(mechanism) is int and mechanism == want_mechanism
+    assert owner == want_owner
+    assert list(map(float.hex, floats)) == list(map(float.hex, want_floats))  # value, bound
 
 
-def assert_reads_like(view, records, same) -> None:
-    """``view`` read every way a list is read gives ``records``."""
-    n = len(records)
-    assert len(view) == n >= 4
-    for got, want in zip(view, records):
+def assert_same_rows(table, rows, records, same) -> None:
+    """``rows``, read from ``table``'s columns, are ``records``."""
+    assert len(table) == len(rows) == len(records) >= 4
+    for got, want in zip(rows, records):
         same(got, want)
-    assert view == records and records == view
-    for i in (0, 1, n // 2, n - 1, -1, -2, -n):
-        same(view[i], records[i])
-    for cut in (slice(3, 17), slice(None, None, -5), slice(-3, None), slice(n, None)):
-        got, want = view[cut], records[cut]
-        assert type(got) is list and len(got) == len(want)
-        for g, w in zip(got, want):
-            same(g, w)
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            view[i]
 
 
 @pytest.mark.parametrize("algo,setting,eps,horizon,epochs", HARNESS_RUNS)
@@ -207,8 +193,12 @@ def test_columnar_ledger_reads_like_the_record_lists(algo, setting, eps, horizon
     policy = record_harness_run(ledger, algo, setting, eps, horizon)
     record_harness_run(reference, algo, setting, eps, horizon)
     assert len(getattr(policy, "completed_epochs", ())) == epochs
-    assert_reads_like(ledger.noise_draws, reference.noise_draws, assert_same_draw)
-    assert_reads_like(ledger.insertions, reference.insertions, assert_same_insertion)
+    assert_same_rows(
+        ledger.noise_draws, draw_rows(ledger), reference.noise_draws, assert_same_draw
+    )
+    assert_same_rows(
+        ledger.insertions, insertion_rows(ledger), reference.insertions, assert_same_insertion
+    )
     assert ledger.mechanisms == reference.mechanisms
     assert ledger.epochs == reference.epochs
 
@@ -281,15 +271,18 @@ RUNS = {
 
 @pytest.mark.parametrize("name", RUNS)
 def test_column_audit_gives_the_record_audit_findings(name) -> None:
-    ledger = PrivacyLedger()
+    ledger, reference = PrivacyLedger(), ReferenceLedger()
     RUNS[name](ledger)
+    RUNS[name](reference)
+    assert draw_rows(ledger) == reference.noise_draws
+    assert insertion_rows(ledger) == reference.insertions
     got = findings(audit_run(ledger))
-    assert got == reference_audit(ledger)
+    assert got == reference_audit(reference)
     assert (got == []) == name.startswith(("clean", "harness"))
 
 
 def test_audited_run_holds_under_128_bytes_per_round() -> None:
-    # A round stores 21 B of transcript, a draw's site code, scale and three
+    # A round stores 13 B of transcript, a draw's site code, scale and three
     # parameters (33 B) and an insertion's four fields (24 B), plus the
     # arrays' growth slack.  One record object per draw and insertion held
     # 496 B/round.
@@ -370,8 +363,8 @@ def test_a_rejected_record_leaves_the_earlier_ones_whole() -> None:
         ledger.record_draw("mystery", 1.0, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         ledger.record_insertion(0, 0, 0.5, "bound")
-    assert ledger.noise_draws == reference.noise_draws
-    assert ledger.noise_draws[1].count == 0
-    assert ledger.insertions == reference.insertions
+    assert draw_rows(ledger) == reference.noise_draws
+    assert ledger.noise_draws.columns[-1][1] == 0
+    assert insertion_rows(ledger) == reference.insertions
     assert all(len(column) == 2 for column in ledger.noise_draws.columns)
     assert all(len(column) == 1 for column in ledger.insertions.columns)

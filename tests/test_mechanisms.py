@@ -17,8 +17,10 @@ from htbandits import (
     laplace_from_uniform,
     tree_noise_bound,
 )
-from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE, NoiseDraw
+from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
 from htbandits.seeding import TREE_NOISE, derive_stream
+
+from conftest import draw_rows
 
 
 def zero_source(ledger=None) -> NoiseSource:
@@ -103,9 +105,10 @@ def test_noise_source_hooks_and_ledger_recording() -> None:
     assert src.draw(13.0, TREE_SITE, 1.0, 1.0, 8) == 1.0
     assert zero_source().draw(13.0, TREE_SITE, 1.0, 1.0, 8) == 0.0
     assert src.draws_made == 1
-    assert ledger.noise_draws[0].site == TREE_SITE
-    assert ledger.noise_draws[0].scale == 13.0
-    assert ledger.noise_draws[0].count == 8
+    site, scale, _, _, count = draw_rows(ledger)[0]
+    assert site == TREE_SITE
+    assert scale == 13.0
+    assert count == 8
 
 
 @pytest.mark.parametrize(
@@ -133,7 +136,7 @@ def test_a_rejected_draw_changes_nothing(hook, scale, site, count, match) -> Non
     with pytest.raises(ValueError, match=match):
         source.draw(scale, site, 1.0, 1.0, count)
     assert source.draws_made == twin.draws_made == 1
-    assert ledger.noise_draws == twin_ledger.noise_draws
+    assert ledger.noise_draws.columns == twin_ledger.noise_draws.columns
     assert len(ledger.noise_draws) == 1
     assert source.draw(2.0, TREE_SITE, 1.0, 1.0, 2) == twin.draw(2.0, TREE_SITE, 1.0, 1.0, 2)
     assert source.rng.random() == twin.rng.random()
@@ -187,12 +190,14 @@ def test_tree_noise_scale_uses_current_bound_and_budget_split() -> None:
     tree.insert(0.5, 1.0)
     tree.insert(1.5, 2.0)
     eps_prime = 0.5 / math.log(1024)
-    assert ledger.noise_draws[0].scale == 2.0 * 1.0 / eps_prime
-    assert ledger.noise_draws[1].scale == 2.0 * 2.0 / eps_prime
-    assert [ins.value for ins in ledger.insertions] == [0.5, 1.5]
-    assert [ins.bound for ins in ledger.insertions] == [1.0, 2.0]
+    _, scales, bounds, epss, counts = ledger.noise_draws.columns
+    assert scales[0] == 2.0 * 1.0 / eps_prime
+    assert scales[1] == 2.0 * 2.0 / eps_prime
+    _, _, values, insertion_bounds = ledger.insertions.columns
+    assert list(values) == [0.5, 1.5]
+    assert list(insertion_bounds) == [1.0, 2.0]
     assert ledger.mechanisms[0].kind == "tree"
-    assert [(d.bound, d.eps, d.count) for d in ledger.noise_draws] == [
+    assert list(zip(bounds, epss, counts)) == [
         (1.0, 0.5, 1024),
         (2.0, 0.5, 1024),
     ]
@@ -215,9 +220,28 @@ def test_draws_with_and_without_a_ledger_are_bit_equal() -> None:
         assert recorded.draw(scale, site, *parameters) == bare.draw(scale, site, *parameters)
     assert recorded.draws_made == bare.draws_made == 3000
     assert len(ledger.noise_draws) == 3000
-    assert ledger.noise_draws[1] == NoiseDraw(
-        site=SE_RELEASE_SITE, scale=0.5, bound=0.75, eps=1.0, count=12
-    )
+    assert draw_rows(ledger)[1] == (SE_RELEASE_SITE, 0.5, 0.75, 1.0, 12)
+
+
+@pytest.mark.parametrize("horizon", [2, 16, 1000, 20_000])
+def test_a_value_can_cost_bit_length_over_ln_horizon_times_eps(horizon: int) -> None:
+    # Each partial sum is released at eps/ln(horizon), and a value enters every
+    # partial sum that covers it: draw t's covers values t - (t & -t) + 1 ... t
+    # and spends 2 * bound / scale on each.  Under basic composition the first
+    # value, in one partial sum per level, costs bit_length/ln(horizon) * eps.
+    eps = 1.0
+    ledger = PrivacyLedger()
+    tree = AdaptiveTree(horizon, eps, noise=zero_source(ledger), owner=0)
+    for _ in range(horizon):
+        tree.insert(0.5, 1.0)
+    _, scales, bounds, _, _ = ledger.noise_draws.columns
+    loss = [0.0] * (horizon + 1)  # by value, from value 1
+    for t, (scale, bound) in enumerate(zip(scales, bounds), start=1):
+        for i in range(t - (t & -t) + 1, t + 1):
+            loss[i] += 2.0 * bound / scale
+    worst = horizon.bit_length() / math.log(horizon) * eps
+    assert max(loss) == pytest.approx(worst, rel=1e-12)
+    assert loss[1] == max(loss) > eps
 
 
 def test_tree_rejects_contract_violations() -> None:
@@ -453,8 +477,8 @@ def test_tree_noisy_sum_stack_matches_the_set_bit_reference(horizon: int) -> Non
         assert tree.estimate == reference.estimate
         assert len(tree._noisy_stack) == t.bit_count()
     assert tree.t == horizon
-    assert ledgers[0].insertions == ledgers[1].insertions
-    assert ledgers[0].noise_draws == ledgers[1].noise_draws
+    assert ledgers[0].insertions.columns == ledgers[1].insertions.columns
+    assert ledgers[0].noise_draws.columns == ledgers[1].noise_draws.columns
     assert len(ledgers[0].noise_draws) == horizon
     with pytest.raises(ValueError):
         tree.insert(0.0, 1e9)  # full

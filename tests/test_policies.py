@@ -28,7 +28,7 @@ from htbandits import (
 from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE
 from htbandits.seeding import ELIMINATION_NOISE, PERTURBATION_NOISE, derive_stream
 
-from conftest import constant_samplers, drive
+from conftest import constant_samplers, draw_rows, drive
 
 UNIT = MomentParams(u=1.0, v=1.0)
 
@@ -275,14 +275,14 @@ def test_central_se_release_noise_counts_and_sites() -> None:
     params = MomentParams(u=4e-4, v=1.0)
     policy = DPRobustSE(params, 1.0, 300, sources, beta=0.1)
     drive(policy, constant_samplers([0.5, 0.5]), 2 * 6)
-    release_draws = [d for d in ledger.noise_draws if d.site == SE_RELEASE_SITE]
+    release_draws = [draw for draw in draw_rows(ledger) if draw[0] == SE_RELEASE_SITE]
     assert len(release_draws) == 2  # one per viable arm at the epoch boundary
     assert len(ledger.insertions) == 12
     sched = central_se_schedule(params, 1.0, 0.1, 2, 1)
     assert sched.pulls_per_arm == 6
-    for draw in release_draws:
-        assert draw.scale == 2.0 * sched.truncation / (6 * 1.0)
-        assert (draw.bound, draw.eps, draw.count) == (sched.truncation, 1.0, 6)
+    for _, scale, bound, eps, count in release_draws:
+        assert scale == 2.0 * sched.truncation / (6 * 1.0)
+        assert (bound, eps, count) == (sched.truncation, 1.0, 6)
     assert policy.viable_arms  # the top-scoring arm always survives
 
 
@@ -309,14 +309,14 @@ def test_local_se_perturbs_every_reward_once() -> None:
     params = MomentParams(u=2e-3, v=1.0)
     policy = LDPRobustSE(params, 1.0, 10_000, sources, beta=0.1)
     drive(policy, constant_samplers([0.2, 0.02]), 2 * 3200)
-    local_draws = [d for d in ledger.noise_draws if d.site == LOCAL_REWARD_SITE]
+    local_draws = [draw for draw in draw_rows(ledger) if draw[0] == LOCAL_REWARD_SITE]
     assert len(local_draws) == sum(nv * r for _, nv, r in policy.completed_epochs)
     assert len(local_draws) == 6400
     assert ledger.epochs[0].completed
     sched = local_se_schedule(params, 1.0, 0.1, 2, 1)
-    for draw in local_draws:
-        assert draw.scale == 2.0 * sched.truncation / 1.0
-        assert (draw.bound, draw.eps, draw.count) == (sched.truncation, 1.0, 0)
+    for _, scale, bound, eps, count in local_draws:
+        assert scale == 2.0 * sched.truncation / 1.0
+        assert (bound, eps, count) == (sched.truncation, 1.0, 0)
     assert policy.viable_arms
 
 
