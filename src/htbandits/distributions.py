@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _check_v
+
 __all__ = [
     "ParetoModel",
     "FiniteSupportModel",
@@ -34,11 +36,6 @@ _PROB_TOL = 1e-12
 def format_value(x: float) -> str:
     """Format a float with 17 significant digits (exact float64 round-trip)."""
     return format(float(x), ".17g")
-
-
-def _check_v(v: float) -> None:
-    if not (0.0 < v <= 1.0):
-        raise ValueError(f"v must lie in (0, 1], got {v}")
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from .distributions import (
     make_pareto_instance,
     make_two_arm_hard_instance,
 )
-from .mechanisms import NoiseHook, NoiseSource, PrivacyLedger, _as_index
+from .mechanisms import NoiseHook, NoiseSource, PrivacyLedger
 from .policies import DPRobustSE, DPRobustUCB, LDPRobustSE, RobustUCB
-from .schedules import MomentParams
+from .schedules import MomentParams, _as_index, _check_beta, _check_eps, _check_v
 from .seeding import (
     ELIMINATION_NOISE,
     PERTURBATION_NOISE,
@@ -87,8 +87,10 @@ class ExperimentConfig:
 
     Regret is recorded at ``checkpoint_count`` geometric checkpoints (see
     :func:`checkpoint_schedule`).  ``beta`` is the elimination confidence;
-    None means ``1/horizon``.  ``zero_noise`` swaps in the zero-noise test hook
-    (no privacy guarantee).
+    None means ``1/horizon``.  ``zero_noise`` (True or False) swaps in the
+    zero-noise test hook (no privacy guarantee).  The fields hold the values
+    the checks return: Python ints and floats, whatever integer or real type
+    was given.
     """
 
     algo: str
@@ -107,29 +109,23 @@ class ExperimentConfig:
             raise ValueError(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
         if self.setting not in SETTINGS:
             raise ValueError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
-        if not 0.0 < self.v <= 1.0:
-            raise ValueError(f"v must lie in (0, 1], got {self.v}")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        # Python floats: a numpy scalar would carry numpy arithmetic into every
-        # round (same values, slower).  The CSV and .meta text is the same.
+        _check_v(self.v)
+        _check_eps(self.eps)
+        if not isinstance(self.zero_noise, bool):
+            raise ValueError(f"zero_noise must be True or False, got {self.zero_noise!r}")
+        # Python floats and ints, as checked: a numpy scalar would carry numpy
+        # arithmetic into every round (same values, slower).  The CSV and
+        # .meta text is the same.
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "eps", float(self.eps))
-        for name in ("horizon", "reps", "base_seed", "checkpoint_count"):
-            _as_index(name, getattr(self, name))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.checkpoint_count < 1:
-            raise ValueError(f"checkpoint_count must be >= 1, got {self.checkpoint_count}")
+        lows = {"horizon": 1, "reps": 1, "base_seed": 0, "checkpoint_count": 1}
+        for name, low in lows.items():
+            object.__setattr__(self, name, _as_index(name, getattr(self, name), low))
         # The elimination policies run at the resolved beta, which is 1.0 at
         # horizon 1; checked here so that a run fails before any worker starts.
         beta = self.resolved_beta if self.algo in ("dprse", "ldprse") else self.beta
-        if beta is not None and not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        if beta is not None:
+            _check_beta(beta)
         if self.beta is not None:
             object.__setattr__(self, "beta", float(self.beta))
         if self.algo == "dprucb":
@@ -184,10 +180,8 @@ def checkpoint_schedule(horizon: int, count: int = 200) -> tuple:
     The final round is always included.  Points are rounded to integers and
     deduplicated, so fewer than ``count`` may remain.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    horizon = _as_index("horizon", horizon, 1)
+    count = _as_index("count", count, 1)
     # Python floats: rounding numpy scalars one at a time costs ~3x more.
     raw = np.geomspace(1.0, float(horizon), num=min(count, horizon)).tolist()
     points = {min(max(round(x), 1), horizon) for x in raw}
@@ -231,9 +225,7 @@ def make_policy(
     The streams are derived on their first read, so ``rep`` is checked here:
     a non-negative integer (numpy's included).
     """
-    rep = _as_index("rep", rep)
-    if not 0 <= rep:
-        raise ValueError(f"rep must be non-negative, got {rep}")
+    rep = _as_index("rep", rep, 0)
     params = MomentParams(u=instance.u, v=instance.v)
     algo = config.algo
     if algo == "rucb":
@@ -294,12 +286,11 @@ def run_single(
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """Run all repetitions and return ``(traces, summary)``.
 
-    ``workers > 1`` fans repetitions out to a process pool; results are
-    identical to the sequential run, in repetition order.
+    ``workers > 1`` fans repetitions out to a process pool of at most
+    ``config.reps`` processes (a pool forks all its workers at the first
+    submit); results are identical to the sequential run, in repetition order.
     """
-    workers = _as_index("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(_as_index("workers", workers, 1), config.reps)
     reps = range(config.reps)
     if workers == 1:
         traces = [run_single(config, rep) for rep in reps]

@@ -21,9 +21,10 @@ record object is built.  The policies' transcripts are stored by column too.
 
 import enum
 import math
-import operator
 from array import array
 from dataclasses import dataclass
+
+from .schedules import _as_index, _check_above_one, _check_eps
 
 __all__ = [
     "TREE_SITE",
@@ -66,14 +67,6 @@ _MIN_UNIFORM = 2.0**-53
 # Module-level names for the per-draw path: a global lookup, not an attribute.
 _log = math.log
 _INF = math.inf
-
-
-def _as_index(name: str, value) -> int:
-    """``value`` as an int if it is an integer (numpy's included), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def laplace_from_uniform(u: float, scale: float) -> float:
@@ -344,11 +337,8 @@ class AdaptiveTree:
     )
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource, owner: int | None = None):
-        horizon = _as_index("horizon", horizon)
-        if horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {horizon}")
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+        horizon = _as_index("horizon", horizon, 2)
+        _check_eps(eps)
         self.horizon = horizon
         self.eps = float(eps)
         self.owner = owner
@@ -437,10 +427,8 @@ def tree_noise_bound(bound: float, eps: float, horizon: float, delta: float) -> 
     """
     if not 0.0 <= bound < _INF:  # NaN fails too
         raise ValueError(f"bound must be finite and non-negative, got {bound}")
-    if not 0.0 < eps < _INF:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not 1.0 < horizon < _INF:
-        raise ValueError(f"horizon must be finite and exceed 1, got {horizon}")
+    _check_eps(eps)
+    _check_above_one("horizon", horizon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return (2.0 * bound / eps) * math.log(horizon) ** 1.5 * math.log(1.0 / delta)

@@ -43,10 +43,12 @@ from .mechanisms import (
     SE_RELEASE_SITE,
     AdaptiveTree,
     RecordTable,
-    _as_index,
 )
 from .schedules import (
     MomentParams,
+    _as_index,
+    _check_beta,
+    _check_eps,
     central_se_schedule,
     local_se_schedule,
     nonprivate_ucb_radius,
@@ -164,10 +166,7 @@ class _PolicyBase:
     """
 
     def __init__(self, num_arms: int):
-        num_arms = _as_index("num_arms", num_arms)
-        if num_arms < 1:
-            raise ValueError(f"num_arms must be >= 1, got {num_arms}")
-        self.num_arms = num_arms
+        self.num_arms = _as_index("num_arms", num_arms, 1)
         self.transcript = _Transcript()
         self._round = 0
         self._pending: Optional[int] = None
@@ -507,15 +506,11 @@ class _EliminationPolicy(_PolicyBase):
         noise_sources = list(noise_sources)
         super().__init__(len(noise_sources))
         ledger = _shared_ledger(noise_sources)
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {eps}")
-        horizon = _as_index("horizon", horizon)
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _check_eps(eps)
+        horizon = _as_index("horizon", horizon, 1)
         if beta is None:
             beta = 1.0 / horizon
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        _check_beta(beta)
         self.params = params
         self.eps = float(eps)
         self.horizon = horizon

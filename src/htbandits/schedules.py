@@ -13,12 +13,16 @@ the repetitions of a config in one process compute each value once
 (``policies._IndexPolicy``); the non-private truncation level reads the round
 as well as the pull count and is evaluated when an arm is pulled.  Every
 value the policies use is bit-identical to this module's, and tests compare
-the values with ``float.hex`` (``tests/test_index_fast_path.py``).  Every
-argument check rejects NaN and infinity.
+the values with ``float.hex`` (``tests/test_index_fast_path.py``).
+
+This module is the home of the package's argument checks, one function per
+rule (an integer with a lower bound, ``eps``, ``v``, ``beta``) for every
+module to call.  Every check rejects NaN and infinity.
 """
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -60,8 +64,7 @@ class MomentParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.u < math.inf:
             raise ValueError(f"u must be finite and positive, got {self.u}")
-        if not 0.0 < self.v <= 1.0:
-            raise ValueError(f"v must lie in (0, 1], got {self.v}")
+        _check_v(self.v)
         # Python floats: a numpy scalar would carry numpy arithmetic into every
         # round of the index policies (same values, slower).
         object.__setattr__(self, "u", float(self.u))
@@ -93,9 +96,33 @@ class EpochSchedule:
     saturated: bool = False
 
 
+def _as_index(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int if it is an integer (numpy's included, bool not)
+    and, when ``low`` is given, at least ``low``; else ValueError."""
+    try:
+        if isinstance(value, bool):  # operator.index reads it as 0 or 1
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{name} must be >= {low}, got {index}")
+    return index
+
+
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
+
+
+def _check_v(v: float) -> None:
+    if not 0.0 < v <= 1.0:  # NaN fails too
+        raise ValueError(f"v must lie in (0, 1], got {v}")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:  # NaN fails too
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def _check_count(name: str, value: int) -> None:
@@ -169,8 +196,7 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
 
 
 def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     _check_count("num_viable", num_viable)
     _check_count("epoch", epoch)
 

@@ -83,7 +83,8 @@ def test_cli_rejects_a_short_dprucb_horizon_before_starting_workers(
         concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
     )
     code = main(["--algo", "dprucb", "--setting", "S1", "--v", "0.9", "--eps", "1",
-                 "--horizon", "3", "--workers", "2", "--out", str(tmp_path / "x")])
+                 "--horizon", "3", "--reps", "2", "--workers", "2",
+                 "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err == "error: horizon 3 is below the number of arms 5\n"
     assert pools == []
@@ -98,7 +99,8 @@ def test_cli_rejects_a_one_round_elimination_run_before_starting_workers(
     )
     for algo in ("dprse", "ldprse"):
         code = main(["--algo", algo, "--setting", "S1", "--v", "0.9", "--eps", "1",
-                     "--horizon", "1", "--workers", "2", "--out", str(tmp_path / "x")])
+                     "--horizon", "1", "--reps", "2", "--workers", "2",
+                     "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err == "error: beta must lie in (0, 1), got 1.0\n"
     assert pools == []

@@ -9,6 +9,11 @@ The grid covers every algorithm on every setting at a short horizon, the
 cells where elimination epochs really complete (so the epoch, release and
 elimination code is hashed, not only the committed fallback), and one cell
 run through the process pool.
+
+That digest hashes regret, which pull counts determine, so it cannot see a
+change in the last bits of a reward, a noise scale or a release.  The value
+digests hash every transcript and ledger column by ``float.hex`` on the
+transcript test's cells, and are gated the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from htbandits import (
     ALGORITHMS,
     SETTINGS,
     ExperimentConfig,
+    PrivacyLedger,
     make_instance_for,
     run_experiment,
     run_single,
     write_csv,
 )
+
+from test_transcript import CASES, config_for
 
 V = 0.9
 SEED = 7
@@ -75,3 +83,37 @@ def test_epoch_cells_complete_epochs() -> None:
 
 def test_grid_output_matches_the_golden_digest(tmp_path) -> None:
     assert grid_digest(tmp_path) == GOLDEN_SHA256
+
+
+# Per cell of test_transcript.CASES: the value digest of its audited rep 0.
+VALUE_SHA256 = {
+    ("dprse", "S1"): "768034fb86f89f23117a6ac1c166eff420c9986a704c3c770a9e6b993ccf7116",
+    ("dprse", "two_arm_hard"): "961a71f9773c663e254e1e7769ffda6157d89fd80bade0f2afa302c6efe30565",
+    ("ldprse", "two_arm_hard"): "7139c8a7f9ccf43fc4d4b3cd4e3306f29e8f27c9c6ba616de2025ab5b5ccbca5",
+    ("dprucb", "S1"): "fdbae04b15bf17888d6cac694ef262c6f198afe395472e617e9f54c11c72402c",
+    ("rucb", "S3"): "b55649d095f9f9bad6738863be61131fc10f511f49a2a477d525d528312e949e",
+}
+
+
+def value_digest(config: ExperimentConfig) -> str:
+    """SHA-256 of the transcript, draw and insertion columns of the audited rep 0.
+
+    Floats are hashed as ``float.hex``, integers as decimal text; each
+    column ends with a separator, so no value can move between columns.
+    """
+    ledger = PrivacyLedger()
+    _, policy = run_single(config, 0, ledger=ledger, return_policy=True)
+    digest = hashlib.sha256()
+    for table in (policy.transcript, ledger.noise_draws, ledger.insertions):
+        for column in table.columns:
+            text = map(float.hex if column.typecode == "d" else str, column)
+            digest.update(",".join(text).encode() + b";")
+    return digest.hexdigest()
+
+
+def test_run_values_match_the_recorded_digests() -> None:
+    digests = {}
+    for algo, setting, eps, horizon, *_ in CASES:
+        digests[algo, setting] = value_digest(config_for(algo, setting, eps, horizon))
+        print(f"value digest {algo} {setting} eps={eps:g} T={horizon}: {digests[algo, setting]}")
+    assert digests == VALUE_SHA256

@@ -89,6 +89,10 @@ def test_checkpoint_schedule_rejects_bad_arguments() -> None:
             checkpoint_schedule(0)
         with pytest.raises(ValueError):
             checkpoint_schedule(10, count=0)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            checkpoint_schedule(True)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            checkpoint_schedule(10, count=2.0)
 
 
 def uncached_checkpoint_schedule(horizon: int, count: int = 200) -> tuple:
@@ -168,11 +172,34 @@ def test_the_experiment_knobs_are_exactly_these() -> None:
         ("reps", 1.5),
         ("base_seed", 7.0),
         ("checkpoint_count", 20.0),
+        # Bools, which operator.index reads as 0 or 1.
+        ("horizon", True),
+        ("reps", True),
+        ("base_seed", False),
+        ("checkpoint_count", True),
+        # A flag that is not a bool: "false" is truthy.
+        ("zero_noise", "false"),
+        ("zero_noise", 1),
     ],
 )
 def test_config_validation_rejects_bad_fields(field: str, value) -> None:
     with pytest.raises(ValueError):
         small_config(**{field: value})
+
+
+def test_config_keeps_the_python_ints_it_checked(tmp_path) -> None:
+    counts = dict(horizon=50, reps=2, base_seed=3, checkpoint_count=10)
+    plain = small_config(algo="rucb", **counts)
+    config = small_config(algo="rucb", **{k: np.int64(x) for k, x in counts.items()})
+    assert all(type(getattr(config, name)) is int for name in counts)
+    assert config == plain
+    assert {type(t) for t in config.checkpoints()} == {int}
+    instance = make_instance_for(config.setting, config.v)
+    metas = []
+    for name, cfg in (("plain", plain), ("numpy", config)):
+        traces, summary = run_experiment(cfg)
+        metas.append(write_csv(tmp_path / name, cfg, instance, traces, summary)["meta"].read_bytes())
+    assert metas[0] == metas[1]
 
 
 def test_short_horizons_are_rejected_only_for_the_index_policy() -> None:
@@ -336,7 +363,7 @@ def test_numpy_scalar_parameters_give_the_same_run_in_python_floats(tmp_path) ->
 def test_a_rep_that_is_not_an_integer_is_rejected() -> None:
     config = small_config(algo="rucb", horizon=50)
     instance = make_instance_for(config.setting, config.v)
-    for rep in (1.5, 1.0, "1"):
+    for rep in (1.5, 1.0, "1", True):
         with pytest.raises(ValueError, match="rep must be an integer"):
             run_single(config, rep)
         with pytest.raises(ValueError, match="rep must be an integer"):
@@ -367,11 +394,43 @@ def test_a_worker_count_that_is_not_an_integer_is_rejected_before_a_pool_starts(
         concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(kwargs)
     )
     config = small_config(horizon=50, reps=2)
-    for workers in (2.0, 1.5, "2"):
+    for workers in (2.0, 1.5, "2", True):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_experiment(config, workers=workers)
     assert pools == []
     assert run_experiment(config, workers=np.int64(1)) == run_experiment(config)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, starts no
+    process and maps in this one."""
+
+    def __init__(self, sizes: list, max_workers: int) -> None:
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_a_pool_never_starts_more_workers_than_repetitions(monkeypatch) -> None:
+    # A fork-based pool starts all max_workers processes at its first submit.
+    sizes = []
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(sizes, max_workers),
+    )
+    for reps, workers, pool_size in ((2, 64, 2), (3, 2, 2), (3, 3, 3), (1, 8, None)):
+        config = small_config(algo="rucb", horizon=50, reps=reps)
+        del sizes[:]
+        assert run_experiment(config, workers=workers) == run_experiment(config)
+        assert sizes == ([] if pool_size is None else [pool_size]), (reps, workers)
 
 
 # ----------------------------------------------------------- trace content

@@ -271,7 +271,7 @@ def test_tree_rejects_an_infinite_budget() -> None:
 
 
 def test_tree_rejects_a_capacity_that_is_not_an_integer() -> None:
-    for horizon in (2.9, 8.0, "8"):
+    for horizon in (2.9, 8.0, "8", True):
         with pytest.raises(ValueError, match="horizon must be an integer"):
             AdaptiveTree(horizon, 1.0, noise=zero_source())
     tree = AdaptiveTree(np.int64(3), 1.0, noise=zero_source())

@@ -346,7 +346,7 @@ def test_elimination_policies_reject_an_infinite_budget() -> None:
 def test_elimination_policies_reject_a_horizon_that_is_not_an_integer() -> None:
     # beta defaults to 1 / horizon, which a truncated horizon would not match.
     for cls in (DPRobustSE, LDPRobustSE):
-        for horizon in (300.7, 300.0):
+        for horizon in (300.7, 300.0, True):
             with pytest.raises(ValueError, match="horizon must be an integer"):
                 cls(UNIT, 1.0, horizon, zero_sources(2))
         policy = cls(UNIT, 1.0, np.int64(300), zero_sources(2))
@@ -355,7 +355,7 @@ def test_elimination_policies_reject_a_horizon_that_is_not_an_integer() -> None:
 
 
 def test_dprucb_rejects_a_horizon_that_is_not_an_integer() -> None:
-    for horizon in (10.5, 16.0):
+    for horizon in (10.5, 16.0, True):
         with pytest.raises(ValueError, match="horizon must be an integer"):
             DPRobustUCB(UNIT, 1.0, horizon, zero_sources(2))
     policy = DPRobustUCB(UNIT, 1.0, np.int64(16), zero_sources(2))
@@ -363,7 +363,7 @@ def test_dprucb_rejects_a_horizon_that_is_not_an_integer() -> None:
 
 
 def test_rucb_rejects_an_arm_count_that_is_not_an_integer() -> None:
-    for num_arms in (2.0, 2.5, "2"):
+    for num_arms in (2.0, 2.5, "2", True):
         with pytest.raises(ValueError, match="num_arms must be an integer"):
             RobustUCB(num_arms, UNIT)
     policy = RobustUCB(np.int64(2), UNIT)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from htbandits import (
     private_ucb_radius,
     private_ucb_truncation,
 )
+from htbandits.harness import make_instance_for
+from htbandits.schedules import _as_index
 
 from conftest import schedule_sweep_grid
 
@@ -202,3 +205,74 @@ def test_every_schedule_rejects_a_non_finite_argument(call, value, caplog) -> No
         with pytest.raises(ValueError, match="must be finite"):
             call(value)
     assert caplog.messages == []
+
+
+def test_the_integer_check_takes_python_and_numpy_integers_but_not_bool() -> None:
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert type(_as_index("n", value, 1)) is int
+        assert _as_index("n", value, 1) == 3
+    # operator.index reads a bool as 0 or 1.
+    for value in (True, False, np.True_, 3.0, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            _as_index("n", value)
+    assert _as_index("n", -4) == -4
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        _as_index("n", np.int64(0), 1)
+
+
+# The radius point and the first epoch's confidence: T = 1e5, beta = 1/T.
+ONSET_HORIZON = 10**5
+
+
+def onset_row(setting: str, v: float, eps: float) -> tuple:
+    """dprucb's radius at T=1e5 with every arm at n = T/K pulls, the smallest
+    power of 10 at which that radius falls below half the smallest gap, and
+    the first elimination epoch's total pulls, central and local."""
+    instance = make_instance_for(setting, v)
+    params = MomentParams(u=instance.u, v=instance.v)
+    arms = instance.num_arms
+    half_gap = min(gap for gap in instance.gaps if gap > 0) / 2
+
+    def radius(horizon: int) -> float:
+        return private_ucb_radius(params, eps, horizon, horizon // arms, horizon)
+
+    onset = next(k for k in range(1, 31) if radius(10**k) < half_gap)
+    epochs = (
+        schedule(params, eps, 1 / ONSET_HORIZON, arms, 1).pulls_per_arm * arms
+        for schedule in (central_se_schedule, local_se_schedule)
+    )
+    return (radius(ONSET_HORIZON), 10**onset, *epochs)
+
+
+def test_the_closed_form_onset_table() -> None:
+    # No simulation: where dprucb's radius would resolve each setting's
+    # smallest gap, and how long each elimination policy's first epoch is.
+    table = {
+        (setting, v, eps): onset_row(setting, v, eps)
+        for setting in ("S1", "S3", "two_arm_hard", "k_arm_hard")
+        for v in (0.9, 0.5)
+        for eps in (1.0, 1000.0)
+    }
+    print("\nsetting v eps | radius(T=1e5) onset_T | first epoch: central local")
+    for (setting, v, eps), (radius, onset, central, local) in table.items():
+        print(f"{setting} {v} {eps:g} | {radius:.4g} {onset:.0e} | {central:.3g} {local:.3g}")
+    # The rows recorded in ROADMAP.md's Baseline, at their printed precision:
+    # (radius at eps 1, 1000), (onset at eps 1, 1000), central and local at eps 1.
+    baseline = {
+        ("S1", 0.9): ((63.2, 2.4), (1e13, 1e9), 2.6e6, 3.6e12),
+        ("S1", 0.5): ((130, 13), (1e17, 1e14), 2.5e8, 5.6e15),
+        ("S3", 0.9): ((63.2, 2.4), (1e14, 1e11), 2.6e6, 3.6e12),
+        ("two_arm_hard", 0.9): ((9.43, 0.358), (1e12, 1e8), 4.5e4, 2.7e9),
+        ("k_arm_hard", 0.9): ((14.6, 0.552), (1e12, 1e8), 1.2e5, 7.3e9),
+    }
+    for (setting, v), (radii, onsets, central, local) in baseline.items():
+        rows = [table[setting, v, eps] for eps in (1.0, 1000.0)]
+        for row, radius, onset in zip(rows, radii, onsets):
+            assert f"{row[0]:.3g}" == f"{radius:.3g}", (setting, v)
+            assert row[1] == onset, (setting, v)
+        assert f"{rows[0][2]:.2g}" == f"{central:.2g}", (setting, v)
+        assert f"{rows[0][3]:.2g}" == f"{local:.2g}", (setting, v)
+    # S1 and S3 at v=0.5, eps=1: the local epoch saturates at 2**50 pulls per
+    # arm, and S3's radius resolves its 0.05 gap only at T = 1e19.
+    assert table["S1", 0.5, 1.0][3] == 5 * MAX_EPOCH_PULLS
+    assert table["S3", 0.5, 1.0][1] == 10**19
