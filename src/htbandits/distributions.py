@@ -2,8 +2,9 @@
 
 Models carry their analytic mean and raw absolute moments, so simulators and
 schedules never have to estimate them.  Sampling is inverse-transform
-throughout: each ``sample`` call maps one uniform to one reward, so an arm's
-reward stream consumes exactly one draw per pull.
+throughout: ``samples(uniforms)`` maps each uniform to one reward in one
+comprehension, and ``sample(rng)`` maps one uniform read from ``rng`` through
+it, so an arm's reward stream consumes exactly one draw per pull either way.
 """
 
 import bisect
@@ -87,9 +88,14 @@ class ParetoModel:
             )
         return self.alpha * self.lam**order / (self.alpha - order)
 
+    def samples(self, uniforms) -> list:
+        """The reward of each uniform in [0, 1), in order."""
+        lam, exponent = self.lam, self._exponent
+        return [lam * (1.0 - u) ** exponent for u in uniforms]
+
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one reward using a single uniform from ``rng``."""
-        return self.lam * (1.0 - rng.random()) ** self._exponent
+        return self.samples((rng.random(),))[0]
 
 
 @dataclass(frozen=True, init=False)
@@ -139,13 +145,16 @@ class FiniteSupportModel:
         """Analytic ``E|X|**order``."""
         return math.fsum(p * abs(x) ** order for x, p in zip(self.values, self.probs))
 
+    def samples(self, uniforms) -> list:
+        """The reward of each uniform ``U``: the first atom whose cumulative
+        probability exceeds ``U`` (the last atom if rounding leaves none)."""
+        # bisect_right returns len(values) at most: that index reads the last atom.
+        atoms, cum, bisect_right = self.values + self.values[-1:], self._cum, bisect.bisect_right
+        return [atoms[bisect_right(cum, u)] for u in uniforms]
+
     def sample(self, rng: np.random.Generator) -> float:
-        """Draw one reward: first atom whose cumulative probability exceeds U."""
-        u = rng.random()
-        idx = bisect.bisect_right(self._cum, u)
-        if idx >= len(self.values):
-            idx = len(self.values) - 1
-        return self.values[idx]
+        """Draw one reward using a single uniform from ``rng``."""
+        return self.samples((rng.random(),))[0]
 
 
 def moment_bound(model, v: float) -> float:

@@ -8,14 +8,19 @@ realized reward differences.
 
 Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
 derives its generator on the first read, draws uniforms in blocks and hands
-them out one at a time.  Rewards (``model.sample``) and noise
-(``NoiseSource.draw``) still map one uniform per call.  The values are
-unchanged: a stream's doubles depend only on its key, ``Generator.random(n)``
-returns exactly the doubles of ``n`` scalar calls, and each stream has a
-single consumer, so deriving late and drawing ahead change only when the
-generator advances, never what a consumer reads.  A stream that is never read
-(the noise of an arm that is never released, the rewards of an arm that is
-never pulled) is never derived.
+them out one or ``k`` at a time.  ``run_single`` hands each arm's rewards to
+the policy as blocks: ``model.samples`` maps a block of the arm's uniforms in
+one pass.  The private index policy takes them a block of pulls at a time and
+computes those pulls ahead, the tree noise included (``NoiseSource`` maps its
+uniforms in blocks too); the other policies take them one per round.  The
+values are unchanged: a stream's doubles depend only on its key,
+``Generator.random(n)`` returns exactly the doubles of ``n`` scalar calls,
+and each stream has a single consumer, so deriving late and drawing ahead
+change only when the generator advances, never what a consumer reads.  A pull
+is recorded only when its round plays it, and once the rounds end the policy
+takes back what it computed ahead, so it holds the played state only.  A
+stream that is never read (the noise of an arm that is never released, the
+rewards of an arm that is never pulled) is never derived.
 
 ``write_csv`` builds each output file as one string and writes it in one
 call; the CSV files hold the bytes ``csv.writer`` would write.
@@ -214,6 +219,16 @@ def _streams(config: ExperimentConfig, rep: int, num_arms: int, purpose: int) ->
     ]
 
 
+def _take_rewards(model, stream):
+    """``take(k)``: the arm's next ``k`` rewards, mapped from ``k`` uniforms of its stream."""
+    samples, uniforms = model.samples, stream.random
+
+    def take(k: int) -> list:
+        return samples(uniforms(k))
+
+    return take
+
+
 def make_policy(
     config: ExperimentConfig,
     instance: BanditInstance,
@@ -258,8 +273,11 @@ def run_single(
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
     policy = make_policy(config, instance, rep, ledger=ledger)
-    reward_rngs = _streams(config, rep, instance.num_arms, REWARDS)
-    samplers = [model.sample for model in instance.arms]
+    streams = _streams(config, rep, instance.num_arms, REWARDS)
+    rewards = policy._arm_rewards(
+        [_take_rewards(model, stream) for model, stream in zip(instance.arms, streams)],
+        config.horizon,
+    )
     gaps = instance.gaps
     counts = [0] * instance.num_arms
     cps = config.checkpoints()
@@ -270,13 +288,16 @@ def run_single(
     # policy core: the _select and _play that select_arm and observe call.
     select = policy._select
     play = policy._play
-    for t in range(1, config.horizon + 1):
-        arm = select(t)
-        play(t, arm, samplers[arm](reward_rngs[arm]))
-        counts[arm] += 1
-        if t == next_cp:
-            values.append(math.fsum(map(operator.mul, gaps, counts)))
-            next_cp = next(cp_iter, None)
+    try:
+        for t in range(1, config.horizon + 1):
+            arm = select(t)
+            play(t, arm, next(rewards[arm]))
+            counts[arm] += 1
+            if t == next_cp:
+                values.append(math.fsum(map(operator.mul, gaps, counts)))
+                next_cp = next(cp_iter, None)
+    finally:
+        policy._drop_lookahead()
     trace = RegretTrace(rep=rep, checkpoints=tuple(zip(cps, values)))
     if return_policy:
         return trace, policy

@@ -13,7 +13,9 @@ elimination release and the local per-reward perturbation.  Every draw passes
 the same three parameters its scale rests on, a sensitivity bound, a budget
 and a count, and the ledger records each draw as one row ``(site, scale,
 bound, eps, count)``; a draw at any other site is rejected when it is
-recorded.  The ledger keeps its draws and insertions in two
+recorded.  A draw is recorded when its value is used: the tree draws a block
+of values ahead for the private index policy and records each as the policy
+plays it.  The ledger keeps its draws and insertions in two
 :class:`RecordTable`, typed arrays by column, about 57 bytes per round of an
 audited index run.  The columns are the record: the audit reads them, and no
 record object is built.  The policies' transcripts are stored by column too.
@@ -69,6 +71,24 @@ _log = math.log
 _INF = math.inf
 
 
+def _laplace(uniforms, scales) -> list:
+    """The Laplace variate of each uniform in [0, 1) at its scale; unchecked.
+
+    Inverse CDF: negative branch ``scale*ln(2u)`` for ``u < 1/2``, positive
+    branch ``-scale*ln(2(1-u))`` otherwise, so ``u = 1/2`` maps to 0.
+    """
+    log, low = _log, _MIN_UNIFORM
+    values = []
+    i = 0
+    for u in uniforms:
+        scale = scales[i]
+        i += 1
+        values.append(
+            scale * log(2.0 * (u if u >= low else low)) if u < 0.5 else -scale * log(2.0 * (1.0 - u))
+        )
+    return values
+
+
 def laplace_from_uniform(u: float, scale: float) -> float:
     """Map one uniform ``u`` in [0, 1) to a Laplace(0, scale) variate.
 
@@ -80,9 +100,7 @@ def laplace_from_uniform(u: float, scale: float) -> float:
         raise ValueError(f"u must lie in [0, 1), got {u}")
     if not 0.0 <= scale < _INF:  # NaN fails too
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
-    if u < 0.5:
-        return scale * _log(2.0 * (u if u >= _MIN_UNIFORM else _MIN_UNIFORM))
-    return -scale * _log(2.0 * (1.0 - u))
+    return _laplace((u,), (scale,))[0]
 
 
 class NoiseHook(enum.Enum):
@@ -225,13 +243,20 @@ class NoiseSource:
     :class:`NoiseHook` member (anything else raises ``ValueError``), sets once
     whether a draw reads a uniform for Laplace noise or returns a constant.
 
+    :meth:`draw` checks, records and draws one value.  A mechanism that
+    computes its draws ahead of their use, as the tree does for the private
+    index policy, splits this: ``_values`` draws the values of a block of
+    checked scales, reading one uniform per value, and ``_record`` counts and
+    records each draw when the value is used.  ``_unread`` hands the uniforms
+    of the latest block's last values, never used, back to the stream.
+
     Parameters
     ----------
-    rng : object with a scalar ``random()``, or None
+    rng : object with ``random()`` and ``random(k)``, or None
         Stream for real draws, read one uniform per draw: a
         ``numpy.random.Generator`` or a :class:`~htbandits.seeding.BlockStream`
-        over one.  May be None for the ZERO/UNIT hooks, which consume no
-        randomness.
+        over one (only a ``BlockStream`` can take uniforms back).  May be None
+        for the ZERO/UNIT hooks, which consume no randomness.
     hook : NoiseHook
         LAPLACE for real noise; ZERO returns 0.0 and UNIT returns 1.0
         (test hooks, no privacy guarantee).
@@ -239,7 +264,7 @@ class NoiseSource:
         Destination for draw records; None disables recording.
     """
 
-    __slots__ = ("rng", "hook", "ledger", "draws_made", "_value")
+    __slots__ = ("rng", "hook", "ledger", "draws_made", "_value", "_read")
 
     def __init__(self, rng=None, hook: NoiseHook = NoiseHook.LAPLACE, ledger=None):
         if not isinstance(hook, NoiseHook):
@@ -251,6 +276,7 @@ class NoiseSource:
         self.ledger = ledger
         self.draws_made = 0
         self._value = _HOOK_VALUE[hook]
+        self._read = ()  # the uniforms of the latest _values call
 
     def draw(self, scale: float, site: str, bound: float, eps: float, count: int) -> float:
         """Draw one value at ``scale`` for the draw site ``site``.
@@ -267,14 +293,35 @@ class NoiseSource:
         """
         if not 0.0 <= scale < _INF:  # NaN fails too
             raise ValueError(f"scale must be finite and non-negative, got {scale}")
+        self._record(scale, site, bound, eps, count)
+        return self._values((scale,))[0]
+
+    def _record(self, scale: float, site: str, bound: float, eps: float, count: int) -> None:
+        """Count one draw and record it in the ledger, which may reject it first."""
         ledger = self.ledger
         if ledger is not None:
             ledger.record_draw(site, scale, bound, eps, count)
         self.draws_made += 1
+
+    def _values(self, scales) -> list:
+        """The value of one draw at each scale, which must be checked already.
+
+        Reads one uniform per value under LAPLACE, and counts and records
+        nothing.
+        """
         value = self._value
-        if value is None:
-            value = laplace_from_uniform(self.rng.random(), scale)
-        return value
+        if value is not None:
+            return [value] * len(scales)
+        rng = self.rng
+        uniforms = [rng.random()] if len(scales) == 1 else rng.random(len(scales))
+        self._read = uniforms
+        return _laplace(uniforms, scales)
+
+    def _unread(self, count: int) -> None:
+        """Hand the uniforms of the latest ``_values`` call's last ``count`` values back."""
+        read, self._read = self._read, ()
+        if count and self._value is None:
+            self.rng.unread(read[len(read) - count :])
 
 
 class AdaptiveTree:
@@ -295,6 +342,15 @@ class AdaptiveTree:
     plus the new noisy sum, so a release costs one add, not one per set bit.
     Which adds are made is post-processing of the same noisy sums, each drawn
     once, so the privacy guarantee is unchanged.
+
+    :meth:`insert` checks, records, draws and adds one value.  A caller that
+    knows its next values, as the private index policy does, can insert a
+    block ahead of the values' use (``_insert_ahead``): the same checks
+    (``_scales``), one pass of draws (``NoiseSource._values``) and the same
+    arithmetic (``_advance``), but nothing counted or recorded until
+    ``_record`` records each value when it is used.  ``_drop_unused`` takes
+    back the block's unused values: it puts the tree back in the state after
+    the used ones and hands the unused draws' uniforms back to the stream.
 
     Bounds supplied with the values must be finite, positive and
     non-decreasing, and each value's magnitude must not exceed its bound.
@@ -334,6 +390,7 @@ class AdaptiveTree:
         "_noisy_stack",
         "_t",
         "_last_bound",
+        "_before_block",
     )
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource, owner: int | None = None):
@@ -357,6 +414,8 @@ class AdaptiveTree:
         self._noisy_stack: list = []
         self._t = 0
         self._last_bound = 0.0
+        # The state before the latest block inserted ahead, and the block.
+        self._before_block = None
 
     @property
     def t(self) -> int:
@@ -375,47 +434,134 @@ class AdaptiveTree:
         A value or bound that fails a check changes nothing: the checks run
         before the noise draw and before any state changes.
         """
-        t = self._t + 1
-        if t > self.horizon:
-            raise ValueError(f"tree is full: capacity {self.horizon}")
-        if not 0.0 < bound < _INF:  # NaN fails too
-            raise ValueError(f"bound must be positive and finite, got {bound}")
-        if bound < self._last_bound:
-            raise ValueError(
-                f"bounds must be non-decreasing: {bound} after {self._last_bound}"
-            )
-        if not abs(value) <= bound:  # NaN fails too
-            raise ValueError(f"|value| = {abs(value)} exceeds bound {bound}")
-        eta = self._noise.draw(
-            2.0 * bound / self._eps_prime, TREE_SITE, bound, self.eps, self.horizon
-        )
-        self._t = t
-        self._last_bound = bound
-        stack = self._noisy_stack
-        if t & 1:
-            # Level 0 merges no lower level: the sum is 0.0 + value, which,
-            # as in the loop below, turns -0.0 into 0.0.
-            level = 0
-            finalized = 0.0 + value
-        else:
-            level = (t & -t).bit_length() - 1
-            psums = self._psums
-            acc = 0.0
-            for j in range(level):
-                acc += psums[j]
-                psums[j] = 0.0
-            finalized = acc + value
-            # Levels 0 .. level-1 are the lowest set bits of t - 1, on top of
-            # the stack; they merge into the new sum at `level`.
-            del stack[-level:]
-        self._psums[level] = finalized
-        # The sums of the higher set bits are on the stack already: one add
-        # releases the new running sum (from 0.0 when `level` is t's only bit).
-        est = (stack[-1] if stack else 0.0) + (finalized + eta)
-        stack.append(est)
+        (scale,) = self._scales((value,), (bound,))
+        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
+        (est,) = self._advance((value,), (bound,), self._noise._values((scale,)))
         if self._ledger is not None:
             self._ledger.record_insertion(self._mech, self.owner, value, bound)
         return est
+
+    def _insert_ahead(self, values, bounds) -> tuple:
+        """Insert a block of values before their uses: ``(scales, releases)``.
+
+        Each value is checked, drawn for and added as :meth:`insert` does,
+        but no draw or insertion is counted or recorded: :meth:`_record` does
+        that for each value when it is used, in order.  The block stops
+        before the first value that fails a check, so the next block raises
+        on it; a block whose first value fails raises at once and changes
+        nothing.  :meth:`_drop_unused` takes back the block's last values
+        if they are never used.
+        """
+        scales = self._scales(values, bounds)
+        etas = self._noise._values(scales)
+        self._before_block = (
+            self._t, self._last_bound, self._psums[:], self._noisy_stack[:],
+            values, bounds, etas,
+        )
+        return scales, self._advance(values, bounds, etas)
+
+    def _record(self, value: float, bound: float, scale: float) -> None:
+        """Count and record the draw and the insertion of a value inserted ahead."""
+        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
+        if self._ledger is not None:
+            self._ledger.record_insertion(self._mech, self.owner, value, bound)
+
+    def _drop_unused(self, unused: int) -> None:
+        """Take back the last ``unused`` values of the latest block inserted ahead.
+
+        The tree returns to its state after the block's used values, by
+        adding them again to the state before the block, and the noise
+        source's stream hands the dropped draws' uniforms out again.  Either
+        way the tree forgets the block.
+        """
+        before, self._before_block = self._before_block, None
+        if unused:
+            t, last_bound, psums, stack, values, bounds, etas = before
+            self._t, self._last_bound, self._psums, self._noisy_stack = t, last_bound, psums, stack
+            used = len(etas) - unused
+            self._advance(values[:used], bounds[:used], etas[:used])
+        self._noise._unread(unused)
+
+    def _scales(self, values, bounds) -> list:
+        """Check each value and bound in order and return each draw's noise scale.
+
+        A value passes when its insertion fits the capacity, its bound is
+        positive, finite and no less than the bound before, its magnitude
+        is at most its bound and its noise scale is finite.  The block stops
+        before the first value that fails; if that is the first value,
+        ``ValueError`` names the first check it fails, in that order.
+        """
+        last, eps_prime, inf = self._last_bound, self._eps_prime, _INF
+        room = self.horizon - self._t
+        if len(values) > room:
+            values = values[:room]
+        scales = []
+        if 0.0 < bounds[0]:  # and so is every later bound that passes
+            i = 0
+            for value in values:
+                bound = bounds[i]
+                scale = 2.0 * bound / eps_prime
+                if not (last <= bound and abs(value) <= bound and scale < inf):
+                    break  # NaN fails too
+                scales.append(scale)
+                last = bound
+                i += 1
+        if scales:
+            return scales
+        value = values[0] if values else 0.0
+        bound = bounds[0]
+        if not room:
+            problem = f"tree is full: capacity {self.horizon}"
+        elif not 0.0 < bound < _INF:
+            problem = f"bound must be positive and finite, got {bound}"
+        elif bound < self._last_bound:
+            problem = f"bounds must be non-decreasing: {bound} after {self._last_bound}"
+        elif not abs(value) <= bound:
+            problem = f"|value| = {abs(value)} exceeds bound {bound}"
+        else:
+            problem = f"scale must be finite and non-negative, got {2.0 * bound / eps_prime}"
+        raise ValueError(problem)
+
+    def _advance(self, values, bounds, etas) -> list:
+        """Add each value with its noise draw; return the release after each."""
+        t = self._t
+        psums = self._psums
+        stack = self._noisy_stack
+        # The top of the stack: the running sum of the noisy sums at the set bits
+        # of t, from the highest level down, which the next release adds to.
+        top = stack[-1] if stack else 0.0
+        releases = []
+        for i in range(len(etas)):
+            t += 1
+            if t & 1:
+                # Level 0 merges no lower level: the sum is 0.0 + value, which,
+                # as in the merges below, turns -0.0 into 0.0.
+                finalized = psums[0] = 0.0 + values[i]
+            else:
+                # Levels 0 .. level-1 are the lowest set bits of t - 1, on top
+                # of the stack; they merge, lowest first, into the new sum at
+                # `level`, and their running sums leave the stack.
+                if t & 2:
+                    finalized = psums[1] = (0.0 + psums[0]) + values[i]
+                    psums[0] = 0.0
+                    stack.pop()
+                else:
+                    level = (t & -t).bit_length() - 1
+                    acc = 0.0
+                    for j in range(level):
+                        acc += psums[j]
+                        psums[j] = 0.0
+                    finalized = psums[level] = acc + values[i]
+                    del stack[-level:]
+                top = stack[-1] if stack else 0.0
+            # One add releases the new running sum: top + (finalized + eta).
+            top += finalized + etas[i]
+            stack.append(top)
+            releases.append(top)
+        if releases:
+            self._t = t
+            self._last_bound = bounds[len(releases) - 1]
+        return releases
 
 
 def tree_noise_bound(bound: float, eps: float, horizon: float, delta: float) -> float:

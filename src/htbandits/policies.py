@@ -8,7 +8,9 @@ policy and keeps the contract itself, so it drives the policy core: ``_select(t)
 and then ``_play(t, ...)``, which passes the round to ``_observe``, checks the
 truncated reward and only then sets the round and records it.  ``observe``
 checks the contract and then calls ``_play`` too, so a round has one path on
-both routes.  Each observed round is recorded in ``transcript``, a list-like
+both routes.  ``run_single`` reads each arm's rewards in blocks through
+``_arm_rewards``; the private index policy computes each block's pulls ahead
+(``_fill``) and takes back, in ``_drop_lookahead``, those no round played.  Each observed round is recorded in ``transcript``, a list-like
 view of :class:`TranscriptEntry` stored by column at 13 bytes per round: the
 arm, the reward and a kept flag of each round, plus the first committed
 round.  A policy truncates a reward to itself or to ``0.0``, so the flag and
@@ -143,6 +145,10 @@ class _Transcript(RecordTable):
     __hash__ = None
 
 
+# The block of an arm with no pulls computed ahead.
+_NO_BLOCK = ((), (), (), (), ())
+
+
 # Takes the pending arm's place once a round failed in observe; no arm equals
 # it, so every later select_arm or observe reaches an error branch.
 _FAILED = object()
@@ -220,6 +226,37 @@ class _PolicyBase:
         rewards.append(reward)
         flags.append(kept is reward)
 
+    def _arm_rewards(self, takes: list, horizon: int) -> list:
+        """Per arm, the iterator ``run_single`` reads each round's reward from.
+
+        ``takes[arm](k)`` returns the arm's next ``k`` rewards in pull order.
+        An arm's rewards are taken a block at a time: the first block is one
+        reward and each later one doubles, up to ``_MAX_BLOCK``, but no block
+        covers more pulls than there are rounds left of ``horizon``.  Each
+        block goes to :meth:`_fill` before its first reward is read.
+        ``run_single`` calls :meth:`_drop_lookahead` once the rounds end.
+        """
+        return [self._in_blocks(arm, take, horizon) for arm, take in enumerate(takes)]
+
+    def _in_blocks(self, arm: int, take, horizon: int):
+        size = 1
+        while True:
+            # Round rounds_played + 1 is under way.
+            rewards = take(min(size, horizon - self._round))
+            self._fill(arm, rewards)
+            size = min(2 * size, _MAX_BLOCK)
+            yield from rewards
+
+    def _fill(self, arm: int, rewards: list):
+        """Compute the arm's next pulls, one per reward, ahead of their rounds.
+
+        The private index policy does; the others take each reward as its
+        round plays it.
+        """
+
+    def _drop_lookahead(self) -> None:
+        """Undo what was computed ahead of the played rounds; most policies compute none."""
+
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
             raise RuntimeError(
@@ -256,6 +293,11 @@ _MEMO_TABLES = 16
 # A table that misses grows this many entries past the one asked for, so it
 # grows once per 256 rounds or pulls rather than once per round.
 _FILL_AHEAD = 256
+# run_single hands each arm's rewards to a policy in blocks, and the private
+# index policy computes each block's pulls ahead: the first block is one pull,
+# as a pull computed and never played costs a pull's work, and each later one
+# doubles, up to this many.
+_MAX_BLOCK = 256
 
 
 # The three tabled schedules over a range of rounds or pull counts, each the
@@ -301,6 +343,21 @@ class _Schedule(array):
 
     # array's own copy methods would drop _fill; copy through __reduce_ex__.
     __copy__ = __deepcopy__ = None
+
+    def entries(self, start: int, stop: int) -> list:
+        """Entries ``start`` to ``stop - 1`` (from 1): read from the table below
+        ``_TABLE_CAP``, which grows to them, and evaluated past it."""
+        if stop <= len(self):
+            return self[start:stop].tolist()
+        inside = min(stop, _TABLE_CAP)
+        values = []
+        if start < inside:
+            if len(self) < inside:
+                self.grow(inside - 1)
+            values = self[start:inside].tolist()
+        if stop > _TABLE_CAP:
+            values += self._fill(*self.constants, range(max(start, _TABLE_CAP), stop))
+        return values
 
     def grow(self, i: int) -> float:
         """Entry ``i < _TABLE_CAP``, after growing the table ``_FILL_AHEAD`` past ``i``."""
@@ -412,6 +469,22 @@ class DPRobustUCB(_IndexPolicy):
     ``(m, k, L) = (2, 4, ln(horizon) ** (1.5 + 1/v))`` and
     ``w_a = (n_a * eps) ** -exp``.
 
+    An arm's ``n``-th pull (its reward, kept reward, tree noise, release,
+    mean and ``w``) depends only on the arm's streams and ``n``, so the
+    policy computes each arm's pulls ahead in blocks, one pass per step over
+    the block (``_fill``): under ``run_single`` the first block of an arm is
+    one pull and each later one doubles, up to ``_MAX_BLOCK`` = 256, never
+    covering more pulls than rounds are left; ``observe`` fills a block of the
+    one reward it is given.  Every pull is checked as ``AdaptiveTree.insert``
+    checks a value, and the block stops before a pull that fails, so the
+    error comes in the round that plays it.  A pull is recorded only when
+    its round plays it: its transcript row, its draw and insertion rows in
+    the ledger and its source's draw count.  When ``run_single`` ends, each
+    tree takes back the pulls computed and never played, and their noise
+    uniforms go back to the arm's stream, so the policy holds the state of
+    the played rounds only and plays on as if nothing had been computed
+    ahead.
+
     Parameters
     ----------
     params : MomentParams
@@ -451,26 +524,58 @@ class DPRobustUCB(_IndexPolicy):
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
         ]
+        # Per arm, the latest block of pulls computed ahead, by column (kept
+        # reward, noise scale, truncation level, release, w), and how many of
+        # its pulls were played.
+        self._blocks = [_NO_BLOCK] * self.num_arms
+        self._played = [0] * self.num_arms
 
     def _observe(self, t: int, arm: int, reward: float) -> float:
+        i = self._played[arm]
+        kept, scales, bounds, releases, weights = self._blocks[arm]
+        if i == len(kept):  # observe's route: a block of the one reward
+            kept, scales, bounds, releases, weights = self._fill(arm, [reward])
+            i = 0
+        value = kept[i]
+        self._played[arm] = i + 1
+        self._trees[arm]._record(value, bounds[i], scales[i])
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        if n < _TABLE_CAP:
-            try:
-                bound = self._bounds[n]
-                weight = self._pull_weights[n]
-            except IndexError:
-                bound = self._bounds.grow(n)
-                weight = self._pull_weights.grow(n)
-        else:
-            eps_u, log_pow, exp = self._bounds.constants
-            bound = (eps_u * n / log_pow) ** exp
-            eps, neg_exp = self._pull_weights.constants
-            weight = (n * eps) ** neg_exp
-        kept = reward if abs(reward) <= bound else 0.0
-        self._means[arm] = self._trees[arm].insert(kept, bound) / n
-        self._weights[arm] = weight
-        return kept
+        self._means[arm] = releases[i] / n
+        self._weights[arm] = weights[i]
+        return value
+
+    def _fill(self, arm: int, rewards: list) -> tuple:
+        """Compute the arm's next pulls, one per reward, ahead of their rounds.
+
+        Each reward is truncated at the tabled level for its pull count and
+        inserted into the arm's tree, which checks it and draws its noise.
+        ``_observe`` records each pull and sets the arm's mean (release /
+        pulls) and ``w`` when the pull's round plays it.  The tree may stop
+        the block early, before a pull that fails a check; ``rewards`` is cut
+        to the pulls computed.  Returns the block.
+        """
+        n = self._counts[arm]
+        stop = n + len(rewards) + 1
+        bounds = self._bounds.entries(n + 1, stop)
+        kept = []
+        i = 0
+        for reward in rewards:
+            kept.append(reward if abs(reward) <= bounds[i] else 0.0)
+            i += 1
+        scales, releases = self._trees[arm]._insert_ahead(kept, bounds)
+        if len(releases) < len(rewards):
+            del rewards[len(releases) :], kept[len(releases) :]
+        weights = self._pull_weights.entries(n + 1, stop)
+        block = self._blocks[arm] = (kept, scales, bounds, releases, weights)
+        self._played[arm] = 0
+        return block
+
+    def _drop_lookahead(self) -> None:
+        for arm, tree in enumerate(self._trees):
+            tree._drop_unused(len(self._blocks[arm][0]) - self._played[arm])
+            self._blocks[arm] = _NO_BLOCK
+            self._played[arm] = 0
 
 
 class _EliminationPolicy(_PolicyBase):

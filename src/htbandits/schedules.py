@@ -125,9 +125,11 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
-def _check_count(name: str, value: int) -> None:
+def _check_count(name: str, value: int) -> int:
+    """``value`` as an int: finite and at least 1, then an integer (numpy's included, bool not)."""
     if not 1 <= value < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite and >= 1, got {value}")
+    return _as_index(name, value, 1)
 
 
 def _check_above_one(name: str, value: float) -> None:
@@ -144,7 +146,7 @@ def private_ucb_truncation(
     """
     _check_eps(eps)
     _check_above_one("horizon", horizon)
-    _check_count("n", n)
+    n = _check_count("n", n)
     return (eps * params.u * n / math.log(horizon) ** 1.5) ** (1.0 / (1.0 + params.v))
 
 
@@ -159,8 +161,8 @@ def private_ucb_radius(
     """
     _check_eps(eps)
     _check_above_one("horizon", horizon)
-    _check_count("n", n)
-    _check_count("t", t)
+    n = _check_count("n", n)
+    t = _check_count("t", t)
     v = params.v
     exp = v / (1.0 + v)
     # C(t) * w: the per-round factor, then the per-arm factor.
@@ -174,7 +176,7 @@ def nonprivate_ucb_threshold(params: MomentParams, n: int, t: float) -> float:
 
     ``(u * n / ln(t**2)) ** (1/(1+v))``; requires ``t > 1``.
     """
-    _check_count("n", n)
+    n = _check_count("n", n)
     _check_above_one("t", t)
     return (params.u * n / math.log(t**2)) ** (1.0 / (1.0 + params.v))
 
@@ -186,7 +188,7 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
     ``4 * u**(1/(1+v)) * (ln(t**2) / n) ** (v/(1+v))``.  Used for qualitative
     comparison runs only.
     """
-    _check_count("n", n)
+    n = _check_count("n", n)
     _check_above_one("t", t)
     v = params.v
     exp = v / (1.0 + v)
@@ -195,10 +197,9 @@ def nonprivate_ucb_radius(params: MomentParams, n: int, t: float) -> float:
     return per_round * n**-exp
 
 
-def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> None:
+def _check_epoch_args(beta: float, num_viable: int, epoch: int) -> tuple:
     _check_beta(beta)
-    _check_count("num_viable", num_viable)
-    _check_count("epoch", epoch)
+    return _check_count("num_viable", num_viable), _check_count("epoch", epoch)
 
 
 def _clamp_pulls(raw: float, label: str) -> tuple:
@@ -227,7 +228,7 @@ def central_se_schedule(
       satisfies ``u / B**v == err`` for any ``R``.
     """
     _check_eps(eps)
-    _check_epoch_args(beta, num_viable, epoch)
+    num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
     u, v = params.u, params.v
     gap = 2.0 ** -epoch
     log_term = math.log(4.0 * num_viable * epoch**2 / beta)
@@ -266,7 +267,7 @@ def local_se_schedule(
       which satisfies ``u / B**v == err`` for any ``R``.
     """
     _check_eps(eps)
-    _check_epoch_args(beta, num_viable, epoch)
+    num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
     u, v = params.u, params.v
     gap = 4.0 ** -epoch
     log_term = math.log(8.0 * num_viable * epoch**2 / beta)

@@ -6,7 +6,8 @@ statistically independent, and adding a new consumer never shifts the draws
 seen by existing ones.  Philox is counter-based, so the mapping from key to
 stream is stable across processes and platforms.  :class:`BlockStream` derives
 a stream on its first read and draws it ahead in blocks, kept packed as
-doubles, without changing the values it yields.
+doubles, without changing the values it yields; it hands them out one at a
+time or ``k`` at a time.
 """
 
 import operator
@@ -73,15 +74,17 @@ def derive_stream(
 
 
 class BlockStream:
-    """Scalar ``random()`` of one generator, drawn ahead in blocks.
+    """``random()`` of one generator, drawn ahead in blocks.
 
     The generator is made by ``factory`` on the first read, so a stream that
-    is never read costs nothing.  The ``i``-th call returns exactly the
-    ``i``-th double that scalar ``random()`` calls on ``factory()`` would
-    return, at a fraction of their per-call cost.  The generator runs up to
-    one block ahead of the reader; since only this object ever holds it, it
-    has no other consumer.  The block is kept packed, 8 bytes a double in an
-    ``array('d')``, and each read builds one float.
+    is never read costs nothing.  ``random()`` returns one double and
+    ``random(k)`` the next ``k`` as a list; either way the ``i``-th
+    double read is exactly the ``i``-th double that scalar ``random()`` calls
+    on ``factory()`` would return, at a fraction of their per-call cost.
+    :meth:`unread` hands doubles back, to be read again first.  The generator
+    runs up to one block ahead of the reader; since only this object ever
+    holds it, it has no other consumer.  The block is kept packed, 8 bytes a
+    double in an ``array('d')``.
 
     Parameters
     ----------
@@ -98,16 +101,34 @@ class BlockStream:
         self._ahead = array("d")  # drawn but unread, the next one last
         self._next_size = _FIRST_BLOCK
 
-    def random(self) -> float:
-        """Next uniform double in [0, 1)."""
-        try:
-            return self._ahead.pop()
-        except IndexError:
-            if self._rng is None:
-                self._rng = self._factory()
-                self._factory = None
-            size = self._next_size
-            self._next_size = min(2 * size, BLOCK_CAP)
-            block = array("d", self._rng.random(size)[::-1].tobytes())
-            self._ahead = block
-            return block.pop()
+    def random(self, size=None):
+        """The next uniform double in [0, 1), or with ``size`` the next ``size`` of them."""
+        ahead = self._ahead
+        if size is None:
+            try:
+                return ahead.pop()
+            except IndexError:
+                return self._draw_ahead(1).pop()
+        cut = len(ahead) - size
+        if cut < 0:
+            ahead = self._draw_ahead(-cut)
+            cut = len(ahead) - size
+        block = ahead[: cut - 1 if cut else None : -1].tolist()
+        del ahead[cut:]
+        return block
+
+    def unread(self, values) -> None:
+        """Hand ``values``, the latest doubles read, out again, first to last."""
+        self._ahead.extend(reversed(values))
+
+    def _draw_ahead(self, needed: int) -> array:
+        """Draw at least ``needed`` more doubles behind the unread ones."""
+        if self._rng is None:
+            self._rng = self._factory()
+            self._factory = None
+        size = self._next_size
+        self._next_size = min(2 * size, BLOCK_CAP)
+        block = array("d", self._rng.random(max(size, needed))[::-1].tobytes())
+        block += self._ahead
+        self._ahead = block
+        return block

@@ -7,11 +7,14 @@ import pytest
 from htbandits import (
     DPRobustSE,
     DPRobustUCB,
+    ExperimentConfig,
     LDPRobustSE,
     MomentParams,
     NoiseSource,
     PrivacyLedger,
     audit_run,
+    harness,
+    run_single,
 )
 from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
 from htbandits.seeding import (
@@ -25,10 +28,17 @@ from conftest import constant_samplers, drive
 
 
 class HalvingSource(NoiseSource):
-    """Fault injection: draws (and records) at half the requested scale."""
+    """Fault injection: draws (and records) at half the requested scale.
 
-    def draw(self, scale, site, bound, eps, count):
-        return super().draw(scale * 0.5, site, bound, eps, count)
+    ``draw`` records and draws through these two methods, and the tree calls
+    them apart for the pulls it computes ahead.
+    """
+
+    def _record(self, scale, site, bound, eps, count):
+        super()._record(scale * 0.5, site, bound, eps, count)
+
+    def _values(self, scales):
+        return super()._values([scale * 0.5 for scale in scales])
 
 
 def sources(n: int, purpose: int, ledger, cls=NoiseSource) -> list:
@@ -70,7 +80,23 @@ def clean_ldprse(ledger, cls=NoiseSource) -> None:
     drive(policy, constant_samplers([0.2, 0.02]), 6400)
 
 
-@pytest.mark.parametrize("run", [clean_dprucb, clean_dprse, clean_ldprse])
+def run_single_dprucb(ledger, cls=NoiseSource) -> None:
+    """A ``run_single`` repetition of dprucb, whose policy computes pulls ahead.
+
+    ``make_policy`` builds each arm's source as ``cls``.
+    """
+    config = ExperimentConfig(
+        algo="dprucb", setting="S1", v=0.9, eps=1.0, horizon=500, reps=1, base_seed=0
+    )
+    real = harness.NoiseSource
+    harness.NoiseSource = cls
+    try:
+        run_single(config, 0, ledger=ledger)
+    finally:
+        harness.NoiseSource = real
+
+
+@pytest.mark.parametrize("run", [clean_dprucb, clean_dprse, clean_ldprse, run_single_dprucb])
 def test_clean_runs_pass_the_audit(run) -> None:
     ledger = PrivacyLedger()
     run(ledger)
@@ -84,6 +110,7 @@ def test_clean_runs_pass_the_audit(run) -> None:
         (clean_dprucb, TREE_SITE),
         (clean_dprse, SE_RELEASE_SITE),
         (clean_ldprse, LOCAL_REWARD_SITE),
+        (run_single_dprucb, TREE_SITE),
     ],
 )
 def test_halved_noise_scale_is_flagged_at_its_site(run, site) -> None:

@@ -13,7 +13,11 @@ run through the process pool.
 That digest hashes regret, which pull counts determine, so it cannot see a
 change in the last bits of a reward, a noise scale or a release.  The value
 digests hash every transcript and ledger column by ``float.hex`` on the
-transcript test's cells, and are gated the same way.
+transcript test's cells, and are gated the same way.  No column stores a tree
+release or a noise value, so the release digests hash the private index
+policy's per-arm means (noisy sum / pulls) as each round's selection reads
+them, on three cells: one audited, one whose arms pass the schedule tables'
+cap of 2**17 pulls, and the benchmark's 1e5-round cell.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import product
 from htbandits import (
     ALGORITHMS,
     SETTINGS,
+    DPRobustUCB,
     ExperimentConfig,
     PrivacyLedger,
     make_instance_for,
@@ -117,3 +122,50 @@ def test_run_values_match_the_recorded_digests() -> None:
         digests[algo, setting] = value_digest(config_for(algo, setting, eps, horizon))
         print(f"value digest {algo} {setting} eps={eps:g} T={horizon}: {digests[algo, setting]}")
     assert digests == VALUE_SHA256
+
+
+# (setting, eps, horizon, seed, audited): the release digest of rep 0.  The
+# first is test_transcript.CASES' dprucb cell; on the second both arms pass
+# 2**17 pulls (152,406 and 147,594).
+RELEASE_CELLS = {
+    ("S1", 1.0, 2000, SEED, True): "bc03eb93a121c87017873eb04c78bbcdeb7e28b1ff799e381e12d687c5af62c2",
+    ("two_arm_hard", 1.0, 300_000, SEED, False): (
+        "6640815bc33fd84b6d8f18646dbbdccedafa544630a7efa77de6c3f7f32ff0b1"
+    ),
+    ("S1", 1.0, 100_000, SEED, False): (
+        "3ca09643fa80b43a2b1f6c18ee87fcefb47c31ce02e804338d39dece059dd0ab"
+    ),
+}
+
+
+def release_digest(monkeypatch, setting: str, eps: float, horizon: int, seed: int, audited: bool):
+    """SHA-256 of ``float.hex`` of the means every ``_select(t)`` reads, then the final means.
+
+    Returns the digest and the played policy.
+    """
+    digest = hashlib.sha256()
+    select = DPRobustUCB._select
+
+    def hashing_select(self, t: int) -> int:
+        digest.update(",".join(map(float.hex, self._means)).encode() + b";")
+        return select(self, t)
+
+    monkeypatch.setattr(DPRobustUCB, "_select", hashing_select)
+    config = ExperimentConfig(
+        algo="dprucb", setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=seed
+    )
+    ledger = PrivacyLedger() if audited else None
+    _, policy = run_single(config, 0, ledger=ledger, return_policy=True)
+    monkeypatch.undo()
+    digest.update(",".join(map(float.hex, policy._means)).encode())
+    return digest.hexdigest(), policy
+
+
+def test_releases_match_the_recorded_digests(monkeypatch) -> None:
+    digests = {}
+    for cell in RELEASE_CELLS:
+        digests[cell], policy = release_digest(monkeypatch, *cell)
+        print(f"release digest {cell}: {digests[cell]} pulls {policy.pull_counts}")
+        if cell[2] == 300_000:
+            assert min(policy.pull_counts) > 2**17
+    assert digests == RELEASE_CELLS

@@ -207,6 +207,40 @@ def test_every_schedule_rejects_a_non_finite_argument(call, value, caplog) -> No
     assert caplog.messages == []
 
 
+# The schedules' count arguments: pulls, the private radius's round, viable
+# arms and the epoch.  The non-private round is real.
+COUNT_CALLS = {
+    name: NON_FINITE_CALLS[name]
+    for name in (
+        "private_truncation_n",
+        "private_radius_n",
+        "private_radius_t",
+        "nonprivate_threshold_n",
+        "nonprivate_radius_n",
+        "central_num_viable",
+        "central_epoch",
+        "local_num_viable",
+        "local_epoch",
+    )
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(3.0)], ids=["2.5", "3.0", "True", "np3.0"])
+@pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+def test_every_schedule_rejects_a_count_that_is_not_an_integer(call, value) -> None:
+    # 2.5 pulls gave a truncation level and a radius, and 2.5 viable arms in
+    # epoch 1.5 an epoch with target gap 2**-1.5.
+    with pytest.raises(ValueError, match=r"(n|t|num_viable|epoch) must be an integer"):
+        call(value)
+    assert call(np.int64(3)) == call(3)
+
+
+def test_the_non_private_round_stays_real() -> None:
+    # ln(t**2) grows with t: the radius with it, the threshold against it.
+    assert nonprivate_ucb_radius(UNIT, 1, 2.5) < nonprivate_ucb_radius(UNIT, 1, 3)
+    assert nonprivate_ucb_threshold(UNIT, 1, 2.5) > nonprivate_ucb_threshold(UNIT, 1, 3)
+
+
 def test_the_integer_check_takes_python_and_numpy_integers_but_not_bool() -> None:
     for value in (3, np.int64(3), np.uint8(3)):
         assert type(_as_index("n", value, 1)) is int
