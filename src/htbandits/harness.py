@@ -22,6 +22,15 @@ takes back what it computed ahead, so it holds the played state only.  A
 stream that is never read (the noise of an arm that is never released, the
 rewards of an arm that is never pulled) is never derived.
 
+Once an elimination policy commits, every remaining round plays one arm, so
+``run_single`` plays them as blocks of that arm's rewards, appended to the
+transcript's columns in bulk: the rest of the arm's current block, then
+takes of up to 1024 rewards, never one list of the whole tail.  Each
+checkpoint of the tail gets its regret from the same ``math.fsum`` over
+pull counts, the committed arm's count computed from the round; while the
+committed arm has a zero gap the regret cannot move, and the first value is
+kept.
+
 ``write_csv`` builds each output file as one string and writes it in one
 call; the CSV files hold the bytes ``csv.writer`` would write.
 """
@@ -267,17 +276,19 @@ def run_single(
 ):
     """Play one repetition and return its :class:`RegretTrace`.
 
-    With ``return_policy=True`` returns ``(trace, policy)`` so tests can
-    inspect final policy state.
+    Rounds are played one at a time until the policy commits; the rounds
+    left after that are played a block of the committed arm's rewards at a
+    time (see the module docstring), with the same transcript, ledger and
+    checkpoints.  With ``return_policy=True`` returns ``(trace, policy)`` so
+    tests can inspect final policy state.
     """
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
     policy = make_policy(config, instance, rep, ledger=ledger)
     streams = _streams(config, rep, instance.num_arms, REWARDS)
-    rewards = policy._arm_rewards(
-        [_take_rewards(model, stream) for model, stream in zip(instance.arms, streams)],
-        config.horizon,
-    )
+    takes = [_take_rewards(model, stream) for model, stream in zip(instance.arms, streams)]
+    horizon = config.horizon
+    rewards = policy._arm_rewards(takes, horizon)
     gaps = instance.gaps
     counts = [0] * instance.num_arms
     cps = config.checkpoints()
@@ -289,13 +300,32 @@ def run_single(
     select = policy._select
     play = policy._play
     try:
-        for t in range(1, config.horizon + 1):
+        for t in range(1, horizon + 1):
             arm = select(t)
             play(t, arm, next(rewards[arm]))
             counts[arm] += 1
             if t == next_cp:
                 values.append(math.fsum(map(operator.mul, gaps, counts)))
                 next_cp = next(cp_iter, None)
+            if policy._committed is not None:
+                break
+        arm = policy._committed
+        if arm is not None:
+            # Every round left plays the committed arm, a block at a time.
+            # The arm's count at round s > t is counts[arm] - t + s; no other
+            # count moves, so with a zero gap the regret keeps its first value.
+            gap, offset, value = gaps[arm], counts[arm] - t, None
+            t += 1
+            for block in policy._committed_blocks(takes[arm], horizon):
+                policy._play_committed(block)
+                # t is the next round: bench/pace.py reads t - 1 as the rounds done.
+                t += len(block)
+                while next_cp is not None and next_cp < t:
+                    if gap or value is None:
+                        counts[arm] = offset + next_cp
+                        value = math.fsum(map(operator.mul, gaps, counts))
+                    values.append(value)
+                    next_cp = next(cp_iter, None)
     finally:
         policy._drop_lookahead()
     trace = RegretTrace(rep=rep, checkpoints=tuple(zip(cps, values)))

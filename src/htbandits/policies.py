@@ -8,9 +8,14 @@ policy and keeps the contract itself, so it drives the policy core: ``_select(t)
 and then ``_play(t, ...)``, which passes the round to ``_observe``, checks the
 truncated reward and only then sets the round and records it.  ``observe``
 checks the contract and then calls ``_play`` too, so a round has one path on
-both routes.  ``run_single`` reads each arm's rewards in blocks through
-``_arm_rewards``; the private index policy computes each block's pulls ahead
-(``_fill``) and takes back, in ``_drop_lookahead``, those no round played.  Each observed round is recorded in ``transcript``, a list-like
+both routes.  Once a policy has committed, its rounds take one path on both
+routes too: ``select_arm`` returns the committed arm without ``_select``, and
+``_play_committed`` records the rounds, which reach no ``_observe``.
+``run_single`` reads each arm's rewards in blocks through ``_arm_rewards``
+and plays a committed policy's remaining rounds a block of rewards at a time
+(``_committed_blocks``); the private index policy computes each block's pulls
+ahead (``_fill``) and takes back, in ``_drop_lookahead``, those no round
+played.  Each observed round is recorded in ``transcript``, a list-like
 view of :class:`TranscriptEntry` stored by column at 13 bytes per round: the
 arm, the reward and a kept flag of each round, plus the first committed
 round.  A policy truncates a reward to itself or to ``0.0``, so the flag and
@@ -35,7 +40,7 @@ import math
 import operator
 import struct
 from array import array
-from itertools import repeat, tee
+from itertools import islice, repeat, tee
 from typing import NamedTuple, Optional
 
 from .mechanisms import (
@@ -179,6 +184,9 @@ class _PolicyBase:
         # The arm every remaining round plays; the index policies never commit.
         # Set only through _commit.
         self._committed: Optional[int] = None
+        # Per arm, the unread rest of its current reward block, while
+        # run_single plays (_arm_rewards to _drop_lookahead).
+        self._unread: Optional[list] = None
 
     def select_arm(self, t: int) -> int:
         if self._pending is not None:
@@ -186,7 +194,9 @@ class _PolicyBase:
             raise RuntimeError("select_arm called again before observe")
         if t != self._round + 1:
             raise ValueError(f"expected round {self._round + 1}, got t={t}")
-        arm = self._select(t)
+        arm = self._committed
+        if arm is None:
+            arm = self._select(t)
         self._pending = arm
         return arm
 
@@ -208,13 +218,17 @@ class _PolicyBase:
 
         :meth:`observe` calls this once its contract checks have passed, and
         ``run_single`` calls ``_select(t)`` and then this, for ``t = 1, 2,
-        ...``, with a float reward.  ``_observe`` is given the round.  The
-        transcript stores whether the reward was kept, so a truncated reward
-        must be the reward itself or +0.0; anything else raises
-        ``ValueError``.  Only a round that passes this check sets
+        ...``, with a float reward.  A committed round goes to
+        :meth:`_play_committed`; any other is given to ``_observe`` with its
+        round.  The transcript stores whether the reward was kept, so a
+        truncated reward must be the reward itself or +0.0; anything else
+        raises ``ValueError``.  Only a round that passes this check sets
         ``rounds_played`` to ``t`` and is recorded, so a round that raises
         leaves both at ``t - 1`` on either route.
         """
+        if self._committed is not None:
+            self._play_committed([reward])
+            return
         kept = self._observe(t, arm, reward)
         if kept is not reward and (kept != 0.0 or math.copysign(1.0, kept) < 0.0):
             raise ValueError(
@@ -226,6 +240,24 @@ class _PolicyBase:
         rewards.append(reward)
         flags.append(kept is reward)
 
+    def _play_committed(self, rewards: list) -> None:
+        """Play and record the next ``len(rewards)`` rounds, all committed.
+
+        Every committed round pulls the committed arm and keeps its reward as
+        it is, so the rounds are appended to the transcript's columns in bulk
+        and none of them reaches ``_observe``.  ``_play`` calls this with the
+        one reward of a committed round, and ``run_single`` with a block of
+        the committed arm's rewards for each stretch of its remaining rounds.
+        ``rewards`` is a list of floats.
+        """
+        arms, column, flags = self.transcript.columns
+        n = len(rewards)
+        # fromlist leaves the column as it was if an item is not a float.
+        column.fromlist(rewards)
+        arms.extend(array("I", (self._committed,)) * n)
+        flags.frombytes(b"\x01" * n)
+        self._round += n
+
     def _arm_rewards(self, takes: list, horizon: int) -> list:
         """Per arm, the iterator ``run_single`` reads each round's reward from.
 
@@ -234,18 +266,41 @@ class _PolicyBase:
         reward and each later one doubles, up to ``_MAX_BLOCK``, but no block
         covers more pulls than there are rounds left of ``horizon``.  Each
         block goes to :meth:`_fill` before its first reward is read.
-        ``run_single`` calls :meth:`_drop_lookahead` once the rounds end.
+        ``run_single`` calls :meth:`_drop_lookahead` once the rounds end, and
+        reads the committed arm's remaining rewards from
+        :meth:`_committed_blocks`.
         """
+        self._unread = [iter(())] * self.num_arms
         return [self._in_blocks(arm, take, horizon) for arm, take in enumerate(takes)]
 
     def _in_blocks(self, arm: int, take, horizon: int):
         size = 1
+        unread = self._unread
         while True:
             # Round rounds_played + 1 is under way.
             rewards = take(min(size, horizon - self._round))
             self._fill(arm, rewards)
             size = min(2 * size, _MAX_BLOCK)
-            yield from rewards
+            unread[arm] = rest = iter(rewards)
+            yield from rest
+
+    def _committed_blocks(self, take, horizon: int):
+        """The committed arm's rewards for the rounds left of ``horizon``, in blocks.
+
+        ``take`` is the committed arm's ``takes`` entry of
+        :meth:`_arm_rewards`.  The first block is the unread rest of the
+        arm's current block, if any, cut to the rounds left: an arm that
+        shared the rounds with others may hold more rewards than that.  Each
+        later block is a take of up to ``_TAIL_BLOCK`` rewards.  The caller
+        plays each block with :meth:`_play_committed` before it reads the
+        next, so the rewards are the ones the arm's pulls would read one
+        round at a time, and no list holds more than one block.
+        """
+        rest = list(islice(self._unread[self._committed], horizon - self._round))
+        if rest:
+            yield rest
+        while self._round < horizon:
+            yield take(min(_TAIL_BLOCK, horizon - self._round))
 
     def _fill(self, arm: int, rewards: list):
         """Compute the arm's next pulls, one per reward, ahead of their rounds.
@@ -255,7 +310,13 @@ class _PolicyBase:
         """
 
     def _drop_lookahead(self) -> None:
-        """Undo what was computed ahead of the played rounds; most policies compute none."""
+        """Undo what was read or computed ahead of the played rounds.
+
+        Every policy drops the unread rewards of its arms' blocks, so a
+        finished policy holds none of them; the private index policy also
+        takes back the pulls it computed ahead.
+        """
+        self._unread = None
 
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
@@ -298,6 +359,9 @@ _FILL_AHEAD = 256
 # as a pull computed and never played costs a pull's work, and each later one
 # doubles, up to this many.
 _MAX_BLOCK = 256
+# run_single reads a committed arm's remaining rewards in blocks of this many:
+# a block's list of floats holds about 32 bytes per reward.
+_TAIL_BLOCK = 1024
 
 
 # The three tabled schedules over a range of rounds or pull counts, each the
@@ -576,6 +640,7 @@ class DPRobustUCB(_IndexPolicy):
             tree._drop_unused(len(self._blocks[arm][0]) - self._played[arm])
             self._blocks[arm] = _NO_BLOCK
             self._played[arm] = 0
+        super()._drop_lookahead()
 
 
 class _EliminationPolicy(_PolicyBase):
@@ -589,8 +654,11 @@ class _EliminationPolicy(_PolicyBase):
     An epoch whose total pull budget does not fit into the remaining horizon
     is never started: the policy commits to the best arm under the latest
     release scores (the lowest-index viable arm if no epoch ever completed)
-    and plays it forever.  Committed rounds pass rewards through untouched
-    and unused.
+    and plays it forever.  Committed rounds belong to ``_PolicyBase``: they
+    keep their rewards as they are and never reach ``_select`` or
+    ``_observe``, and ``run_single`` plays them in blocks of the committed
+    arm's rewards, so a long run costs little more than its completed epochs
+    and one reward draw per committed round.
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
@@ -692,8 +760,6 @@ class _EliminationPolicy(_PolicyBase):
             self._commit(self._viable[0], t + 1)
 
     def _select(self, t: int) -> int:
-        if self._committed is not None:
-            return self._committed
         if t > self._epoch_end:
             self._begin_epoch(t)
             if self._committed is not None:
@@ -701,8 +767,6 @@ class _EliminationPolicy(_PolicyBase):
         return self._viable[(t - self._epoch_end - 1) % len(self._viable)]
 
     def _observe(self, t: int, arm: int, reward: float) -> float:
-        if self._committed is not None:
-            return reward
         sched = self._sched
         kept = reward if abs(reward) <= sched.truncation else 0.0
         if self.ledger is not None:

@@ -2,6 +2,9 @@
 
 Each test checks one release criterion end to end and prints a single
 ``CRITERION n: PASS/FAIL (...)`` line with the measured quantity and runtime.
+Criteria 5 and 8 also print each cell's mean regret as a multiple of
+round-robin regret (``sum(gaps) / K * T``), which says whether the policy
+learned there; their gates do not read it.
 Run with ``pytest tests/test_acceptance.py`` (output capture is disabled in
 the project config, so the lines print as the suite runs).
 """
@@ -46,6 +49,12 @@ from test_audit import HalvingSource, clean_dprse, clean_dprucb, clean_ldprse
 def _report(n: int, ok: bool, detail: str) -> None:
     print(f"CRITERION {n}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {n} failed: {detail}"
+
+
+def _round_robin_ratio(setting: str, v: float, horizon: int, regret: float) -> float:
+    """``regret`` over the regret of playing every arm ``horizon / K`` times."""
+    gaps = make_instance_for(setting, v).gaps
+    return regret / (math.fsum(gaps) / len(gaps) * horizon)
 
 
 def zero_source() -> NoiseSource:
@@ -165,20 +174,23 @@ def test_criterion_05_elimination_keeps_the_optimal_arm() -> None:
         beta=0.1,
     )
     kept = 0
+    regrets = []
     for rep in range(runs):
-        _, policy = run_single(config, rep, instance=instance, return_policy=True)
+        trace, policy = run_single(config, rep, instance=instance, return_policy=True)
+        regrets.append(trace.final_regret)
         committed = policy.committed_arm()
         if committed == optimal or (
             committed is None and optimal in policy.viable_arms
         ):
             kept += 1
     rate = kept / runs
+    ratio = _round_robin_ratio("S1", 0.9, config.horizon, math.fsum(regrets) / runs)
     elapsed = time.perf_counter() - start
     _report(
         5,
         rate >= 0.88 and elapsed < 300.0,
         f"optimal arm committed or viable in {rate:.1%} of {runs} runs >= 88%, "
-        f"{elapsed:.1f}s < 300s",
+        f"mean regret {ratio:.3f}x round-robin, {elapsed:.1f}s < 300s",
     )
 
 
@@ -268,6 +280,13 @@ def test_criterion_08_elimination_beats_the_index_policy_on_the_grid() -> None:
             # A pooled run equals a sequential one bit for bit (criterion 10).
             _, summary = run_experiment(config, workers=2)
             means[(algo, setting, v, eps)] = summary.means[-1]
+    ratios = {}
+    for (algo, setting, v, eps), mean in means.items():
+        ratios[algo, setting, v, eps] = ratio = _round_robin_ratio(setting, v, horizon, mean)
+        print(
+            f"criterion 8 cell {algo} {setting} v={v} eps={eps}: "
+            f"mean regret {mean:.6g} = {ratio:.3f}x round-robin"
+        )
 
     ordering_failures = []
     for cell in grid:
@@ -279,11 +298,19 @@ def test_criterion_08_elimination_beats_the_index_policy_on_the_grid() -> None:
     for setting, _, eps in grid:
         if not means[("dprse", setting, 0.5, eps)] >= means[("dprse", setting, 0.9, eps)]:
             ordering_failures.append(("v", (setting, eps)))
+    spans = {
+        algo: "{:.3f}-{:.3f}x".format(
+            min(r for cell, r in ratios.items() if cell[0] == algo),
+            max(r for cell, r in ratios.items() if cell[0] == algo),
+        )
+        for algo in ("dprse", "dprucb")
+    }
     elapsed = time.perf_counter() - start
     _report(
         8,
         not ordering_failures and elapsed < 1800.0,
         f"all {len(grid)} cells ordered, eps/v monotone, failures={ordering_failures}, "
+        f"mean regret dprse {spans['dprse']} and dprucb {spans['dprucb']} round-robin, "
         f"{elapsed:.0f}s < 1800s",
     )
 

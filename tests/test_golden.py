@@ -37,7 +37,7 @@ from htbandits import (
     write_csv,
 )
 
-from test_transcript import CASES, config_for
+from test_transcript import CASES, config_for, instance_for
 
 V = 0.9
 SEED = 7
@@ -90,24 +90,49 @@ def test_grid_output_matches_the_golden_digest(tmp_path) -> None:
     assert grid_digest(tmp_path) == GOLDEN_SHA256
 
 
-# Per cell of test_transcript.CASES: the value digest of its audited rep 0.
+# Per cell of test_transcript.CASES, (algo, setting, eps, horizon, arm
+# order): the value digest of its audited rep 0.  The last four cells end in
+# committed tails; their digests were recorded with every round played one at
+# a time.
 VALUE_SHA256 = {
-    ("dprse", "S1"): "768034fb86f89f23117a6ac1c166eff420c9986a704c3c770a9e6b993ccf7116",
-    ("dprse", "two_arm_hard"): "961a71f9773c663e254e1e7769ffda6157d89fd80bade0f2afa302c6efe30565",
-    ("ldprse", "two_arm_hard"): "7139c8a7f9ccf43fc4d4b3cd4e3306f29e8f27c9c6ba616de2025ab5b5ccbca5",
-    ("dprucb", "S1"): "fdbae04b15bf17888d6cac694ef262c6f198afe395472e617e9f54c11c72402c",
-    ("rucb", "S3"): "b55649d095f9f9bad6738863be61131fc10f511f49a2a477d525d528312e949e",
+    ("dprse", "S1", 1.0, 300, "given"): (
+        "768034fb86f89f23117a6ac1c166eff420c9986a704c3c770a9e6b993ccf7116"
+    ),
+    ("dprse", "two_arm_hard", 100.0, 5000, "given"): (
+        "961a71f9773c663e254e1e7769ffda6157d89fd80bade0f2afa302c6efe30565"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 5000, "given"): (
+        "7139c8a7f9ccf43fc4d4b3cd4e3306f29e8f27c9c6ba616de2025ab5b5ccbca5"
+    ),
+    ("dprucb", "S1", 1.0, 2000, "given"): (
+        "fdbae04b15bf17888d6cac694ef262c6f198afe395472e617e9f54c11c72402c"
+    ),
+    ("rucb", "S3", 1.0, 2000, "given"): (
+        "b55649d095f9f9bad6738863be61131fc10f511f49a2a477d525d528312e949e"
+    ),
+    ("dprse", "S1", 1.0, 100_000, "given"): (
+        "f4cf051c6105935a2b33d85a03b88cafb94713d62000a09dc235b222f795b4f9"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 20_000, "given"): (
+        "052a44568a15b8c5f672fe06d792b0cc83078559b5e11ff0ec9566788535f7c0"
+    ),
+    ("dprse", "S1", 1.0, 20_000, "reversed"): (
+        "f7f2cfff7a437b7a407e32c3daf2575d7cbb6d6cb4a5e9a09b1e7e03777ea768"
+    ),
+    ("dprse", "S1", 1000.0, 2000, "given"): (
+        "1823a515c3f27bd51b5e021482663be4c840ac58a300733bc42a0c5ef312654c"
+    ),
 }
 
 
-def value_digest(config: ExperimentConfig) -> str:
+def value_digest(config: ExperimentConfig, instance=None) -> str:
     """SHA-256 of the transcript, draw and insertion columns of the audited rep 0.
 
     Floats are hashed as ``float.hex``, integers as decimal text; each
     column ends with a separator, so no value can move between columns.
     """
     ledger = PrivacyLedger()
-    _, policy = run_single(config, 0, ledger=ledger, return_policy=True)
+    _, policy = run_single(config, 0, instance=instance, ledger=ledger, return_policy=True)
     digest = hashlib.sha256()
     for table in (policy.transcript, ledger.noise_draws, ledger.insertions):
         for column in table.columns:
@@ -118,9 +143,12 @@ def value_digest(config: ExperimentConfig) -> str:
 
 def test_run_values_match_the_recorded_digests() -> None:
     digests = {}
-    for algo, setting, eps, horizon, *_ in CASES:
-        digests[algo, setting] = value_digest(config_for(algo, setting, eps, horizon))
-        print(f"value digest {algo} {setting} eps={eps:g} T={horizon}: {digests[algo, setting]}")
+    for algo, setting, eps, horizon, _, _, arms in CASES:
+        cell = (algo, setting, eps, horizon, arms)
+        digests[cell] = value_digest(
+            config_for(algo, setting, eps, horizon), instance_for(setting, arms)
+        )
+        print(f"value digest {algo} {setting} eps={eps:g} T={horizon} {arms}: {digests[cell]}")
     assert digests == VALUE_SHA256
 
 

@@ -18,6 +18,8 @@ is not recorded and ends the policy.
 from __future__ import annotations
 
 import gc
+import math
+import operator
 import tracemalloc
 import weakref
 
@@ -33,6 +35,7 @@ from htbandits import (
     RobustUCB,
     TranscriptEntry,
     audit_run,
+    make_instance,
     make_instance_for,
     make_policy,
     run_single,
@@ -59,7 +62,8 @@ class ListTranscript:
         self._round += 1
         self._pending = None
         reward = float(reward)
-        kept = self._observe(self._round, arm, reward)
+        # A committed round keeps its reward and reaches no _observe.
+        kept = reward if self._pending_committed else self._observe(self._round, arm, reward)
         self.transcript.append(
             TranscriptEntry(self._round, arm, reward, kept, self._pending_committed)
         )
@@ -76,13 +80,15 @@ def list_reference(policy):
     return policy
 
 
-def drive_by_contract(config: ExperimentConfig, policy) -> None:
+def drive_by_contract(config: ExperimentConfig, policy, instance=None) -> None:
     """Play ``config``'s repetition 0 through ``select_arm``/``observe``.
 
     The rewards come from the streams ``run_single`` reads, so the policy
-    sees the rounds ``run_single`` would play.
+    sees the rounds ``run_single`` would play on ``instance`` (by default
+    the setting's).
     """
-    instance = make_instance_for(config.setting, config.v)
+    if instance is None:
+        instance = make_instance_for(config.setting, config.v)
     rngs = [
         derive_stream(config.base_seed, 0, arm=a, purpose=REWARDS)
         for a in range(instance.num_arms)
@@ -99,20 +105,39 @@ ALGO_CLASSES = {
     "rucb": RobustUCB,
 }
 
-# (algo, setting, eps, horizon, completed epochs, when the policy commits)
+# (algo, setting, eps, horizon, completed epochs, when the policy commits,
+# arm order).  The next three end in committed tails of many reward blocks:
+# with the arms reversed, S1's arm 0 is its worst, so the regret grows through
+# the tail.  In the last, the committed arm holds 123 unread rewards of its
+# current block, taken while five arms shared the rounds, and 64 rounds are
+# left.
 CASES = [
-    ("dprse", "S1", 1.0, 300, 0, "at_round_1"),
-    ("dprse", "two_arm_hard", 100.0, 5000, 2, "after_epochs"),
-    ("ldprse", "two_arm_hard", 1000.0, 5000, 1, "after_epochs"),
-    ("dprucb", "S1", 1.0, 2000, 0, "never"),
-    ("rucb", "S3", 1.0, 2000, 0, "never"),
+    ("dprse", "S1", 1.0, 300, 0, "at_round_1", "given"),
+    ("dprse", "two_arm_hard", 100.0, 5000, 2, "after_epochs", "given"),
+    ("ldprse", "two_arm_hard", 1000.0, 5000, 1, "after_epochs", "given"),
+    ("dprucb", "S1", 1.0, 2000, 0, "never", "given"),
+    ("rucb", "S3", 1.0, 2000, 0, "never", "given"),
+    ("dprse", "S1", 1.0, 100_000, 0, "at_round_1", "given"),
+    ("ldprse", "two_arm_hard", 1000.0, 20_000, 1, "after_epochs", "given"),
+    ("dprse", "S1", 1.0, 20_000, 0, "at_round_1", "reversed"),
+    ("dprse", "S1", 1000.0, 2000, 1, "after_epochs", "given"),
 ]
+# The ids name the arm order only where it is not the setting's.
+CASE_IDS = ["-".join(map(str, case[:6] if case[6] == "given" else case)) for case in CASES]
 
 
 def config_for(algo: str, setting: str, eps: float, horizon: int) -> ExperimentConfig:
     return ExperimentConfig(
         algo=algo, setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=SEED
     )
+
+
+def instance_for(setting: str, arms: str):
+    """The setting's instance, with its arms in the given or the reversed order."""
+    instance = make_instance_for(setting, V)
+    if arms == "reversed":
+        instance = make_instance(instance.arms[::-1], instance.v, instance.u)
+    return instance
 
 
 def bits(entries) -> list:
@@ -130,15 +155,15 @@ def assert_same_entries(got, want) -> None:
         assert [type(field) for field in entry] == [int, int, float, float, bool]
 
 
-@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits", CASES)
+@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits,arms", CASES, ids=CASE_IDS)
 def test_columnar_transcript_reads_like_the_per_round_list(
-    algo, setting, eps, horizon, epochs, commits
+    algo, setting, eps, horizon, epochs, commits, arms
 ) -> None:
     config = config_for(algo, setting, eps, horizon)
-    _, policy = run_single(config, 0, return_policy=True)
-    instance = make_instance_for(setting, V)
+    instance = instance_for(setting, arms)
+    _, policy = run_single(config, 0, instance=instance, return_policy=True)
     reference = list_reference(make_policy(config, instance, 0))
-    drive_by_contract(config, reference)
+    drive_by_contract(config, reference, instance)
     assert isinstance(reference.transcript, list)
 
     assert len(getattr(policy, "completed_epochs", ())) == epochs
@@ -169,15 +194,17 @@ def test_columnar_transcript_reads_like_the_per_round_list(
             transcript[i]
 
 
-@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits", CASES)
+@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits,arms", CASES, ids=CASE_IDS)
 def test_run_single_and_the_public_contract_play_the_same_run(
-    monkeypatch, algo, setting, eps, horizon, epochs, commits
+    monkeypatch, algo, setting, eps, horizon, epochs, commits, arms
 ) -> None:
-    # run_single drives _select and _play; the contract reaches the same
-    # _select and _observe, so both give the same run bit for bit.  Both pass
-    # _observe the round, which RobustUCB's truncation and a commitment made
-    # in _observe read; a truncation that moves with it seldom changes a kept
-    # flag, so the round _observe is given is checked too.
+    # run_single drives _select and _play, then plays a committed tail in
+    # blocks; the contract reaches the same _select and _observe, so both
+    # give the same run bit for bit.  Both pass _observe the round, which
+    # RobustUCB's truncation and a commitment made in _observe read; a
+    # truncation that moves with it seldom changes a kept flag, so the round
+    # _observe is given is checked too.  A committed round reaches no
+    # _observe on either route.
     cls = ALGO_CLASSES[algo]
     core_observe = cls._observe
     rounds_seen = []
@@ -188,16 +215,32 @@ def test_run_single_and_the_public_contract_play_the_same_run(
 
     monkeypatch.setattr(cls, "_observe", observe_spy)
     config = config_for(algo, setting, eps, horizon)
+    instance = instance_for(setting, arms)
     ledgers = (PrivacyLedger(), PrivacyLedger())
-    _, policy = run_single(config, 0, ledger=ledgers[0], return_policy=True)
-    assert rounds_seen == list(range(1, horizon + 1))
+    trace, policy = run_single(config, 0, instance=instance, ledger=ledgers[0], return_policy=True)
+    first_committed = policy.transcript._first_committed
+    observed = list(range(1, horizon + 1 if first_committed is None else first_committed))
+    assert rounds_seen == observed
     rounds_seen.clear()
-    by_contract = make_policy(config, make_instance_for(setting, V), 0, ledger=ledgers[1])
-    drive_by_contract(config, by_contract)
-    assert rounds_seen == list(range(1, horizon + 1))
+    by_contract = make_policy(config, instance, 0, ledger=ledgers[1])
+    drive_by_contract(config, by_contract, instance)
+    assert rounds_seen == observed
 
     assert bits(policy.transcript) == bits(by_contract.transcript)
+    assert by_contract.transcript._first_committed == first_committed
     assert policy.rounds_played == by_contract.rounds_played == horizon
+    if arms == "reversed":
+        # The worst arm: the regret grows at every checkpoint of the tail.
+        assert instance.gaps[policy.committed_arm()] == max(instance.gaps)
+    # The checkpoints, from the contract's transcript one round at a time.
+    cps = set(config.checkpoints())
+    counts = [0] * instance.num_arms
+    want = []
+    for entry in by_contract.transcript:
+        counts[entry.arm] += 1
+        if entry.round in cps:
+            want.append((entry.round, math.fsum(map(operator.mul, instance.gaps, counts))))
+    assert trace.checkpoints == tuple(want)
     assert policy.committed_arm() == by_contract.committed_arm()
     if algo in ("dprucb", "rucb"):
         assert policy.committed_arm() is None
@@ -221,11 +264,17 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     assert audit_run(ledgers[0]).ok
 
 
-@pytest.mark.parametrize("algo", ["dprucb", "dprse", "ldprse", "rucb"])
-def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
+@pytest.mark.parametrize(
+    "algo,rounds",
+    [(algo, 50_000) for algo in ("dprucb", "dprse", "ldprse", "rucb")] + [("dprse", 10**6)],
+    ids=["dprucb", "dprse", "ldprse", "rucb", "dprse-1000000"],
+)
+def test_a_long_run_holds_few_bytes_per_round(algo: str, rounds: int) -> None:
     # One TranscriptEntry per round in a list held ~152 B/round; three typed
     # columns (arm, reward, kept flag) hold 13 B/round plus their growth slack.
-    rounds = 50_000
+    # The elimination runs commit, at round 1 on S1, and their committed
+    # tails are read a block at a time: one list of the whole tail's floats
+    # would add about 32 B/round to the peak.
     config = config_for(algo, "S1", 1.0, rounds)
     instance = make_instance_for("S1", V)
     # The memoised checkpoint grid and schedule tables are not the run's to
@@ -237,12 +286,15 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str) -> None:
     try:
         before = tracemalloc.get_traced_memory()[0]
         trace, policy = run_single(config, 0, instance=instance, return_policy=True)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(policy.transcript) == rounds
     assert trace.checkpoints[-1][0] == rounds
     assert held / rounds < 18, f"{held / rounds:.1f} B/round"
+    if algo in ("dprse", "ldprse"):
+        assert policy.transcript._first_committed == 1
+        assert peak / rounds < 18, f"peak {peak / rounds:.1f} B/round"
 
 
 @pytest.mark.parametrize(
