@@ -11,16 +11,17 @@ derives its generator on the first read, draws uniforms in blocks and hands
 them out one or ``k`` at a time.  ``run_single`` hands each arm's rewards to
 the policy as blocks: ``model.samples`` maps a block of the arm's uniforms in
 one pass.  The private index policy takes them a block of pulls at a time and
-computes those pulls ahead, the tree noise included (``NoiseSource`` maps its
-uniforms in blocks too); the other policies take them one per round.  The
-values are unchanged: a stream's doubles depend only on its key,
-``Generator.random(n)`` returns exactly the doubles of ``n`` scalar calls,
-and each stream has a single consumer, so deriving late and drawing ahead
-change only when the generator advances, never what a consumer reads.  A pull
-is recorded only when its round plays it, and once the rounds end the policy
-takes back what it computed ahead, so it holds the played state only.  A
-stream that is never read (the noise of an arm that is never released, the
-rewards of an arm that is never pulled) is never derived.
+draws those pulls' tree noise ahead (``NoiseSource`` maps its uniforms in
+blocks too); the other policies take them one per round.  The values are
+unchanged: a stream's doubles depend only on its key, ``Generator.random(n)``
+returns exactly the doubles of ``n`` scalar calls, and each stream has a
+single consumer, so deriving late and drawing ahead change only when the
+generator advances, never what a consumer reads.  A tree adds a pull, and the
+pull is recorded, only when its round plays it, and once the rounds end the
+policy hands the noise of the pulls no round played back to the streams, so
+it holds the played state only.  A stream that is never read (the noise of an
+arm that is never released, the rewards of an arm that is never pulled) is
+never derived.
 
 Once an elimination policy commits, every remaining round plays one arm, so
 ``run_single`` plays them as blocks of that arm's rewards, appended to the
@@ -104,7 +105,9 @@ class ExperimentConfig:
     None means ``1/horizon``.  ``zero_noise`` (True or False) swaps in the
     zero-noise test hook (no privacy guarantee).  The fields hold the values
     the checks return: Python ints and floats, whatever integer or real type
-    was given.
+    was given.  A config that its policy's constructor would reject, such as
+    an eps too small or too large for the policy's formulas in doubles,
+    raises ``ValueError`` here.
     """
 
     algo: str
@@ -135,21 +138,15 @@ class ExperimentConfig:
         lows = {"horizon": 1, "reps": 1, "base_seed": 0, "checkpoint_count": 1}
         for name, low in lows.items():
             object.__setattr__(self, name, _as_index(name, getattr(self, name), low))
-        # The elimination policies run at the resolved beta, which is 1.0 at
-        # horizon 1; checked here so that a run fails before any worker starts.
-        beta = self.resolved_beta if self.algo in ("dprse", "ldprse") else self.beta
-        if beta is not None:
-            _check_beta(beta)
         if self.beta is not None:
+            _check_beta(self.beta)
             object.__setattr__(self, "beta", float(self.beta))
-        if self.algo == "dprucb":
-            # The index policy opens with one pull of every arm.  Checked here
-            # so that a run fails before any worker process starts.
-            num_arms = make_instance_for(self.setting, self.v).num_arms
-            if self.horizon < num_arms:
-                raise ValueError(
-                    f"horizon {self.horizon} is below the number of arms {num_arms}"
-                )
+        # A policy checks the rest when it is built: a horizon below dprucb's
+        # opening pass over the arms, the resolved beta of the elimination
+        # policies (1.0 at horizon 1), an eps that their schedules or noise
+        # scales cannot carry.  Building repetition 0's policy, whose streams
+        # are never read, makes such a config fail before any worker starts.
+        make_policy(self, make_instance_for(self.setting, self.v), 0)
 
     @property
     def resolved_beta(self) -> float:

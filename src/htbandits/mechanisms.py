@@ -13,12 +13,13 @@ elimination release and the local per-reward perturbation.  Every draw passes
 the same three parameters its scale rests on, a sensitivity bound, a budget
 and a count, and the ledger records each draw as one row ``(site, scale,
 bound, eps, count)``; a draw at any other site is rejected when it is
-recorded.  A draw is recorded when its value is used: the tree draws a block
-of values ahead for the private index policy and records each as the policy
-plays it.  The ledger keeps its draws and insertions in two
-:class:`RecordTable`, typed arrays by column, about 57 bytes per round of an
-audited index run.  The columns are the record: the audit reads them, and no
-record object is built.  The policies' transcripts are stored by column too.
+recorded.  A draw is recorded when its value is used: the private index
+policy draws a block of an arm's tree noise ahead, and the arm's tree records
+each draw, and adds its value, only when a round plays the pull.  The ledger
+keeps its draws and insertions in two :class:`RecordTable`, typed arrays by
+column, about 57 bytes per round of an audited index run.  The columns are
+the record: the audit reads them, and no record object is built.  The
+policies' transcripts are stored by column too.
 """
 
 import enum
@@ -243,12 +244,12 @@ class NoiseSource:
     :class:`NoiseHook` member (anything else raises ``ValueError``), sets once
     whether a draw reads a uniform for Laplace noise or returns a constant.
 
-    :meth:`draw` checks, records and draws one value.  A mechanism that
-    computes its draws ahead of their use, as the tree does for the private
-    index policy, splits this: ``_values`` draws the values of a block of
-    checked scales, reading one uniform per value, and ``_record`` counts and
-    records each draw when the value is used.  ``_unread`` hands the uniforms
-    of the latest block's last values, never used, back to the stream.
+    :meth:`draw` checks, records and draws one value.  The private index
+    policy draws an arm's tree noise ahead of its use, which splits this:
+    ``_values`` draws the values of a block of checked scales, reading one
+    uniform per value, and the tree's step records each draw through
+    ``_record`` when a round plays its pull.  ``_unread`` hands the uniforms
+    of the latest block's last values, never played, back to the stream.
 
     Parameters
     ----------
@@ -343,14 +344,13 @@ class AdaptiveTree:
     Which adds are made is post-processing of the same noisy sums, each drawn
     once, so the privacy guarantee is unchanged.
 
-    :meth:`insert` checks, records, draws and adds one value.  A caller that
-    knows its next values, as the private index policy does, can insert a
-    block ahead of the values' use (``_insert_ahead``): the same checks
-    (``_scales``), one pass of draws (``NoiseSource._values``) and the same
-    arithmetic (``_advance``), but nothing counted or recorded until
-    ``_record`` records each value when it is used.  ``_drop_unused`` takes
-    back the block's unused values: it puts the tree back in the state after
-    the used ones and hands the unused draws' uniforms back to the stream.
+    :meth:`insert` checks one value (``_scales``), draws its noise and hands
+    both to ``_add``, the one step that records the draw and the insertion,
+    adds the value and its noise and returns the release.  The private index
+    policy checks a block of an arm's next values and draws their noise
+    ahead, in one pass each (``_scales``, ``NoiseSource._values``), but calls
+    ``_add`` only when a round plays the value: the tree changes only then,
+    so it never holds a value no round played.
 
     Bounds supplied with the values must be finite, positive and
     non-decreasing, and each value's magnitude must not exceed its bound.
@@ -390,7 +390,6 @@ class AdaptiveTree:
         "_noisy_stack",
         "_t",
         "_last_bound",
-        "_before_block",
     )
 
     def __init__(self, horizon: int, eps: float, noise: NoiseSource, owner: int | None = None):
@@ -400,6 +399,10 @@ class AdaptiveTree:
         self.eps = float(eps)
         self.owner = owner
         self._eps_prime = self.eps / math.log(horizon)
+        if not 0.0 < self._eps_prime < _INF:  # eps is too small or too large
+            raise ValueError(
+                f"eps / ln(horizon) must be finite and positive, got {self._eps_prime}"
+            )
         self._noise = noise
         self._ledger = noise.ledger
         self._mech = (
@@ -414,8 +417,6 @@ class AdaptiveTree:
         self._noisy_stack: list = []
         self._t = 0
         self._last_bound = 0.0
-        # The state before the latest block inserted ahead, and the block.
-        self._before_block = None
 
     @property
     def t(self) -> int:
@@ -435,52 +436,7 @@ class AdaptiveTree:
         before the noise draw and before any state changes.
         """
         (scale,) = self._scales((value,), (bound,))
-        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
-        (est,) = self._advance((value,), (bound,), self._noise._values((scale,)))
-        if self._ledger is not None:
-            self._ledger.record_insertion(self._mech, self.owner, value, bound)
-        return est
-
-    def _insert_ahead(self, values, bounds) -> tuple:
-        """Insert a block of values before their uses: ``(scales, releases)``.
-
-        Each value is checked, drawn for and added as :meth:`insert` does,
-        but no draw or insertion is counted or recorded: :meth:`_record` does
-        that for each value when it is used, in order.  The block stops
-        before the first value that fails a check, so the next block raises
-        on it; a block whose first value fails raises at once and changes
-        nothing.  :meth:`_drop_unused` takes back the block's last values
-        if they are never used.
-        """
-        scales = self._scales(values, bounds)
-        etas = self._noise._values(scales)
-        self._before_block = (
-            self._t, self._last_bound, self._psums[:], self._noisy_stack[:],
-            values, bounds, etas,
-        )
-        return scales, self._advance(values, bounds, etas)
-
-    def _record(self, value: float, bound: float, scale: float) -> None:
-        """Count and record the draw and the insertion of a value inserted ahead."""
-        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
-        if self._ledger is not None:
-            self._ledger.record_insertion(self._mech, self.owner, value, bound)
-
-    def _drop_unused(self, unused: int) -> None:
-        """Take back the last ``unused`` values of the latest block inserted ahead.
-
-        The tree returns to its state after the block's used values, by
-        adding them again to the state before the block, and the noise
-        source's stream hands the dropped draws' uniforms out again.  Either
-        way the tree forgets the block.
-        """
-        before, self._before_block = self._before_block, None
-        if unused:
-            t, last_bound, psums, stack, values, bounds, etas = before
-            self._t, self._last_bound, self._psums, self._noisy_stack = t, last_bound, psums, stack
-            used = len(etas) - unused
-            self._advance(values[:used], bounds[:used], etas[:used])
-        self._noise._unread(unused)
+        return self._add(value, bound, scale, self._noise._values((scale,))[0])
 
     def _scales(self, values, bounds) -> list:
         """Check each value and bound in order and return each draw's noise scale.
@@ -522,46 +478,46 @@ class AdaptiveTree:
             problem = f"scale must be finite and non-negative, got {2.0 * bound / eps_prime}"
         raise ValueError(problem)
 
-    def _advance(self, values, bounds, etas) -> list:
-        """Add each value with its noise draw; return the release after each."""
-        t = self._t
+    def _add(self, value: float, bound: float, scale: float, eta: float) -> float:
+        """Record and add one checked value with its noise draw; return the release.
+
+        ``scale`` is the value's noise scale from :meth:`_scales` and ``eta``
+        its draw at that scale.  The draw and the insertion are recorded
+        first, so a record the ledger rejects leaves the tree as it was.
+        """
+        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
+        if self._ledger is not None:
+            self._ledger.record_insertion(self._mech, self.owner, value, bound)
+        t = self._t + 1
         psums = self._psums
         stack = self._noisy_stack
-        # The top of the stack: the running sum of the noisy sums at the set bits
-        # of t, from the highest level down, which the next release adds to.
-        top = stack[-1] if stack else 0.0
-        releases = []
-        for i in range(len(etas)):
-            t += 1
-            if t & 1:
-                # Level 0 merges no lower level: the sum is 0.0 + value, which,
-                # as in the merges below, turns -0.0 into 0.0.
-                finalized = psums[0] = 0.0 + values[i]
-            else:
-                # Levels 0 .. level-1 are the lowest set bits of t - 1, on top
-                # of the stack; they merge, lowest first, into the new sum at
-                # `level`, and their running sums leave the stack.
-                if t & 2:
-                    finalized = psums[1] = (0.0 + psums[0]) + values[i]
-                    psums[0] = 0.0
-                    stack.pop()
-                else:
-                    level = (t & -t).bit_length() - 1
-                    acc = 0.0
-                    for j in range(level):
-                        acc += psums[j]
-                        psums[j] = 0.0
-                    finalized = psums[level] = acc + values[i]
-                    del stack[-level:]
-                top = stack[-1] if stack else 0.0
-            # One add releases the new running sum: top + (finalized + eta).
-            top += finalized + etas[i]
-            stack.append(top)
-            releases.append(top)
-        if releases:
-            self._t = t
-            self._last_bound = bounds[len(releases) - 1]
-        return releases
+        if t & 1:
+            # Level 0 merges no lower level: the sum is 0.0 + value, which,
+            # as in the merges below, turns -0.0 into 0.0.
+            finalized = psums[0] = 0.0 + value
+        elif t & 2:
+            # Levels 0 .. level-1 are the lowest set bits of t - 1, on top of
+            # the stack; they merge, lowest first, into the new sum at
+            # `level`, and their running sums leave the stack.
+            finalized = psums[1] = (0.0 + psums[0]) + value
+            psums[0] = 0.0
+            stack.pop()
+        else:
+            level = (t & -t).bit_length() - 1
+            acc = 0.0
+            for j in range(level):
+                acc += psums[j]
+                psums[j] = 0.0
+            finalized = psums[level] = acc + value
+            del stack[-level:]
+        # One add releases the new running sum: the running sum of the noisy
+        # sums at the higher set bits of t, on top of the stack, plus the new
+        # noisy sum.
+        top = (stack[-1] if stack else 0.0) + (finalized + eta)
+        stack.append(top)
+        self._t = t
+        self._last_bound = bound
+        return top
 
 
 def tree_noise_bound(bound: float, eps: float, horizon: float, delta: float) -> float:

@@ -13,14 +13,15 @@ routes too: ``select_arm`` returns the committed arm without ``_select``, and
 ``_play_committed`` records the rounds, which reach no ``_observe``.
 ``run_single`` reads each arm's rewards in blocks through ``_arm_rewards``
 and plays a committed policy's remaining rounds a block of rewards at a time
-(``_committed_blocks``); the private index policy computes each block's pulls
-ahead (``_fill``) and takes back, in ``_drop_lookahead``, those no round
-played.  Each observed round is recorded in ``transcript``, a list-like
-view of :class:`TranscriptEntry` stored by column at 13 bytes per round: the
-arm, the reward and a kept flag of each round, plus the first committed
-round.  A policy truncates a reward to itself or to ``0.0``, so the flag and
-the reward give the truncated reward; a policy that returns anything else
-makes ``_play`` raise on either route.
+(``_committed_blocks``); the private index policy draws the tree noise of
+each block's pulls ahead (``_fill``), its trees change only when a round
+plays a pull, and ``_drop_lookahead`` hands the noise of the pulls no round
+played back to the streams.  Each observed round is recorded in
+``transcript``, a list-like view of :class:`TranscriptEntry` stored by column
+at 13 bytes per round: the arm, the reward and a kept flag of each round,
+plus the first committed round.  A policy truncates a reward to itself or to
+``0.0``, so the flag and the reward give the truncated reward; a policy that
+returns anything else makes ``_play`` raise on either route.
 
 The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
@@ -56,6 +57,7 @@ from .schedules import (
     _as_index,
     _check_beta,
     _check_eps,
+    _check_in_range,
     central_se_schedule,
     local_se_schedule,
     nonprivate_ucb_radius,
@@ -148,10 +150,6 @@ class _Transcript(RecordTable):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     __hash__ = None
-
-
-# The block of an arm with no pulls computed ahead.
-_NO_BLOCK = ((), (), (), (), ())
 
 
 # Takes the pending arm's place once a round failed in observe; no arm equals
@@ -533,21 +531,26 @@ class DPRobustUCB(_IndexPolicy):
     ``(m, k, L) = (2, 4, ln(horizon) ** (1.5 + 1/v))`` and
     ``w_a = (n_a * eps) ** -exp``.
 
-    An arm's ``n``-th pull (its reward, kept reward, tree noise, release,
-    mean and ``w``) depends only on the arm's streams and ``n``, so the
-    policy computes each arm's pulls ahead in blocks, one pass per step over
-    the block (``_fill``): under ``run_single`` the first block of an arm is
-    one pull and each later one doubles, up to ``_MAX_BLOCK`` = 256, never
-    covering more pulls than rounds are left; ``observe`` fills a block of the
-    one reward it is given.  Every pull is checked as ``AdaptiveTree.insert``
+    An arm's ``n``-th reward, kept reward, truncation level, noise scale,
+    tree noise and ``w`` depend only on the arm's streams and ``n``, so the
+    policy computes them ahead in blocks, one pass per step over the block
+    (``_fill``): under ``run_single`` the first block of an arm is one pull
+    and each later one doubles, up to ``_MAX_BLOCK`` = 256, never covering
+    more pulls than rounds are left; ``observe`` fills a block of the one
+    reward it is given.  Every pull is checked as ``AdaptiveTree.insert``
     checks a value, and the block stops before a pull that fails, so the
-    error comes in the round that plays it.  A pull is recorded only when
-    its round plays it: its transcript row, its draw and insertion rows in
-    the ledger and its source's draw count.  When ``run_single`` ends, each
-    tree takes back the pulls computed and never played, and their noise
-    uniforms go back to the arm's stream, so the policy holds the state of
-    the played rounds only and plays on as if nothing had been computed
+    error comes in the round that plays it.  The tree changes only when a
+    round plays a pull: its one step (``AdaptiveTree._add``) records the
+    pull's draw and insertion rows and its source's draw count, adds the
+    pull and returns the release, and the round records its transcript row.
+    When ``run_single`` ends, the noise uniforms of the pulls computed and
+    never played go back to the arm's stream, so the policy holds the state
+    of the played rounds only and plays on as if nothing had been computed
     ahead.
+
+    The constructor rejects an eps too small or too large for doubles: one
+    that makes the first pull's truncation level 0, the last pull's
+    infinite, or the last pull's radius 0 or infinite (``ValueError``).
 
     Parameters
     ----------
@@ -575,8 +578,14 @@ class DPRobustUCB(_IndexPolicy):
             )
         # The schedules' argument checks run once, here; rounds read the
         # schedules from the memo's tables, or past the cap evaluate them.
-        private_ucb_radius(params, eps, horizon, 1, 1)
-        private_ucb_truncation(params, eps, horizon, 1)
+        # The truncation level grows with the pull count and w shrinks, so
+        # eps keeps every value finite and positive if it keeps these.
+        first = private_ucb_truncation(params, eps, horizon, 1)
+        last = private_ucb_truncation(params, eps, horizon, horizon)
+        radius = private_ucb_radius(params, eps, horizon, horizon, horizon)
+        _check_in_range("the first pull's truncation level", first, eps)
+        _check_in_range("the last pull's truncation level", last, eps)
+        _check_in_range("the last pull's radius", radius, eps)
         self.eps = float(eps)
         self.horizon = horizon
         log_horizon = math.log(self.horizon)
@@ -588,36 +597,34 @@ class DPRobustUCB(_IndexPolicy):
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
         ]
-        # Per arm, the latest block of pulls computed ahead, by column (kept
-        # reward, noise scale, truncation level, release, w), and how many of
-        # its pulls were played.
-        self._blocks = [_NO_BLOCK] * self.num_arms
-        self._played = [0] * self.num_arms
+        # Per arm, its pulls computed ahead and not yet played, one tuple a
+        # pull: (kept reward, truncation level, noise scale, noise value, w).
+        self._pulls = [iter(())] * self.num_arms
 
     def _observe(self, t: int, arm: int, reward: float) -> float:
-        i = self._played[arm]
-        kept, scales, bounds, releases, weights = self._blocks[arm]
-        if i == len(kept):  # observe's route: a block of the one reward
-            kept, scales, bounds, releases, weights = self._fill(arm, [reward])
-            i = 0
-        value = kept[i]
-        self._played[arm] = i + 1
-        self._trees[arm]._record(value, bounds[i], scales[i])
+        try:
+            value, bound, scale, eta, weight = next(self._pulls[arm])
+        except StopIteration:  # observe's route: the pulls of the one reward
+            self._fill(arm, [reward])
+            value, bound, scale, eta, weight = next(self._pulls[arm])
+        release = self._trees[arm]._add(value, bound, scale, eta)
         n = self._counts[arm] + 1
         self._counts[arm] = n
-        self._means[arm] = releases[i] / n
-        self._weights[arm] = weights[i]
+        self._means[arm] = release / n
+        self._weights[arm] = weight
         return value
 
-    def _fill(self, arm: int, rewards: list) -> tuple:
-        """Compute the arm's next pulls, one per reward, ahead of their rounds.
+    def _fill(self, arm: int, rewards: list) -> None:
+        """Compute what the arm's streams fix of its next pulls, one per reward.
 
-        Each reward is truncated at the tabled level for its pull count and
-        inserted into the arm's tree, which checks it and draws its noise.
-        ``_observe`` records each pull and sets the arm's mean (release /
-        pulls) and ``w`` when the pull's round plays it.  The tree may stop
-        the block early, before a pull that fails a check; ``rewards`` is cut
-        to the pulls computed.  Returns the block.
+        Each reward is truncated at the tabled level for its pull count, and
+        the arm's tree checks it (``AdaptiveTree._scales``); the arm's noise
+        source draws each pull's noise in one pass, and ``w`` is read from
+        its table.  The pulls wait in ``_pulls`` until their rounds play
+        them: then ``_observe`` has the tree record and add each one, and
+        sets the arm's mean (release / pulls) and ``w``.  The tree may stop
+        the block early, before a pull that fails a check; ``rewards`` is
+        cut to the pulls computed.
         """
         n = self._counts[arm]
         stop = n + len(rewards) + 1
@@ -627,30 +634,30 @@ class DPRobustUCB(_IndexPolicy):
         for reward in rewards:
             kept.append(reward if abs(reward) <= bounds[i] else 0.0)
             i += 1
-        scales, releases = self._trees[arm]._insert_ahead(kept, bounds)
-        if len(releases) < len(rewards):
-            del rewards[len(releases) :], kept[len(releases) :]
+        tree = self._trees[arm]
+        scales = tree._scales(kept, bounds)
+        if len(scales) < len(rewards):
+            del rewards[len(scales) :]
+        etas = tree._noise._values(scales)
         weights = self._pull_weights.entries(n + 1, stop)
-        block = self._blocks[arm] = (kept, scales, bounds, releases, weights)
-        self._played[arm] = 0
-        return block
+        self._pulls[arm] = zip(kept, bounds, scales, etas, weights)
 
     def _drop_lookahead(self) -> None:
-        for arm, tree in enumerate(self._trees):
-            tree._drop_unused(len(self._blocks[arm][0]) - self._played[arm])
-            self._blocks[arm] = _NO_BLOCK
-            self._played[arm] = 0
+        for tree, pulls in zip(self._trees, self._pulls):
+            tree._noise._unread(len(list(pulls)))
+        self._pulls = [iter(())] * self.num_arms
         super()._drop_lookahead()
 
 
 class _EliminationPolicy(_PolicyBase):
     """Shared state machine of the two successive-elimination policies.
 
-    Epochs run back to back, each kept as its schedule, ``_sched``, and its
-    last round, ``_epoch_end``: a round ``t > _epoch_end`` begins epoch
-    ``len(completed_epochs) + 1`` and round ``_epoch_end`` ends it.  Round
-    ``t`` pulls viable arm ``(t - _epoch_end - 1) % len(_viable)``, so the
-    viable arms are pulled in index order, cycling ``pulls_per_arm`` times.
+    Epochs run back to back, each kept as its schedule, ``_sched`` (epoch
+    1's is computed at construction), and its last round, ``_epoch_end``: a
+    round ``t > _epoch_end`` begins epoch ``len(completed_epochs) + 1`` and
+    round ``_epoch_end`` ends it.  Round ``t`` pulls viable arm
+    ``(t - _epoch_end - 1) % len(_viable)``, so the viable arms are pulled in
+    index order, cycling ``pulls_per_arm`` times.
     An epoch whose total pull budget does not fit into the remaining horizon
     is never started: the policy commits to the best arm under the latest
     release scores (the lowest-index viable arm if no epoch ever completed)
@@ -662,7 +669,10 @@ class _EliminationPolicy(_PolicyBase):
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
-    that carry different ledgers are rejected.
+    that carry different ledgers are rejected.  So is an eps too small or too
+    large for doubles: one that epoch 1's schedule, with every arm viable,
+    cannot compute, or that makes its noise scale 0, infinite or NaN
+    (``ValueError``).
     """
 
     _epoch_kind = ""
@@ -688,10 +698,14 @@ class _EliminationPolicy(_PolicyBase):
         self.eps = float(eps)
         self.horizon = horizon
         self.beta = float(beta)
+        # Epoch 1, with every arm viable, is the first an eps too small or too
+        # large for doubles breaks.  _begin_epoch takes its schedule from here.
+        self._sched = self._make_schedule(self.num_arms, 1)
+        # The noise scale of the epoch's draws.
+        self._scale = _check_in_range("epoch 1's noise scale", self._noise_scale(self._sched), eps)
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
-        self._sched = None
         self._epoch_end = 0
         self._epoch_record = None
         self._sums = [0.0] * self.num_arms  # per arm, the epoch's sum
@@ -716,6 +730,9 @@ class _EliminationPolicy(_PolicyBase):
     def _make_schedule(self, num_viable: int, epoch: int):
         raise NotImplementedError
 
+    def _noise_scale(self, sched) -> float:
+        raise NotImplementedError
+
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         raise NotImplementedError
 
@@ -730,12 +747,13 @@ class _EliminationPolicy(_PolicyBase):
 
     def _begin_epoch(self, t: int) -> None:
         epoch = len(self.completed_epochs) + 1
-        sched = self._make_schedule(len(self._viable), epoch)
+        sched = self._sched if epoch == 1 else self._make_schedule(len(self._viable), epoch)
         end = t - 1 + sched.pulls_per_arm * len(self._viable)
         if end > self.horizon:
             self._commit(self._best_known(), t)
             return
         self._sched = sched
+        self._scale = self._noise_scale(sched)
         self._epoch_end = end
         for a in self._viable:
             self._sums[a] = 0.0
@@ -794,17 +812,19 @@ class DPRobustSE(_EliminationPolicy):
     def _make_schedule(self, num_viable: int, epoch: int):
         return central_se_schedule(self.params, self.eps, self.beta, num_viable, epoch)
 
+    def _noise_scale(self, sched) -> float:
+        return 2.0 * sched.truncation / (sched.pulls_per_arm * self.eps)
+
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         return kept
 
     def _epoch_scores(self) -> dict:
         sched = self._sched
         pulls = sched.pulls_per_arm
-        scale = 2.0 * sched.truncation / (pulls * self.eps)
         scores = {}
         for a in self._viable:
             eta = self._sources[a].draw(
-                scale, SE_RELEASE_SITE, sched.truncation, self.eps, pulls
+                self._scale, SE_RELEASE_SITE, sched.truncation, self.eps, pulls
             )
             scores[a] = self._sums[a] / pulls + eta
         return scores
@@ -827,10 +847,12 @@ class LDPRobustSE(_EliminationPolicy):
     def _make_schedule(self, num_viable: int, epoch: int):
         return local_se_schedule(self.params, self.eps, self.beta, num_viable, epoch)
 
+    def _noise_scale(self, sched) -> float:
+        return 2.0 * sched.truncation / self.eps
+
     def _epoch_contribution(self, arm: int, kept: float) -> float:
-        sched = self._sched
-        scale = 2.0 * sched.truncation / self.eps
-        eta = self._sources[arm].draw(scale, LOCAL_REWARD_SITE, sched.truncation, self.eps, 0)
+        truncation = self._sched.truncation
+        eta = self._sources[arm].draw(self._scale, LOCAL_REWARD_SITE, truncation, self.eps, 0)
         return kept + eta
 
     def _epoch_scores(self) -> dict:

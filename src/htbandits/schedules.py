@@ -16,8 +16,9 @@ value the policies use is bit-identical to this module's, and tests compare
 the values with ``float.hex`` (``tests/test_index_fast_path.py``).
 
 This module is the home of the package's argument checks, one function per
-rule (an integer with a lower bound, ``eps``, ``v``, ``beta``) for every
-module to call.  Every check rejects NaN and infinity.
+rule (an integer with a lower bound, ``eps``, ``v``, ``beta``, a value that
+eps must keep finite and positive in doubles) for every module to call.
+Every check rejects NaN and infinity.
 """
 
 import logging
@@ -125,6 +126,17 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
+def _check_in_range(name: str, value: float, eps: float) -> float:
+    """``value``, computed from ``eps``, if it is finite and positive.
+
+    An eps too small or too large for doubles can make a value 0.0, infinite
+    or NaN; ValueError then names the value and the eps.
+    """
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value} at eps {eps}")
+    return value
+
+
 def _check_count(name: str, value: int) -> int:
     """``value`` as an int: finite and at least 1, then an integer (numpy's included, bool not)."""
     if not 1 <= value < math.inf:  # NaN fails too
@@ -226,19 +238,19 @@ def central_se_schedule(
     - truncation ``B = (u * R * eps / L) ** (1/(1+v))``;
     - accuracy ``err = u**(1/(1+v)) * (L / (R * eps)) ** (v/(1+v))``, which
       satisfies ``u / B**v == err`` for any ``R``.
+
+    An eps so small that ``eps * gap**((1+v)/v)`` is 0.0 in doubles raises
+    ``ValueError``.
     """
     _check_eps(eps)
     num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
     u, v = params.u, params.v
     gap = 2.0 ** -epoch
     log_term = math.log(4.0 * num_viable * epoch**2 / beta)
-    raw = (
-        u ** (1.0 / v)
-        * 24.0 ** ((1.0 + v) / v)
-        * log_term
-        / (eps * gap ** ((1.0 + v) / v))
-        + 1.0
+    divisor = _check_in_range(
+        f"epoch {epoch}'s eps * gap**((1+v)/v)", eps * gap ** ((1.0 + v) / v), eps
     )
+    raw = u ** (1.0 / v) * 24.0 ** ((1.0 + v) / v) * log_term / divisor + 1.0
     pulls, saturated = _clamp_pulls(raw, "central")
     truncation = (u * pulls * eps / log_term) ** (1.0 / (1.0 + v))
     accuracy = u ** (1.0 / (1.0 + v)) * (log_term / (pulls * eps)) ** (v / (1.0 + v))
@@ -265,19 +277,21 @@ def local_se_schedule(
     - truncation ``B = (u * sqrt(R) * eps / sqrt(L)) ** (1/(1+v))``;
     - accuracy ``err = u**(1/(1+v)) * (sqrt(L) / (sqrt(R) * eps)) ** (v/(1+v))``,
       which satisfies ``u / B**v == err`` for any ``R``.
+
+    An eps for which ``eps**2 * gap**(2(1+v)/v)`` is 0.0 or past the largest
+    double raises ``ValueError``.
     """
     _check_eps(eps)
     num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
     u, v = params.u, params.v
     gap = 4.0 ** -epoch
     log_term = math.log(8.0 * num_viable * epoch**2 / beta)
-    raw = (
-        u ** (2.0 / v)
-        * 28.0 ** (2.0 * (1.0 + v) / v)
-        * log_term
-        / (eps**2 * gap ** (2.0 * (1.0 + v) / v))
-        + log_term
-    )
+    try:
+        divisor = eps**2 * gap ** (2.0 * (1.0 + v) / v)
+    except OverflowError:  # eps**2 past the largest double
+        divisor = math.inf
+    divisor = _check_in_range(f"epoch {epoch}'s eps**2 * gap**(2(1+v)/v)", divisor, eps)
+    raw = u ** (2.0 / v) * 28.0 ** (2.0 * (1.0 + v) / v) * log_term / divisor + log_term
     pulls, saturated = _clamp_pulls(raw, "local")
     truncation = (u * math.sqrt(pulls) * eps / math.sqrt(log_term)) ** (1.0 / (1.0 + v))
     accuracy = u ** (1.0 / (1.0 + v)) * (

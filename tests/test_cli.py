@@ -116,3 +116,33 @@ def test_cli_rejects_an_unusable_out_before_any_repetition(tmp_path, capsys, mon
                  "--horizon", "10", "--out", str(tmp_path / "file" / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: [Errno")
+
+
+@pytest.mark.parametrize(
+    "algo, setting, eps",
+    [
+        ("dprucb", "S2", "5e-324"),  # eps / ln T underflows to 0
+        ("dprucb", "S1", "1.7e308"),  # the first truncation level is inf
+        ("dprse", "S1", "5e-324"),  # the epoch length's divisor underflows to 0
+        ("dprse", "S1", "1.7e308"),  # the first release's scale is inf
+        ("ldprse", "S1", "5e-324"),
+        ("ldprse", "S1", "1e-170"),  # eps**2 underflows to 0
+        ("ldprse", "S1", "1.7e308"),  # eps**2 overflows
+    ],
+)
+def test_an_eps_the_formulas_cannot_carry_is_rejected_before_any_repetition(
+    algo, setting, eps, tmp_path, capsys, monkeypatch
+) -> None:
+    with pytest.raises(ValueError):
+        htbandits.ExperimentConfig(
+            algo=algo, setting=setting, v=0.9, eps=float(eps), horizon=100, reps=1, base_seed=0
+        )
+
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(htbandits.cli, "run_experiment", run_experiment)
+    code = main(["--algo", algo, "--setting", setting, "--v", "0.9", "--eps", eps,
+                 "--horizon", "100", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,5 @@
 """Every module in src/ and tests/ reads each name it imports; the package
-imports no process pool."""
+reads every private name it defines and imports no process pool."""
 
 from __future__ import annotations
 
@@ -52,6 +52,73 @@ def test_no_module_imports_a_name_it_never_reads() -> None:
         for line, name in unused_imports(path.read_text())
     ]
     assert offenders == []
+
+
+def private_definitions(source: str) -> list:
+    """``(line, name)`` of every private function, method, class and
+    module-level name the source defines (dunder names are not private)."""
+    tree = ast.parse(source)
+    defined = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted(
+        (line, name) for line, name in defined if name.startswith("_") and not name.endswith("__")
+    )
+
+
+def names_read(source: str) -> set:
+    """Every name the source reads: as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """``path:line: name`` of each private definition that no source reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return [
+        f"{path}:{line}: {name}"
+        for path, source in sources.items()
+        for line, name in private_definitions(source)
+        if name not in read
+    ]
+
+
+def test_unread_private_definitions_are_found() -> None:
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_UNUSED = 2\n"
+            "class _Box:\n"
+            "    def __init__(self): self._size()\n"
+            "    def _size(self): return _USED\n"
+            "    def _spare(self): pass\n"
+        ),
+        "b.py": "from a import _Box\ndef _orphan(): pass\n",
+    }
+    assert unread_private_definitions(sources) == [
+        "a.py:2: _UNUSED", "a.py:6: _spare", "b.py:2: _orphan"
+    ]
+
+
+def test_the_package_reads_every_private_name_it_defines() -> None:
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert unread_private_definitions(sources) == []
 
 
 def test_importing_the_package_does_not_load_the_process_pool() -> None:

@@ -1,23 +1,31 @@
 """The private index policy's pulls computed ahead never show in what a run records.
 
-``run_single`` lets dprucb compute each arm's next pulls in blocks (1, 2, 4,
-... up to 256 pulls, never more than the rounds left), ahead of the rounds
-that play them.  A pull is recorded when its round plays it: its transcript
-row, its ledger draw and insertion rows and its source's ``draws_made``.
-After the run the policy holds the played state only.  These tests run
-audited repetitions at horizons around the block boundaries, with Laplace
-noise and with the zero-noise hook, and compare each with the same
-repetition played through ``select_arm``/``observe``, which computes nothing
-ahead: the ledger columns, each tree's state, each source's count and the
-next uniform of each noise stream must be equal, and both policies must play
-on alike.
+``run_single`` lets dprucb draw each arm's next rewards and tree noise in
+blocks (1, 2, 4, ... up to 256 pulls, never more than the rounds left), ahead
+of the rounds that play them.  A tree adds a pull, and the pull is recorded,
+when its round plays it: its transcript row, its ledger draw and insertion
+rows and its source's ``draws_made``.  After every played pull each tree
+holds exactly its arm's played pulls, and after the run the policy holds the
+played state only.  These tests run audited repetitions at horizons around
+the block boundaries, with Laplace noise and with the zero-noise hook, and
+compare each with the same repetition played through
+``select_arm``/``observe``, which computes nothing ahead: the ledger columns,
+each tree's state, each source's count and the next uniform of each noise
+stream must be equal, and both policies must play on alike.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from htbandits import ExperimentConfig, PrivacyLedger, make_instance_for, make_policy, run_single
+from htbandits import (
+    DPRobustUCB,
+    ExperimentConfig,
+    PrivacyLedger,
+    make_instance_for,
+    make_policy,
+    run_single,
+)
 
 from test_transcript import drive_by_contract
 
@@ -89,3 +97,27 @@ def test_run_single_records_only_the_pulls_it_plays(horizon, setting, zero_noise
     if not zero_noise:
         for tree, twin in zip(policy._trees, by_contract._trees):
             assert tree._noise.rng.random() == twin._noise.rng.random()
+
+
+@pytest.mark.parametrize("setting", ["S1", "two_arm_hard"])
+@pytest.mark.parametrize("horizon", HORIZONS)
+def test_no_tree_holds_a_pull_no_round_played(horizon, setting, monkeypatch) -> None:
+    # After every played pull each tree holds exactly its arm's played pulls:
+    # a fill draws rewards and noise ahead, never the tree's state.
+    observe = DPRobustUCB._observe
+    played = []
+    ahead = []
+
+    def spy(policy, t, arm, reward):
+        kept = observe(policy, t, arm, reward)
+        if not played:
+            played.extend([0] * policy.num_arms)
+        played[arm] += 1
+        if [tree.t for tree in policy._trees] != played:
+            ahead.append(t)
+        return kept
+
+    monkeypatch.setattr(DPRobustUCB, "_observe", spy)
+    run_single(config_for(setting, horizon, False), 0)
+    assert sum(played) == horizon
+    assert ahead == []

@@ -270,6 +270,14 @@ def test_tree_rejects_an_infinite_budget() -> None:
             AdaptiveTree(8, eps, noise=zero_source())
 
 
+def test_tree_rejects_a_budget_whose_share_per_level_is_not_a_double() -> None:
+    # eps / ln(horizon) underflows to 0 (the noise scale would divide by it)
+    # or overflows (the noise would be 0).
+    for horizon, eps in ((100, 5e-324), (2, 1.7e308)):
+        with pytest.raises(ValueError, match="eps / ln"):
+            AdaptiveTree(horizon, eps, noise=zero_source())
+
+
 def test_tree_rejects_a_capacity_that_is_not_an_integer() -> None:
     for horizon in (2.9, 8.0, "8", True):
         with pytest.raises(ValueError, match="horizon must be an integer"):

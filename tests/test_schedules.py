@@ -161,6 +161,22 @@ def test_every_schedule_rejects_an_infinite_budget() -> None:
                 call(eps)
 
 
+@pytest.mark.parametrize(
+    "make, eps",
+    [
+        (central_se_schedule, 5e-324),
+        (local_se_schedule, 5e-324),
+        (local_se_schedule, 1e-170),
+        (local_se_schedule, 1.7e308),
+    ],
+)
+def test_an_eps_past_the_range_of_doubles_is_a_value_error(make, eps) -> None:
+    # The epoch length's divisor would be 0.0 (ZeroDivisionError) or eps**2
+    # would overflow (OverflowError).
+    with pytest.raises(ValueError, match="epoch 1's eps.* must be finite and positive"):
+        make(UNIT, eps, 0.1, 5, 1)
+
+
 def test_schedule_argument_validation() -> None:
     with pytest.raises(ValueError):
         central_se_schedule(UNIT, 0.0, 0.1, 5, 1)
