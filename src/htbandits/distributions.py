@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _check_v
+from .schedules import _check_in_range, _check_v
 
 __all__ = [
     "ParetoModel",
@@ -260,14 +260,16 @@ def make_two_arm_hard_instance(delta: float, v: float, flavor: str = "low") -> B
     ``flavor="high"`` raises it so its mean is ``3.5 * delta`` (second arm
     optimal).
 
-    Requires ``0 < delta < 1/5`` so the spike probability stays in (0, 1).
+    Requires ``0 < delta < 1/5`` so the spike probability stays in (0, 1).  A
+    v so small that ``(5*delta)**(1/v)`` is 0.0 in doubles raises ``ValueError``,
+    and so does one that puts the spike past the largest double.
     """
     _check_v(v)
     if not (0.0 < delta < 0.2):
         raise ValueError(f"delta must lie in (0, 0.2), got {delta}")
     if flavor not in ("low", "high"):
         raise ValueError(f"flavor must be 'low' or 'high', got {flavor!r}")
-    scale = (5.0 * delta) ** (1.0 / v)
+    scale = _check_in_range("(5*delta)**(1/v)", (5.0 * delta) ** (1.0 / v), v=v, delta=delta)
     spike = 1.0 / scale
     p_first = scale ** (1.0 + v) / 2.0
     shift = delta * scale
@@ -282,7 +284,9 @@ def make_central_hard_instance(means, v: float) -> BanditInstance:
 
     Arm ``a`` puts probability ``(2*mu_a)**((1+v)/v) / 2`` on the spike
     ``(2*mu_a)**(-1/v)`` and the rest on 0, so its mean is ``mu_a``.  Means
-    must be non-increasing and lie in (0, 1/2].
+    must be non-increasing and lie in (0, 1/2].  A v so small that
+    ``(2*mu_a)**(1/v)`` is 0.0 in doubles raises ``ValueError``, and so does
+    one that puts a spike past the largest double.
     """
     _check_v(v)
     means = tuple(float(m) for m in means)
@@ -295,7 +299,7 @@ def make_central_hard_instance(means, v: float) -> BanditInstance:
         raise ValueError(f"means must be non-increasing, got {means}")
     arms = []
     for mu in means:
-        scale = (2.0 * mu) ** (1.0 / v)
+        scale = _check_in_range("(2*mu)**(1/v)", (2.0 * mu) ** (1.0 / v), v=v, mu=mu)
         spike = 1.0 / scale
         p = scale ** (1.0 + v) / 2.0
         arms.append(FiniteSupportModel([(0.0, 1.0 - p), (spike, p)]))
@@ -308,15 +312,16 @@ def make_central_shifted_arm(mu: float, delta: float, v: float) -> FiniteSupport
     Starts from the moment-1/2 spike arm at mean ``mu`` and adds probability
     ``2*delta*gamma`` on a second spike ``1/gamma`` with
     ``gamma = (4*delta)**(1/v)``.  Feasible when ``mu**(1+v) <= 1/6`` and
-    ``delta**(1+v) <= 1/12``.
+    ``delta**(1+v) <= 1/12``, and when v keeps ``(2*mu)**(1/v)``, ``gamma`` and
+    the spikes within the doubles (else ``ValueError``).
     """
     _check_v(v)
     if not (mu > 0.0 and mu ** (1.0 + v) <= 1.0 / 6.0):
         raise ValueError(f"need mu > 0 with mu**(1+v) <= 1/6, got mu={mu}")
     if not (delta > 0.0 and delta ** (1.0 + v) <= 1.0 / 12.0):
         raise ValueError(f"need delta > 0 with delta**(1+v) <= 1/12, got delta={delta}")
-    scale = (2.0 * mu) ** (1.0 / v)
-    gamma = (4.0 * delta) ** (1.0 / v)
+    scale = _check_in_range("(2*mu)**(1/v)", (2.0 * mu) ** (1.0 / v), v=v, mu=mu)
+    gamma = _check_in_range("(4*delta)**(1/v)", (4.0 * delta) ** (1.0 / v), v=v, delta=delta)
     p_base = scale ** (1.0 + v) / 2.0
     p_shift = 2.0 * delta * gamma
     return FiniteSupportModel(

@@ -6,13 +6,19 @@ keys, so reruns are bit-identical and parallel execution equals sequential.
 Regret traces record exact pseudo-regret (gap-weighted pull counts), not
 realized reward differences.
 
+``run_single`` has the policy play the rounds in stretches of at most
+``_STRETCH`` = 64 rounds, each ending at the next checkpoint at the latest,
+and computes the checkpoint's regret after the stretch that ends there.  Its
+local round counter ``t`` is the next round before each stretch, so a
+sampler that reads ``t - 1`` as the rounds done (``bench/pace.py``) lags the
+run by fewer than 64 rounds.
+
 Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
 derives its generator on the first read, draws uniforms in blocks and hands
-them out one or ``k`` at a time.  ``run_single`` hands each arm's rewards to
-the policy as blocks: ``model.samples`` maps a block of the arm's uniforms in
-one pass.  The private index policy takes them a block of pulls at a time and
-draws those pulls' tree noise ahead (``NoiseSource`` maps its uniforms in
-blocks too); the other policies take them one per round.  The values are
+them out one or ``k`` at a time.  The policy takes each arm's rewards in
+blocks: ``model.samples`` maps a block of the arm's uniforms in one pass.
+The private index policy draws a block's tree noise ahead too
+(``NoiseSource`` maps its uniforms in blocks).  The values are
 unchanged: a stream's doubles depend only on its key, ``Generator.random(n)``
 returns exactly the doubles of ``n`` scalar calls, and each stream has a
 single consumer, so deriving late and drawing ahead change only when the
@@ -211,6 +217,10 @@ def make_instance_for(setting: str, v: float) -> BanditInstance:
     raise ValueError(f"unknown setting {setting!r}")
 
 
+# run_single has the policy play at most this many rounds at a time, so the
+# round counter t that bench/pace.py samples moves at least this often.
+_STRETCH = 64
+
 # The stream purpose of each private algorithm's noise; rucb draws none.
 _NOISE_PURPOSE = {"dprucb": TREE_NOISE, "dprse": ELIMINATION_NOISE, "ldprse": PERTURBATION_NOISE}
 
@@ -273,11 +283,13 @@ def run_single(
 ):
     """Play one repetition and return its :class:`RegretTrace`.
 
-    Rounds are played one at a time until the policy commits; the rounds
-    left after that are played a block of the committed arm's rewards at a
-    time (see the module docstring), with the same transcript, ledger and
-    checkpoints.  With ``return_policy=True`` returns ``(trace, policy)`` so
-    tests can inspect final policy state.
+    The policy plays the rounds a stretch at a time (``_play_until``), each
+    stretch ending at the next checkpoint, after ``_STRETCH`` rounds or after
+    the round in which the policy commits; the rounds left after that are
+    played a block of the committed arm's rewards at a time (see the module
+    docstring), with the same transcript, ledger and checkpoints.  With
+    ``return_policy=True`` returns ``(trace, policy)`` so tests can inspect
+    final policy state.
     """
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
@@ -285,37 +297,33 @@ def run_single(
     streams = _streams(config, rep, instance.num_arms, REWARDS)
     takes = [_take_rewards(model, stream) for model, stream in zip(instance.arms, streams)]
     horizon = config.horizon
-    rewards = policy._arm_rewards(takes, horizon)
+    policy._begin_run(takes, horizon)
     gaps = instance.gaps
     counts = [0] * instance.num_arms
     cps = config.checkpoints()
     values = []
     cp_iter = iter(cps)
     next_cp = next(cp_iter)
-    # The harness keeps the select/observe contract itself, so it drives the
-    # policy core: the _select and _play that select_arm and observe call.
-    select = policy._select
-    play = policy._play
+    # The harness keeps the select/observe contract itself, so it has the
+    # policy play a stretch of rounds at a time.
+    play_until = policy._play_until
+    # t is the next round: bench/pace.py reads t - 1 as the rounds done.
+    t = 1
     try:
-        for t in range(1, horizon + 1):
-            arm = select(t)
-            play(t, arm, next(rewards[arm]))
-            counts[arm] += 1
-            if t == next_cp:
+        while t <= horizon and policy._committed is None:
+            t = play_until(t, min(next_cp, t + _STRETCH - 1), counts)
+            if t > next_cp:
                 values.append(math.fsum(map(operator.mul, gaps, counts)))
                 next_cp = next(cp_iter, None)
-            if policy._committed is not None:
-                break
         arm = policy._committed
         if arm is not None:
             # Every round left plays the committed arm, a block at a time.
-            # The arm's count at round s > t is counts[arm] - t + s; no other
-            # count moves, so with a zero gap the regret keeps its first value.
-            gap, offset, value = gaps[arm], counts[arm] - t, None
-            t += 1
-            for block in policy._committed_blocks(takes[arm], horizon):
+            # After round s > t - 1 the arm's count is counts[arm] - (t - 1) + s;
+            # no other count moves, so with a zero gap the regret keeps its
+            # first value.
+            gap, offset, value = gaps[arm], counts[arm] - (t - 1), None
+            for block in policy._committed_blocks():
                 policy._play_committed(block)
-                # t is the next round: bench/pace.py reads t - 1 as the rounds done.
                 t += len(block)
                 while next_cp is not None and next_cp < t:
                     if gap or value is None:

@@ -1,12 +1,12 @@
 """Laplace noise primitives and the streaming prefix-sum release mechanism.
 
-All noise flows through :class:`NoiseSource`, which records every draw into
-an optional :class:`PrivacyLedger` for post-hoc auditing.  A source draws
-Laplace noise under the ``LAPLACE`` hook and a constant under the two test
-hooks (``ZERO`` and ``UNIT``); it accepts only :class:`NoiseHook` members and
-fixes what it draws at construction.  The test hooks carry no privacy
-guarantee, and the audit, which checks scales and not values, cannot tell
-them from real noise.
+All noise flows through :class:`NoiseSource`, and every draw is recorded
+into the source's optional :class:`PrivacyLedger` for post-hoc auditing.  A
+source draws Laplace noise under the ``LAPLACE`` hook and a constant under
+the two test hooks (``ZERO`` and ``UNIT``); it accepts only :class:`NoiseHook`
+members and fixes what it draws at construction.  The test hooks carry no
+privacy guarantee, and the audit, which checks scales and not values, cannot
+tell them from real noise.
 
 Noise is drawn at three sites: the tree's partial sums, the central
 elimination release and the local per-reward perturbation.  Every draw passes
@@ -15,11 +15,12 @@ and a count, and the ledger records each draw as one row ``(site, scale,
 bound, eps, count)``; a draw at any other site is rejected when it is
 recorded.  A draw is recorded when its value is used: the private index
 policy draws a block of an arm's tree noise ahead, and the arm's tree records
-each draw, and adds its value, only when a round plays the pull.  The ledger
-keeps its draws and insertions in two :class:`RecordTable`, typed arrays by
-column, about 57 bytes per round of an audited index run.  The columns are
-the record: the audit reads them, and no record object is built.  The
-policies' transcripts are stored by column too.
+each draw, counts it and adds its value, in one call (``AdaptiveTree._add``),
+only when a round plays the pull.  The ledger keeps its draws and insertions
+in two :class:`RecordTable`, typed arrays by column, about 57 bytes per round
+of an audited index run.  The columns are the record: the audit reads them,
+and no record object is built.  The policies' transcripts are stored by
+column too.
 """
 
 import enum
@@ -247,9 +248,10 @@ class NoiseSource:
     :meth:`draw` checks, records and draws one value.  The private index
     policy draws an arm's tree noise ahead of its use, which splits this:
     ``_values`` draws the values of a block of checked scales, reading one
-    uniform per value, and the tree's step records each draw through
-    ``_record`` when a round plays its pull.  ``_unread`` hands the uniforms
-    of the latest block's last values, never played, back to the stream.
+    uniform per value, and the tree's step records each draw in the ledger
+    and counts it in ``draws_made`` when a round plays its pull.  ``_unread``
+    hands the uniforms of the latest block's last values, never played, back
+    to the stream.
 
     Parameters
     ----------
@@ -294,15 +296,11 @@ class NoiseSource:
         """
         if not 0.0 <= scale < _INF:  # NaN fails too
             raise ValueError(f"scale must be finite and non-negative, got {scale}")
-        self._record(scale, site, bound, eps, count)
-        return self._values((scale,))[0]
-
-    def _record(self, scale: float, site: str, bound: float, eps: float, count: int) -> None:
-        """Count one draw and record it in the ledger, which may reject it first."""
         ledger = self.ledger
         if ledger is not None:
             ledger.record_draw(site, scale, bound, eps, count)
         self.draws_made += 1
+        return self._values((scale,))[0]
 
     def _values(self, scales) -> list:
         """The value of one draw at each scale, which must be checked already.
@@ -346,7 +344,8 @@ class AdaptiveTree:
 
     :meth:`insert` checks one value (``_scales``), draws its noise and hands
     both to ``_add``, the one step that records the draw and the insertion,
-    adds the value and its noise and returns the release.  The private index
+    counts the draw in the source's ``draws_made``, adds the value and its
+    noise and returns the release, in one Python call.  The private index
     policy checks a block of an arm's next values and draws their noise
     ahead, in one pass each (``_scales``, ``NoiseSource._values``), but calls
     ``_add`` only when a round plays the value: the tree changes only then,
@@ -483,11 +482,15 @@ class AdaptiveTree:
 
         ``scale`` is the value's noise scale from :meth:`_scales` and ``eta``
         its draw at that scale.  The draw and the insertion are recorded
-        first, so a record the ledger rejects leaves the tree as it was.
+        first, in the ledger of the tree's source, and then the draw is
+        counted, so a record the ledger rejects leaves the tree and the count
+        as they were.
         """
-        self._noise._record(scale, TREE_SITE, bound, self.eps, self.horizon)
-        if self._ledger is not None:
-            self._ledger.record_insertion(self._mech, self.owner, value, bound)
+        ledger = self._ledger
+        if ledger is not None:
+            ledger.record_draw(TREE_SITE, scale, bound, self.eps, self.horizon)
+            ledger.record_insertion(self._mech, self.owner, value, bound)
+        self._noise.draws_made += 1
         t = self._t + 1
         psums = self._psums
         stack = self._noisy_stack

@@ -3,25 +3,28 @@
 All policies share one driving contract: ``select_arm(t)`` is called with
 ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is there for
-outside callers and is enforced; misuse raises.  ``run_single`` builds its
-policy and keeps the contract itself, so it drives the policy core: ``_select(t)``
-and then ``_play(t, ...)``, which passes the round to ``_observe``, checks the
-truncated reward and only then sets the round and records it.  ``observe``
-checks the contract and then calls ``_play`` too, so a round has one path on
-both routes.  Once a policy has committed, its rounds take one path on both
-routes too: ``select_arm`` returns the committed arm without ``_select``, and
-``_play_committed`` records the rounds, which reach no ``_observe``.
-``run_single`` reads each arm's rewards in blocks through ``_arm_rewards``
-and plays a committed policy's remaining rounds a block of rewards at a time
-(``_committed_blocks``); the private index policy draws the tree noise of
-each block's pulls ahead (``_fill``), its trees change only when a round
-plays a pull, and ``_drop_lookahead`` hands the noise of the pulls no round
-played back to the streams.  Each observed round is recorded in
-``transcript``, a list-like view of :class:`TranscriptEntry` stored by column
-at 13 bytes per round: the arm, the reward and a kept flag of each round,
-plus the first committed round.  A policy truncates a reward to itself or to
-``0.0``, so the flag and the reward give the truncated reward; a policy that
-returns anything else makes ``_play`` raise on either route.
+outside callers and is enforced; misuse raises.  ``observe`` checks the
+contract and calls ``_play(t, ...)``, which passes the round to
+``_observe``, checks the truncated reward and only then sets the round and
+records it.  ``run_single`` builds its policy and keeps the contract itself,
+so it has the policy play a stretch of rounds at a time (``_play_until``):
+by default each round is ``_select(t)`` and then ``_play``, as on the
+contract's route, while the private index policy plays its stretch in one
+loop that does the same work with its state in locals.  Once a policy has
+committed, its rounds take one path on both routes: ``select_arm`` returns
+the committed arm without ``_select``, and ``_play_committed`` records the
+rounds, which reach no ``_observe``.  ``run_single`` has each arm's rewards
+read in blocks (``_begin_run``) and plays a committed policy's remaining
+rounds a block of rewards at a time (``_committed_blocks``); the private
+index policy draws the tree noise of each block's pulls ahead (``_fill``),
+its trees change only when a round plays a pull, and ``_drop_lookahead``
+hands the noise of the pulls no round played back to the streams.  Each
+observed round is recorded in ``transcript``, a list-like view of
+:class:`TranscriptEntry` stored by column at 13 bytes per round: the arm,
+the reward and a kept flag of each round, plus the first committed round.
+A policy truncates a reward to itself or to ``0.0``, so the flag and the
+reward give the truncated reward; an ``_observe`` that returns anything
+else makes ``_play`` raise.
 
 The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
@@ -182,9 +185,11 @@ class _PolicyBase:
         # The arm every remaining round plays; the index policies never commit.
         # Set only through _commit.
         self._committed: Optional[int] = None
-        # Per arm, the unread rest of its current reward block, while
-        # run_single plays (_arm_rewards to _drop_lookahead).
+        # While run_single plays (_begin_run to _drop_lookahead): per arm, its
+        # reward take and the unread rest of its current block; the rounds.
+        self._takes: Optional[list] = None
         self._unread: Optional[list] = None
+        self._horizon = 0
 
     def select_arm(self, t: int) -> int:
         if self._pending is not None:
@@ -215,8 +220,8 @@ class _PolicyBase:
         """Observe and record round ``t``, for a caller that keeps the contract.
 
         :meth:`observe` calls this once its contract checks have passed, and
-        ``run_single`` calls ``_select(t)`` and then this, for ``t = 1, 2,
-        ...``, with a float reward.  A committed round goes to
+        :meth:`_play_until` calls ``_select(t)`` and then this, for ``t = 1,
+        2, ...``, with a float reward.  A committed round goes to
         :meth:`_play_committed`; any other is given to ``_observe`` with its
         round.  The transcript stores whether the reward was kept, so a
         truncated reward must be the reward itself or +0.0; anything else
@@ -244,8 +249,8 @@ class _PolicyBase:
         Every committed round pulls the committed arm and keeps its reward as
         it is, so the rounds are appended to the transcript's columns in bulk
         and none of them reaches ``_observe``.  ``_play`` calls this with the
-        one reward of a committed round, and ``run_single`` with a block of
-        the committed arm's rewards for each stretch of its remaining rounds.
+        one reward of a committed round, and ``run_single`` with each block
+        of the committed arm's rewards for its remaining rounds.
         ``rewards`` is a list of floats.
         """
         arms, column, flags = self.transcript.columns
@@ -256,56 +261,60 @@ class _PolicyBase:
         flags.frombytes(b"\x01" * n)
         self._round += n
 
-    def _arm_rewards(self, takes: list, horizon: int) -> list:
-        """Per arm, the iterator ``run_single`` reads each round's reward from.
+    def _begin_run(self, takes: list, horizon: int) -> None:
+        """Take each arm's rewards from ``takes`` in the rounds ``run_single`` plays.
 
         ``takes[arm](k)`` returns the arm's next ``k`` rewards in pull order.
-        An arm's rewards are taken a block at a time: the first block is one
-        reward and each later one doubles, up to ``_MAX_BLOCK``, but no block
-        covers more pulls than there are rounds left of ``horizon``.  Each
-        block goes to :meth:`_fill` before its first reward is read.
-        ``run_single`` calls :meth:`_drop_lookahead` once the rounds end, and
-        reads the committed arm's remaining rewards from
-        :meth:`_committed_blocks`.
+        An arm's rewards are taken a block at a time: after ``n`` pulls of
+        the arm, ``min(n + 1, _MAX_BLOCK)`` of them (1, 2, 4, ... as the
+        blocks run out), but no block covers more pulls than there are rounds
+        left of ``horizon``.  ``run_single`` then plays the rounds with
+        :meth:`_play_until`, reads the committed arm's remaining rewards from
+        :meth:`_committed_blocks` and calls :meth:`_drop_lookahead` once the
+        rounds end.
         """
+        self._takes, self._horizon = takes, horizon
         self._unread = [iter(())] * self.num_arms
-        return [self._in_blocks(arm, take, horizon) for arm, take in enumerate(takes)]
 
-    def _in_blocks(self, arm: int, take, horizon: int):
-        size = 1
-        unread = self._unread
-        while True:
-            # Round rounds_played + 1 is under way.
-            rewards = take(min(size, horizon - self._round))
-            self._fill(arm, rewards)
-            size = min(2 * size, _MAX_BLOCK)
-            unread[arm] = rest = iter(rewards)
-            yield from rest
+    def _play_until(self, t: int, stop: int, counts: list) -> int:
+        """Play rounds ``t`` to ``stop``, adding each pull to ``counts``; return the next round.
 
-    def _committed_blocks(self, take, horizon: int):
-        """The committed arm's rewards for the rounds left of ``horizon``, in blocks.
-
-        ``take`` is the committed arm's ``takes`` entry of
-        :meth:`_arm_rewards`.  The first block is the unread rest of the
-        arm's current block, if any, cut to the rounds left: an arm that
-        shared the rounds with others may hold more rewards than that.  Each
-        later block is a take of up to ``_TAIL_BLOCK`` rewards.  The caller
-        plays each block with :meth:`_play_committed` before it reads the
-        next, so the rewards are the ones the arm's pulls would read one
-        round at a time, and no list holds more than one block.
+        Round ``t`` is the one after ``rounds_played``.  Each round is
+        ``_select(t)`` and then :meth:`_play` with the arm's next reward, and
+        the stretch ends early after the round in which the policy commits.
         """
-        rest = list(islice(self._unread[self._committed], horizon - self._round))
+        select, play, takes, unread = self._select, self._play, self._takes, self._unread
+        while t <= stop:
+            arm = select(t)
+            reward = next(unread[arm], None)
+            if reward is None:  # the arm's block has run out
+                size = min(counts[arm] + 1, _MAX_BLOCK, self._horizon - t + 1)
+                unread[arm] = rest = iter(takes[arm](size))
+                reward = next(rest)
+            play(t, arm, reward)
+            counts[arm] += 1
+            t += 1
+            if self._committed is not None:
+                break
+        return t
+
+    def _committed_blocks(self):
+        """The committed arm's rewards for the rounds left of the run, in blocks.
+
+        The first block is the unread rest of the arm's current block, if
+        any, cut to the rounds left: an arm that shared the rounds with
+        others may hold more rewards than that.  Each later block is a take
+        of up to ``_TAIL_BLOCK`` rewards.  The caller plays each block with
+        :meth:`_play_committed` before it reads the next, so the rewards are
+        the ones the arm's pulls would read one round at a time, and no list
+        holds more than one block.
+        """
+        arm, horizon = self._committed, self._horizon
+        rest = list(islice(self._unread[arm], horizon - self._round))
         if rest:
             yield rest
         while self._round < horizon:
-            yield take(min(_TAIL_BLOCK, horizon - self._round))
-
-    def _fill(self, arm: int, rewards: list):
-        """Compute the arm's next pulls, one per reward, ahead of their rounds.
-
-        The private index policy does; the others take each reward as its
-        round plays it.
-        """
+            yield self._takes[arm](min(_TAIL_BLOCK, horizon - self._round))
 
     def _drop_lookahead(self) -> None:
         """Undo what was read or computed ahead of the played rounds.
@@ -314,7 +323,7 @@ class _PolicyBase:
         finished policy holds none of them; the private index policy also
         takes back the pulls it computed ahead.
         """
-        self._unread = None
+        self._takes = self._unread = None
 
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
@@ -534,19 +543,18 @@ class DPRobustUCB(_IndexPolicy):
     An arm's ``n``-th reward, kept reward, truncation level, noise scale,
     tree noise and ``w`` depend only on the arm's streams and ``n``, so the
     policy computes them ahead in blocks, one pass per step over the block
-    (``_fill``): under ``run_single`` the first block of an arm is one pull
-    and each later one doubles, up to ``_MAX_BLOCK`` = 256, never covering
-    more pulls than rounds are left; ``observe`` fills a block of the one
-    reward it is given.  Every pull is checked as ``AdaptiveTree.insert``
-    checks a value, and the block stops before a pull that fails, so the
-    error comes in the round that plays it.  The tree changes only when a
-    round plays a pull: its one step (``AdaptiveTree._add``) records the
-    pull's draw and insertion rows and its source's draw count, adds the
-    pull and returns the release, and the round records its transcript row.
-    When ``run_single`` ends, the noise uniforms of the pulls computed and
-    never played go back to the arm's stream, so the policy holds the state
-    of the played rounds only and plays on as if nothing had been computed
-    ahead.
+    (``_fill``): under ``run_single`` blocks of 1, 2, 4, ... up to
+    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, which its
+    own stretch of rounds (``_play_until``) takes and fills; ``observe``
+    fills a block of the one reward it is given.  Every pull is checked as
+    ``AdaptiveTree.insert`` checks a value, and the block stops before a
+    pull that fails, so the error comes in the round that plays it.  The
+    tree changes only when a round plays a pull: its one step
+    (``AdaptiveTree._add``) records the pull's draw and insertion rows,
+    counts the draw, adds the pull and returns the release.  When
+    ``run_single`` ends, the noise uniforms of the pulls computed and never
+    played go back to the arm's stream, so the policy holds the state of the
+    played rounds only and plays on as if nothing had been computed ahead.
 
     The constructor rejects an eps too small or too large for doubles: one
     that makes the first pull's truncation level 0, the last pull's
@@ -583,9 +591,9 @@ class DPRobustUCB(_IndexPolicy):
         first = private_ucb_truncation(params, eps, horizon, 1)
         last = private_ucb_truncation(params, eps, horizon, horizon)
         radius = private_ucb_radius(params, eps, horizon, horizon, horizon)
-        _check_in_range("the first pull's truncation level", first, eps)
-        _check_in_range("the last pull's truncation level", last, eps)
-        _check_in_range("the last pull's radius", radius, eps)
+        _check_in_range("the first pull's truncation level", first, v=params.v, eps=eps)
+        _check_in_range("the last pull's truncation level", last, v=params.v, eps=eps)
+        _check_in_range("the last pull's radius", radius, v=params.v, eps=eps)
         self.eps = float(eps)
         self.horizon = horizon
         log_horizon = math.log(self.horizon)
@@ -598,15 +606,76 @@ class DPRobustUCB(_IndexPolicy):
             for a, src in enumerate(noise_sources)
         ]
         # Per arm, its pulls computed ahead and not yet played, one tuple a
-        # pull: (kept reward, truncation level, noise scale, noise value, w).
+        # pull: (kept reward, truncation level, noise scale, noise value, w,
+        # reward).
         self._pulls = [iter(())] * self.num_arms
+        self._loop: Optional[tuple] = None  # while run_single plays
+
+    def _begin_run(self, takes: list, horizon: int) -> None:
+        super()._begin_run(takes, horizon)
+        # What _play_until reads, gathered once per run: at dense checkpoints
+        # a stretch is a round or two, so its set-up must cost little.
+        self._loop = (
+            self.num_arms, horizon, self._untabled, self._scales, self._arms, self._means,
+            self._weights, self._counts, self._pulls, takes, self._fill,
+            [tree._add for tree in self._trees], *self.transcript.columns,
+        )
+
+    def _play_until(self, t: int, stop: int, counts: list) -> int:
+        """Play rounds ``t`` to ``stop`` in one loop; return the next round.
+
+        Each round does the work of ``_select``, ``_play`` and ``_observe``
+        with the policy's state in locals; the arm's tree adds the pull in
+        its one step, ``AdaptiveTree._add``.  An arm whose computed pulls
+        have run out takes its next block (see :meth:`_begin_run`) and fills
+        it.  ``counts`` ends equal to the pull counts.
+        """
+        (num_arms, horizon, untabled, table, arms, means, weights, own, pulls, takes, fill, adds,
+         arm_column, reward_column, flag_column) = self._loop
+        scale, lowest = self._radius_scale, -math.inf
+        try:
+            while t <= stop:
+                if t <= num_arms:
+                    arm = t - 1
+                else:
+                    if t < untabled:
+                        try:
+                            scale = table[t]
+                        except IndexError:
+                            scale = table.grow(t)
+                    else:
+                        coef, m, k, log_pow, exp = table.constants
+                        scale = coef * (math.log(m * t**k) * log_pow) ** exp
+                    best, arm = lowest, 0
+                    for a in arms:
+                        score = means[a] + scale * weights[a]
+                        if score > best:
+                            best = score
+                            arm = a
+                try:
+                    value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
+                except StopIteration:
+                    fill(arm, takes[arm](min(own[arm] + 1, _MAX_BLOCK, horizon - t + 1)))
+                    value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
+                release = adds[arm](value, bound, noise_scale, eta)
+                n = own[arm] + 1
+                own[arm] = n
+                means[arm] = release / n
+                weights[arm] = weight
+                arm_column.append(arm)
+                reward_column.append(reward)
+                flag_column.append(value is reward)
+                t += 1
+        finally:
+            self._round = t - 1
+            self._radius_scale = scale
+            counts[:] = own
+        return t
 
     def _observe(self, t: int, arm: int, reward: float) -> float:
-        try:
-            value, bound, scale, eta, weight = next(self._pulls[arm])
-        except StopIteration:  # observe's route: the pulls of the one reward
-            self._fill(arm, [reward])
-            value, bound, scale, eta, weight = next(self._pulls[arm])
+        # The contract's route: the pulls of the one reward.
+        self._fill(arm, [reward])
+        value, bound, scale, eta, weight, _ = next(self._pulls[arm])
         release = self._trees[arm]._add(value, bound, scale, eta)
         n = self._counts[arm] + 1
         self._counts[arm] = n
@@ -640,12 +709,13 @@ class DPRobustUCB(_IndexPolicy):
             del rewards[len(scales) :]
         etas = tree._noise._values(scales)
         weights = self._pull_weights.entries(n + 1, stop)
-        self._pulls[arm] = zip(kept, bounds, scales, etas, weights)
+        self._pulls[arm] = zip(kept, bounds, scales, etas, weights, rewards)
 
     def _drop_lookahead(self) -> None:
         for tree, pulls in zip(self._trees, self._pulls):
             tree._noise._unread(len(list(pulls)))
         self._pulls = [iter(())] * self.num_arms
+        self._loop = None
         super()._drop_lookahead()
 
 
@@ -669,10 +739,11 @@ class _EliminationPolicy(_PolicyBase):
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
-    that carry different ledgers are rejected.  So is an eps too small or too
-    large for doubles: one that epoch 1's schedule, with every arm viable,
-    cannot compute, or that makes its noise scale 0, infinite or NaN
-    (``ValueError``).
+    that carry different ledgers are rejected.  So is an eps or v too small
+    or too large for doubles: one for which the schedule of epoch 1, with
+    every arm viable, or of a later epoch that some run may begin cannot be
+    computed, or whose noise scale in such an epoch is 0, infinite or NaN
+    (``ValueError``, at construction).
     """
 
     _epoch_kind = ""
@@ -698,11 +769,11 @@ class _EliminationPolicy(_PolicyBase):
         self.eps = float(eps)
         self.horizon = horizon
         self.beta = float(beta)
-        # Epoch 1, with every arm viable, is the first an eps too small or too
-        # large for doubles breaks.  _begin_epoch takes its schedule from here.
+        # Epoch 1 plays every arm.  _begin_epoch takes its schedule from here.
         self._sched = self._make_schedule(self.num_arms, 1)
         # The noise scale of the epoch's draws.
-        self._scale = _check_in_range("epoch 1's noise scale", self._noise_scale(self._sched), eps)
+        self._scale = self._checked_scale(self._sched, 1)
+        self._check_later_epochs()
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
@@ -732,6 +803,28 @@ class _EliminationPolicy(_PolicyBase):
 
     def _noise_scale(self, sched) -> float:
         raise NotImplementedError
+
+    def _checked_scale(self, sched, epoch: int) -> float:
+        return _check_in_range(
+            f"epoch {epoch}'s noise scale", self._noise_scale(sched), v=self.params.v, eps=self.eps
+        )
+
+    def _check_later_epochs(self) -> None:
+        """Compute every later epoch a run may begin, and check its noise scale if it fits.
+
+        An epoch of ``m >= 2`` viable arms follows epoch 1 and epochs of at
+        least ``m`` arms, each no shorter than the same epoch of ``m`` arms,
+        so epochs 2, 3, ... of ``m`` arms after epoch 1 begin no later.
+        """
+        first_end = self._sched.pulls_per_arm * self.num_arms
+        for m in range(2, self.num_arms + 1):
+            end, epoch = first_end, 2
+            while end < self.horizon:
+                sched = self._make_schedule(m, epoch)
+                end += sched.pulls_per_arm * m
+                if end <= self.horizon:
+                    self._checked_scale(sched, epoch)
+                epoch += 1
 
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         raise NotImplementedError

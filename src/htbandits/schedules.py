@@ -17,7 +17,7 @@ the values with ``float.hex`` (``tests/test_index_fast_path.py``).
 
 This module is the home of the package's argument checks, one function per
 rule (an integer with a lower bound, ``eps``, ``v``, ``beta``, a value that
-eps must keep finite and positive in doubles) for every module to call.
+eps and v must keep finite and positive in doubles) for every module to call.
 Every check rejects NaN and infinity.
 """
 
@@ -126,15 +126,25 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
-def _check_in_range(name: str, value: float, eps: float) -> float:
-    """``value``, computed from ``eps``, if it is finite and positive.
+def _check_in_range(name: str, value: float, **given) -> float:
+    """``value``, computed from the ``given`` arguments, if it is finite and positive.
 
-    An eps too small or too large for doubles can make a value 0.0, infinite
-    or NaN; ValueError then names the value and the eps.
+    An eps or v too small or too large for doubles can make a value 0.0,
+    infinite or NaN; ValueError then names the value and the arguments, as
+    in ``... got 0.0 at v 0.001, eps 1.0``.
     """
     if not 0.0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and positive, got {value} at eps {eps}")
+        at = ", ".join(f"{key} {arg}" for key, arg in given.items())
+        raise ValueError(f"{name} must be finite and positive, got {value} at {at}")
     return value
+
+
+def _pow(base: float, exp: float) -> float:
+    """``base ** exp``, infinite where the power is past the largest double."""
+    try:
+        return base**exp
+    except OverflowError:
+        return math.inf
 
 
 def _check_count(name: str, value: int) -> int:
@@ -169,7 +179,8 @@ def private_ucb_radius(
 
     ``18 * u**(1/(1+v)) * (ln(2*t**4) * ln(horizon)**(1.5 + 1/v)
     / (n * eps)) ** (v/(1+v))``.  The failure probability per arm and round is
-    at most ``1/t**4``.
+    at most ``1/t**4``.  A v so small that ``ln(horizon)**(1.5 + 1/v)`` is 0.0
+    or past the largest double raises ``ValueError``.
     """
     _check_eps(eps)
     _check_above_one("horizon", horizon)
@@ -178,7 +189,10 @@ def private_ucb_radius(
     v = params.v
     exp = v / (1.0 + v)
     # C(t) * w: the per-round factor, then the per-arm factor.
-    log_term = math.log(2 * t**4) * math.log(horizon) ** (1.5 + 1.0 / v)
+    log_pow = _check_in_range(
+        "ln(horizon)**(1.5 + 1/v)", _pow(math.log(horizon), 1.5 + 1.0 / v), v=v
+    )
+    log_term = math.log(2 * t**4) * log_pow
     per_round = 18.0 * params.u ** (1.0 / (1.0 + v)) * log_term**exp
     return per_round * (n * eps) ** -exp
 
@@ -239,8 +253,9 @@ def central_se_schedule(
     - accuracy ``err = u**(1/(1+v)) * (L / (R * eps)) ** (v/(1+v))``, which
       satisfies ``u / B**v == err`` for any ``R``.
 
-    An eps so small that ``eps * gap**((1+v)/v)`` is 0.0 in doubles raises
-    ``ValueError``.
+    An eps or v for which ``eps * gap**((1+v)/v)`` is 0.0 in doubles, or
+    ``u**(1/v) * 24**((1+v)/v)`` is 0.0, NaN or past the largest double,
+    raises ``ValueError``.
     """
     _check_eps(eps)
     num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
@@ -248,9 +263,12 @@ def central_se_schedule(
     gap = 2.0 ** -epoch
     log_term = math.log(4.0 * num_viable * epoch**2 / beta)
     divisor = _check_in_range(
-        f"epoch {epoch}'s eps * gap**((1+v)/v)", eps * gap ** ((1.0 + v) / v), eps
+        f"epoch {epoch}'s eps * gap**((1+v)/v)", eps * gap ** ((1.0 + v) / v), v=v, eps=eps
     )
-    raw = u ** (1.0 / v) * 24.0 ** ((1.0 + v) / v) * log_term / divisor + 1.0
+    coef = _check_in_range(
+        "u**(1/v) * 24**((1+v)/v)", _pow(u, 1.0 / v) * _pow(24.0, (1.0 + v) / v), v=v
+    )
+    raw = coef * log_term / divisor + 1.0
     pulls, saturated = _clamp_pulls(raw, "central")
     truncation = (u * pulls * eps / log_term) ** (1.0 / (1.0 + v))
     accuracy = u ** (1.0 / (1.0 + v)) * (log_term / (pulls * eps)) ** (v / (1.0 + v))
@@ -278,8 +296,9 @@ def local_se_schedule(
     - accuracy ``err = u**(1/(1+v)) * (sqrt(L) / (sqrt(R) * eps)) ** (v/(1+v))``,
       which satisfies ``u / B**v == err`` for any ``R``.
 
-    An eps for which ``eps**2 * gap**(2(1+v)/v)`` is 0.0 or past the largest
-    double raises ``ValueError``.
+    An eps or v for which ``eps**2 * gap**(2(1+v)/v)`` is 0.0 or past the
+    largest double, or ``u**(2/v) * 28**(2(1+v)/v)`` is 0.0, NaN or past it,
+    raises ``ValueError``.
     """
     _check_eps(eps)
     num_viable, epoch = _check_epoch_args(beta, num_viable, epoch)
@@ -290,8 +309,11 @@ def local_se_schedule(
         divisor = eps**2 * gap ** (2.0 * (1.0 + v) / v)
     except OverflowError:  # eps**2 past the largest double
         divisor = math.inf
-    divisor = _check_in_range(f"epoch {epoch}'s eps**2 * gap**(2(1+v)/v)", divisor, eps)
-    raw = u ** (2.0 / v) * 28.0 ** (2.0 * (1.0 + v) / v) * log_term / divisor + log_term
+    divisor = _check_in_range(f"epoch {epoch}'s eps**2 * gap**(2(1+v)/v)", divisor, v=v, eps=eps)
+    coef = _check_in_range(
+        "u**(2/v) * 28**(2(1+v)/v)", _pow(u, 2.0 / v) * _pow(28.0, 2.0 * (1.0 + v) / v), v=v
+    )
+    raw = coef * log_term / divisor + log_term
     pulls, saturated = _clamp_pulls(raw, "local")
     truncation = (u * math.sqrt(pulls) * eps / math.sqrt(log_term)) ** (1.0 / (1.0 + v))
     accuracy = u ** (1.0 / (1.0 + v)) * (

@@ -14,9 +14,10 @@ from htbandits import (
     PrivacyLedger,
     audit_run,
     harness,
+    policies,
     run_single,
 )
-from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
+from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE, AdaptiveTree
 from htbandits.seeding import (
     ELIMINATION_NOISE,
     PERTURBATION_NOISE,
@@ -28,17 +29,36 @@ from conftest import constant_samplers, drive
 
 
 class HalvingSource(NoiseSource):
-    """Fault injection: draws (and records) at half the requested scale.
+    """Fault injection: draws (and records) at half the requested scale."""
 
-    ``draw`` records and draws through these two methods, and the tree calls
-    them apart for the pulls it computes ahead.
+    def draw(self, scale, site, bound, eps, count):
+        return super().draw(scale * 0.5, site, bound, eps, count)
+
+
+class HalvingTree(AdaptiveTree):
+    """Fault injection: gives its values' noise half their scale.
+
+    The tree computes each draw's scale (``_scales``), draws its noise at that
+    scale and records it when it adds the value, so the draws are made and
+    recorded at half scale.
     """
 
-    def _record(self, scale, site, bound, eps, count):
-        super()._record(scale * 0.5, site, bound, eps, count)
+    def _scales(self, values, bounds):
+        return [scale * 0.5 for scale in super()._scales(values, bounds)]
 
-    def _values(self, scales):
-        return super()._values([scale * 0.5 for scale in scales])
+
+def run_halved(run, ledger) -> None:
+    """``run(ledger)`` with every draw made and recorded at half its scale.
+
+    The sources draw the elimination policies' noise (``HalvingSource``), and
+    the trees compute the scales of the index policy's (``HalvingTree``).
+    """
+    real = policies.AdaptiveTree
+    policies.AdaptiveTree = HalvingTree
+    try:
+        run(ledger, cls=HalvingSource)
+    finally:
+        policies.AdaptiveTree = real
 
 
 def sources(n: int, purpose: int, ledger, cls=NoiseSource) -> list:
@@ -115,7 +135,7 @@ def test_clean_runs_pass_the_audit(run) -> None:
 )
 def test_halved_noise_scale_is_flagged_at_its_site(run, site) -> None:
     ledger = PrivacyLedger()
-    run(ledger, cls=HalvingSource)
+    run_halved(run, ledger)
     report = audit_run(ledger)
     assert not report.ok
     flagged_sites = {f.site for f in report.findings}

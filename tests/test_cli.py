@@ -146,3 +146,34 @@ def test_an_eps_the_formulas_cannot_carry_is_rejected_before_any_repetition(
                  "--horizon", "100", "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "algo, setting, v",
+    [
+        ("dprse", "S1", "0.001"),  # 24**((1+v)/v) is past the largest double
+        ("dprucb", "S1", "0.001"),  # ln(T)**(1.5 + 1/v) is past it
+        ("ldprse", "S1", "0.005"),  # 28**(2(1+v)/v) is past it
+        ("dprucb", "two_arm_hard", "0.002"),
+        ("rucb", "k_arm_hard", "0.002"),  # (2*mu)**(1/v) underflows to 0
+        ("dprse", "k_arm_hard", "0.001"),
+        ("rucb", "two_arm_hard", "1e-4"),  # (5*delta)**(1/v) underflows to 0
+        ("dprucb", "two_arm_hard", "1e-4"),
+    ],
+)
+def test_a_v_the_formulas_cannot_carry_is_rejected_before_any_repetition(
+    algo, setting, v, tmp_path, capsys, monkeypatch
+) -> None:
+    with pytest.raises(ValueError, match=f"at v {float(v)}"):
+        htbandits.ExperimentConfig(
+            algo=algo, setting=setting, v=float(v), eps=1.0, horizon=1000, reps=1, base_seed=0
+        )
+
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(htbandits.cli, "run_experiment", run_experiment)
+    code = main(["--algo", algo, "--setting", setting, "--v", v, "--eps", "1",
+                 "--horizon", "1000", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -16,8 +16,9 @@ digests hash every transcript and ledger column by ``float.hex`` on the
 transcript test's cells, and are gated the same way.  No column stores a tree
 release or a noise value, so the release digests hash the private index
 policy's per-arm means (noisy sum / pulls) as each round's selection reads
-them, on three cells: one audited, one whose arms pass the schedule tables'
-cap of 2**17 pulls, and the benchmark's 1e5-round cell.
+them, on three cells played through ``select_arm``/``observe``: one audited,
+one whose arms pass the schedule tables' cap of 2**17 pulls, and the
+benchmark's 1e5-round cell.  ``run_single`` must end each in the same state.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from htbandits import (
     ExperimentConfig,
     PrivacyLedger,
     make_instance_for,
+    make_policy,
     run_experiment,
     run_single,
     write_csv,
 )
 
-from test_transcript import CASES, config_for, instance_for
+from test_transcript import CASES, config_for, drive_by_contract, instance_for, tree_state
 
 V = 0.9
 SEED = 7
@@ -91,9 +93,9 @@ def test_grid_output_matches_the_golden_digest(tmp_path) -> None:
 
 
 # Per cell of test_transcript.CASES, (algo, setting, eps, horizon, arm
-# order): the value digest of its audited rep 0.  The last four cells end in
-# committed tails; their digests were recorded with every round played one at
-# a time.
+# order): the value digest of its audited rep 0.  Cells 6-9 end in committed
+# tails; their digests were recorded with every round played one at a time,
+# as were those of the last five, short dprucb cells.
 VALUE_SHA256 = {
     ("dprse", "S1", 1.0, 300, "given"): (
         "768034fb86f89f23117a6ac1c166eff420c9986a704c3c770a9e6b993ccf7116"
@@ -121,6 +123,21 @@ VALUE_SHA256 = {
     ),
     ("dprse", "S1", 1000.0, 2000, "given"): (
         "1823a515c3f27bd51b5e021482663be4c840ac58a300733bc42a0c5ef312654c"
+    ),
+    ("dprucb", "S1", 1.0, 5, "given"): (
+        "b44c72f99a2cdf0ad43d30a3869da86e00515aa49740e37bbb44ac477148fb26"
+    ),
+    ("dprucb", "S1", 1.0, 6, "given"): (
+        "47db64c0ee391284650aeb69628a7754018f25cbd5a850d03f5dfd4490231504"
+    ),
+    ("dprucb", "S1", 1.0, 64, "given"): (
+        "5f87e6f342c577e86ea1b22f10ecebed162b1372deccd70b7d0220c75d691afc"
+    ),
+    ("dprucb", "S1", 1.0, 65, "given"): (
+        "c08bd78b3659db1725c0171e23a53e528213fc2522babafe449b894323061b6f"
+    ),
+    ("dprucb", "S1", 1.0, 130, "given"): (
+        "b2474b37d5ca1c01fc22a6021d6dc830c7f9d4942e3e5ead19504bb888a58a31"
     ),
 }
 
@@ -153,8 +170,8 @@ def test_run_values_match_the_recorded_digests() -> None:
 
 
 # (setting, eps, horizon, seed, audited): the release digest of rep 0.  The
-# first is test_transcript.CASES' dprucb cell; on the second both arms pass
-# 2**17 pulls (152,406 and 147,594).
+# first is test_transcript.CASES' T=2000 dprucb cell; on the second both arms
+# pass 2**17 pulls (152,406 and 147,594).
 RELEASE_CELLS = {
     ("S1", 1.0, 2000, SEED, True): "bc03eb93a121c87017873eb04c78bbcdeb7e28b1ff799e381e12d687c5af62c2",
     ("two_arm_hard", 1.0, 300_000, SEED, False): (
@@ -166,10 +183,12 @@ RELEASE_CELLS = {
 }
 
 
-def release_digest(monkeypatch, setting: str, eps: float, horizon: int, seed: int, audited: bool):
+def release_digest(monkeypatch, config: ExperimentConfig, ledger) -> tuple:
     """SHA-256 of ``float.hex`` of the means every ``_select(t)`` reads, then the final means.
 
-    Returns the digest and the played policy.
+    The repetition is played through ``select_arm``/``observe``, which call
+    ``_select(t)`` in every round, as ``run_single`` did when the digests
+    were recorded.  Returns the digest and the played policy.
     """
     digest = hashlib.sha256()
     select = DPRobustUCB._select
@@ -179,21 +198,38 @@ def release_digest(monkeypatch, setting: str, eps: float, horizon: int, seed: in
         return select(self, t)
 
     monkeypatch.setattr(DPRobustUCB, "_select", hashing_select)
-    config = ExperimentConfig(
-        algo="dprucb", setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=seed
-    )
-    ledger = PrivacyLedger() if audited else None
-    _, policy = run_single(config, 0, ledger=ledger, return_policy=True)
+    policy = make_policy(config, make_instance_for(config.setting, config.v), 0, ledger=ledger)
+    drive_by_contract(config, policy)
     monkeypatch.undo()
     digest.update(",".join(map(float.hex, policy._means)).encode())
     return digest.hexdigest(), policy
 
 
+def played_state(policy, ledger) -> tuple:
+    """The final means, tree states, transcript and ledger columns of a played policy."""
+    tables = [policy.transcript] + ([ledger.noise_draws, ledger.insertions] if ledger else [])
+    return (
+        [x.hex() for x in policy._means],
+        [tree_state(tree) for tree in policy._trees],
+        [column.tobytes() for table in tables for column in table.columns],
+    )
+
+
 def test_releases_match_the_recorded_digests(monkeypatch) -> None:
+    # run_single's private index policy reads its means in a loop that calls
+    # no _select, so the digest is taken on the contract's route, and
+    # run_single must end in that route's state.
     digests = {}
-    for cell in RELEASE_CELLS:
-        digests[cell], policy = release_digest(monkeypatch, *cell)
-        print(f"release digest {cell}: {digests[cell]} pulls {policy.pull_counts}")
-        if cell[2] == 300_000:
-            assert min(policy.pull_counts) > 2**17
+    for setting, eps, horizon, seed, audited in RELEASE_CELLS:
+        cell = (setting, eps, horizon, seed, audited)
+        config = ExperimentConfig(
+            algo="dprucb", setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=seed
+        )
+        ledgers = [PrivacyLedger(), PrivacyLedger()] if audited else [None, None]
+        digests[cell], by_contract = release_digest(monkeypatch, config, ledgers[0])
+        print(f"release digest {cell}: {digests[cell]} pulls {by_contract.pull_counts}")
+        if horizon == 300_000:
+            assert min(by_contract.pull_counts) > 2**17
+        _, policy = run_single(config, 0, ledger=ledgers[1], return_policy=True)
+        assert played_state(policy, ledgers[1]) == played_state(by_contract, ledgers[0])
     assert digests == RELEASE_CELLS

@@ -7,15 +7,20 @@ import csv
 import inspect
 import itertools
 import math
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htbandits import (
     __version__,
     AdaptiveTree,
+    DPRobustSE,
+    DPRobustUCB,
     ExperimentConfig,
     FiniteSupportModel,
     MomentParams,
@@ -31,6 +36,7 @@ from htbandits import (
     run_single,
     write_csv,
 )
+from htbandits import harness
 from htbandits.distributions import format_value, instance_description
 from htbandits.harness import (
     ALGORITHMS,
@@ -218,6 +224,18 @@ def test_a_one_round_elimination_config_is_rejected() -> None:
         assert small_config(algo=algo, horizon=1, beta=0.5).resolved_beta == 0.5
     small_config(algo="rucb", horizon=1)
     small_config(algo="dprucb", setting="two_arm_hard", horizon=2)
+
+
+def test_a_later_epoch_without_a_noise_scale_in_doubles_is_rejected() -> None:
+    # At the largest eps each epoch pulls each arm once or twice, so a run of
+    # 100 rounds may begin dozens of epochs; at epoch 43 of two viable arms
+    # the release's noise scale underflows to 0.0, and a draw at that scale
+    # adds no noise.  The config is rejected, not the run that gets there.
+    with pytest.raises(ValueError, match="epoch 43's noise scale must be finite and positive"):
+        small_config(
+            algo="dprse", setting="two_arm_hard", v=0.05, eps=1.7976931348623157e308,
+            horizon=100,
+        )
 
 
 def test_beta_defaults_to_one_over_the_horizon() -> None:
@@ -446,6 +464,79 @@ def test_regret_matches_pull_counts_from_the_transcript() -> None:
     assert trace.final_regret == math.fsum(
         g * c for g, c in zip(instance.gaps, counts)
     )
+
+
+@pytest.mark.parametrize(
+    "cls,setting,eps,horizon",
+    [(DPRobustUCB, "S1", 1.0, 2000), (DPRobustSE, "two_arm_hard", 100.0, 5000)],
+    ids=["dprucb", "dprse"],
+)
+def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
+    monkeypatch, cls, setting, eps, horizon
+) -> None:
+    # bench/pace.py samples the local t of the running run_single frame and
+    # reads t - 1 as the rounds done.  So each stretch starts with t - 1 equal
+    # to the rounds played, plays at most 64 rounds and passes no checkpoint;
+    # it ends at the next checkpoint or after 64 rounds, or after the round in
+    # which the policy commits (the dprse cell commits after two epochs).
+    play_until = cls._play_until
+    stretches = []
+
+    def spy(policy, t: int, stop: int, counts: list) -> int:
+        frame = sys._getframe(1)
+        assert frame.f_code is harness.run_single.__code__
+        before = policy.rounds_played
+        assert frame.f_locals["t"] - 1 == before
+        next_round = play_until(policy, t, stop, counts)
+        assert next_round == policy.rounds_played + 1
+        stretches.append((before, policy.rounds_played, policy.committed_arm()))
+        return next_round
+
+    monkeypatch.setattr(cls, "_play_until", spy)
+    algo = "dprucb" if cls is DPRobustUCB else "dprse"
+    config = small_config(algo=algo, setting=setting, eps=eps, horizon=horizon)
+    _, policy = run_single(config, 0, return_policy=True)
+    cps = config.checkpoints()
+    assert stretches[0][0] == 0
+    for (_, end, _), (start, _, _) in zip(stretches, stretches[1:]):
+        assert start == end
+    for start, end, committed in stretches:
+        next_cp = min(c for c in cps if c > start)
+        assert 0 < end - start <= 64
+        assert end <= next_cp
+        if committed is None:
+            assert end == min(next_cp, start + 64)
+    assert [committed for _, _, committed in stretches[:-1]] == [None] * (len(stretches) - 1)
+    if cls is DPRobustUCB:
+        assert stretches[-1][1] == horizon
+    else:
+        assert stretches[-1][2] is not None
+        assert len(policy.completed_epochs) == 2
+    assert policy.rounds_played == horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    algo=st.sampled_from(ALGORITHMS),
+    setting=st.sampled_from(SETTINGS),
+    v=st.floats(0.0, 1.0, exclude_min=True),
+    eps=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    horizon=st.integers(1, 400),
+)
+def test_a_config_is_rejected_when_made_or_runs_to_its_horizon(
+    algo, setting, v, eps, horizon
+) -> None:
+    # Every v and eps the formulas cannot carry in doubles is a ValueError
+    # from ExperimentConfig; any config it accepts plays every round.
+    try:
+        config = ExperimentConfig(
+            algo=algo, setting=setting, v=v, eps=eps, horizon=horizon, reps=1, base_seed=0,
+            checkpoint_count=8,
+        )
+    except ValueError:
+        return
+    trace, policy = run_single(config, 0, return_policy=True)
+    assert trace.checkpoints[-1][0] == horizon == policy.rounds_played
 
 
 def test_traces_are_nondecreasing_in_time() -> None:

@@ -31,7 +31,7 @@ from htbandits.mechanisms import (
 )
 
 from conftest import draw_rows, insertion_rows
-from test_audit import HalvingSource, clean_dprse, clean_dprucb, clean_ldprse
+from test_audit import clean_dprse, clean_dprucb, clean_ldprse, run_halved
 
 
 class ReferenceLedger:
@@ -208,7 +208,7 @@ def findings(report) -> list:
 
 
 def halved(run):
-    return lambda ledger: run(ledger, cls=HalvingSource)
+    return lambda ledger: run_halved(run, ledger)
 
 
 def bound_violation(ledger):

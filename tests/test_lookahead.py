@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from htbandits import (
+    AdaptiveTree,
     DPRobustUCB,
     ExperimentConfig,
     PrivacyLedger,
@@ -27,7 +28,7 @@ from htbandits import (
     run_single,
 )
 
-from test_transcript import drive_by_contract
+from test_transcript import drive_by_contract, tree_state
 
 HORIZONS = (5, 6, 8, 9, 255, 256, 257, 300)
 
@@ -36,17 +37,6 @@ def config_for(setting: str, horizon: int, zero_noise: bool) -> ExperimentConfig
     return ExperimentConfig(
         algo="dprucb", setting=setting, v=0.9, eps=1.0, horizon=horizon, reps=1,
         base_seed=7, zero_noise=zero_noise,
-    )
-
-
-def tree_state(tree) -> tuple:
-    return (
-        tree.t,
-        tree.estimate.hex(),
-        [x.hex() for x in tree._noisy_stack],
-        [x.hex() for x in tree._psums],
-        tree._last_bound.hex(),
-        tree._noise.draws_made,
     )
 
 
@@ -102,22 +92,29 @@ def test_run_single_records_only_the_pulls_it_plays(horizon, setting, zero_noise
 @pytest.mark.parametrize("setting", ["S1", "two_arm_hard"])
 @pytest.mark.parametrize("horizon", HORIZONS)
 def test_no_tree_holds_a_pull_no_round_played(horizon, setting, monkeypatch) -> None:
-    # After every played pull each tree holds exactly its arm's played pulls:
-    # a fill draws rewards and noise ahead, never the tree's state.
-    observe = DPRobustUCB._observe
-    played = []
+    # Whenever a tree adds a pull, each tree holds exactly its arm's played
+    # pulls, the arm's rows of the transcript: a fill draws rewards and noise
+    # ahead, never the tree's state.
+    begin, add = DPRobustUCB._begin_run, AdaptiveTree._add
+    running = []
+    added = []
     ahead = []
 
-    def spy(policy, t, arm, reward):
-        kept = observe(policy, t, arm, reward)
-        if not played:
-            played.extend([0] * policy.num_arms)
-        played[arm] += 1
-        if [tree.t for tree in policy._trees] != played:
-            ahead.append(t)
-        return kept
+    def begin_spy(policy, takes, rounds):
+        running.append(policy)
+        return begin(policy, takes, rounds)
 
-    monkeypatch.setattr(DPRobustUCB, "_observe", spy)
+    def add_spy(tree, value, bound, scale, eta):
+        policy = running[-1]
+        arms = policy.transcript.columns[0]
+        if [each.t for each in policy._trees] != [arms.count(a) for a in policy._arms]:
+            ahead.append(len(arms) + 1)
+        added.append(tree.owner)
+        return add(tree, value, bound, scale, eta)
+
+    monkeypatch.setattr(DPRobustUCB, "_begin_run", begin_spy)
+    monkeypatch.setattr(AdaptiveTree, "_add", add_spy)
     run_single(config_for(setting, horizon, False), 0)
-    assert sum(played) == horizon
+    assert len(added) == horizon
+    assert added == list(running[-1].transcript.columns[0])
     assert ahead == []

@@ -106,11 +106,15 @@ ALGO_CLASSES = {
 }
 
 # (algo, setting, eps, horizon, completed epochs, when the policy commits,
-# arm order).  The next three end in committed tails of many reward blocks:
-# with the arms reversed, S1's arm 0 is its worst, so the regret grows through
-# the tail.  In the last, the committed arm holds 123 unread rewards of its
-# current block, taken while five arms shared the rounds, and 64 rounds are
-# left.
+# arm order).  Of the first nine, the next three end in committed tails of
+# many reward blocks: with the arms reversed, S1's arm 0 is its worst, so the
+# regret grows through the tail.  In the ninth, the committed arm holds 123
+# unread rewards of its current block, taken while five arms shared the
+# rounds, and 64 rounds are left.  The last five dprucb runs end at and just
+# past the round-robin pass over S1's 5 arms (T=5, 6) and at, just past and
+# twice run_single's longest stretch of 64 rounds (T=64, 65, 130); their dense
+# checkpoints cut the stretches to 1-5 rounds, while the T=2000 cell's last
+# stretches run the full 64.
 CASES = [
     ("dprse", "S1", 1.0, 300, 0, "at_round_1", "given"),
     ("dprse", "two_arm_hard", 100.0, 5000, 2, "after_epochs", "given"),
@@ -121,14 +125,39 @@ CASES = [
     ("ldprse", "two_arm_hard", 1000.0, 20_000, 1, "after_epochs", "given"),
     ("dprse", "S1", 1.0, 20_000, 0, "at_round_1", "reversed"),
     ("dprse", "S1", 1000.0, 2000, 1, "after_epochs", "given"),
-]
+] + [("dprucb", "S1", 1.0, horizon, 0, "never", "given") for horizon in (5, 6, 64, 65, 130)]
 # The ids name the arm order only where it is not the setting's.
 CASE_IDS = ["-".join(map(str, case[:6] if case[6] == "given" else case)) for case in CASES]
 
 
-def config_for(algo: str, setting: str, eps: float, horizon: int) -> ExperimentConfig:
+# The contract test runs every case with Laplace noise and the private index
+# policy's cases with the zero-noise hook as well.
+CONTRACT_CASES = [(*case, False) for case in CASES] + [
+    (*case, True) for case in CASES if case[0] == "dprucb"
+]
+CONTRACT_IDS = CASE_IDS + [
+    case_id + "-zero_noise" for case_id, case in zip(CASE_IDS, CASES) if case[0] == "dprucb"
+]
+
+
+def config_for(
+    algo: str, setting: str, eps: float, horizon: int, zero_noise: bool = False
+) -> ExperimentConfig:
     return ExperimentConfig(
-        algo=algo, setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=SEED
+        algo=algo, setting=setting, v=V, eps=eps, horizon=horizon, reps=1, base_seed=SEED,
+        zero_noise=zero_noise,
+    )
+
+
+def tree_state(tree) -> tuple:
+    """A tree's state, floats as hex, with its source's draw count."""
+    return (
+        tree.t,
+        tree.estimate.hex(),
+        [x.hex() for x in tree._noisy_stack],
+        [x.hex() for x in tree._psums],
+        tree._last_bound.hex(),
+        tree._noise.draws_made,
     )
 
 
@@ -194,17 +223,21 @@ def test_columnar_transcript_reads_like_the_per_round_list(
             transcript[i]
 
 
-@pytest.mark.parametrize("algo,setting,eps,horizon,epochs,commits,arms", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize(
+    "algo,setting,eps,horizon,epochs,commits,arms,zero_noise", CONTRACT_CASES, ids=CONTRACT_IDS
+)
 def test_run_single_and_the_public_contract_play_the_same_run(
-    monkeypatch, algo, setting, eps, horizon, epochs, commits, arms
+    monkeypatch, algo, setting, eps, horizon, epochs, commits, arms, zero_noise
 ) -> None:
-    # run_single drives _select and _play, then plays a committed tail in
-    # blocks; the contract reaches the same _select and _observe, so both
-    # give the same run bit for bit.  Both pass _observe the round, which
-    # RobustUCB's truncation and a commitment made in _observe read; a
-    # truncation that moves with it seldom changes a kept flag, so the round
-    # _observe is given is checked too.  A committed round reaches no
-    # _observe on either route.
+    # run_single has the policy play stretches of rounds, then plays a
+    # committed tail in blocks.  For the elimination policies and rucb a
+    # stretch drives _select and _play, reaching the _select and _observe the
+    # contract reaches; the private index policy's stretch does their work
+    # in one loop and calls neither.  Both routes give the same run bit for
+    # bit.  Both pass _observe the round, which RobustUCB's truncation and a
+    # commitment made in _observe read; a truncation that moves with it
+    # seldom changes a kept flag, so the round _observe is given is checked
+    # too.  A committed round reaches no _observe on either route.
     cls = ALGO_CLASSES[algo]
     core_observe = cls._observe
     rounds_seen = []
@@ -214,13 +247,13 @@ def test_run_single_and_the_public_contract_play_the_same_run(
         return core_observe(self, t, arm, reward)
 
     monkeypatch.setattr(cls, "_observe", observe_spy)
-    config = config_for(algo, setting, eps, horizon)
+    config = config_for(algo, setting, eps, horizon, zero_noise)
     instance = instance_for(setting, arms)
     ledgers = (PrivacyLedger(), PrivacyLedger())
     trace, policy = run_single(config, 0, instance=instance, ledger=ledgers[0], return_policy=True)
     first_committed = policy.transcript._first_committed
     observed = list(range(1, horizon + 1 if first_committed is None else first_committed))
-    assert rounds_seen == observed
+    assert rounds_seen == ([] if algo == "dprucb" else observed)
     rounds_seen.clear()
     by_contract = make_policy(config, instance, 0, ledger=ledgers[1])
     drive_by_contract(config, by_contract, instance)
@@ -245,6 +278,12 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     if algo in ("dprucb", "rucb"):
         assert policy.committed_arm() is None
         assert policy.pull_counts == by_contract.pull_counts
+        assert [x.hex() for x in policy._means] == [x.hex() for x in by_contract._means]
+        assert policy._radius_scale.hex() == by_contract._radius_scale.hex()
+        if algo == "dprucb":
+            assert [tree_state(tree) for tree in policy._trees] == [
+                tree_state(tree) for tree in by_contract._trees
+            ]
     else:
         assert policy.committed_arm() is not None
         assert len(policy.completed_epochs) == epochs
