@@ -8,9 +8,10 @@ contract and calls ``_play(t, ...)``, which passes the round to
 ``_observe``, checks the truncated reward and only then sets the round and
 records it.  ``run_single`` builds its policy and keeps the contract itself,
 so it has the policy play a stretch of rounds at a time (``_play_until``):
-by default each round is ``_select(t)`` and then ``_play``, as on the
-contract's route, while the private index policy plays its stretch in one
-loop that does the same work with its state in locals.  Once a policy has
+both index policies play their stretch in one shared loop that does the
+work of ``_select``, ``_play`` and ``_observe`` with its state in locals,
+while each round of an elimination policy is ``_select(t)`` and then
+``_play``, as on the contract's route.  Once a policy has
 committed, its rounds take one path on both routes: ``select_arm`` returns
 the committed arm without ``_select``, and ``_play_committed`` records the
 rounds, which reach no ``_observe``.  ``run_single`` has each arm's rewards
@@ -282,6 +283,8 @@ class _PolicyBase:
         Round ``t`` is the one after ``rounds_played``.  Each round is
         ``_select(t)`` and then :meth:`_play` with the arm's next reward, and
         the stretch ends early after the round in which the policy commits.
+        This is the elimination policies' route; the index policies play
+        their stretches in :meth:`_IndexPolicy._play_until`.
         """
         select, play, takes, unread = self._select, self._play, self._takes, self._unread
         while t <= stop:
@@ -444,16 +447,18 @@ _schedule = functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)(_Schedule)
 
 
 class _IndexPolicy(_PolicyBase):
-    """One select loop and one per-arm state for both index policies.
+    """One select loop, one stretch loop and one per-arm state for both index policies.
 
     ``C(t) = coef * (ln(m * t**k) * L) ** exp`` is read once per round and
-    kept in ``_radius_scale``.  The subclass's ``_observe`` truncates a reward
-    and updates the pulled arm's ``_means`` and ``_weights`` (``w_a =
-    (n_a * eps_w) ** -exp``).  Once its argument checks have passed, a
-    subclass passes the multiplier ``c`` of ``coef = c * u ** (1/(1+v))``,
-    ``m``, ``k``, ``L`` and ``eps_w`` to :meth:`_share_tables`.  The exponents
-    are shared: ``exp = v/(1+v)`` for the radius and ``1/(1+v)`` for
-    truncation.
+    kept in ``_radius_scale``.  On the contract's route the subclass's
+    ``_observe`` truncates a reward and updates the pulled arm's ``_means``
+    and ``_weights`` (``w_a = (n_a * eps_w) ** -exp``).  Under
+    ``run_single`` both play their rounds in one stretch loop,
+    :meth:`_play_until`, which does the same work.  Once its argument checks
+    have passed, a subclass passes the multiplier ``c`` of ``coef = c * u **
+    (1/(1+v))``, ``m``, ``k``, ``L`` and ``eps_w`` to :meth:`_share_tables`.
+    The exponents are shared: ``exp = v/(1+v)`` for the radius and
+    ``1/(1+v)`` for truncation.
 
     ``C(t)`` by round, ``w`` by pull count and the private policy's
     truncation level by pull count depend only on constants of the config,
@@ -485,6 +490,7 @@ class _IndexPolicy(_PolicyBase):
         self._weights = [0.0] * self.num_arms
         # C(t) of the latest round past the first pass over the arms.
         self._radius_scale = math.nan
+        self._loop: Optional[tuple] = None  # while run_single plays
 
     def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
         """Take the tables of ``C(t)`` and ``w`` for these constants from the memo."""
@@ -524,6 +530,92 @@ class _IndexPolicy(_PolicyBase):
                 best_arm = a
         return best_arm
 
+    def _begin_run(self, takes: list, horizon: int) -> None:
+        super()._begin_run(takes, horizon)
+        # What _play_until reads, gathered once per run: at dense checkpoints
+        # a stretch is a round or two, so its set-up must cost little.  Only
+        # the pull differs, so the subclass gives what its pulls read.
+        self._loop = (
+            self.num_arms, horizon, self._untabled, self._scales, self._pull_weights, self._arms,
+            self._means, self._weights, self._counts, takes, self._unread, -math.inf, math.log,
+            *self.transcript.columns, *self._pull_state(),
+        )
+
+    def _play_until(self, t: int, stop: int, counts: list) -> int:
+        """Play rounds ``t`` to ``stop`` in one loop; return the next round.
+
+        Each round does the work of ``_select``, ``_play`` and ``_observe``
+        with the policy's state in locals; only the pull differs.  The
+        private policy plays the arm's next computed pull, filling the arm's
+        next block when they run out, and the arm's tree adds it in its one
+        step, ``AdaptiveTree._add``.  The baseline truncates the arm's next
+        reward as its ``_observe`` does, with ``max(float(t), 2.0)`` as a
+        conditional.  ``counts`` ends equal to the pull counts.
+        """
+        (num_arms, horizon, untabled, table, pull_weights, arms, means, weights, own, takes,
+         unread, lowest, log, arm_column, reward_column, flag_column, pulls, fill, adds, sums, u,
+         exp) = self._loop
+        scale = self._radius_scale
+        try:
+            while t <= stop:
+                if t <= num_arms:
+                    arm = t - 1
+                else:
+                    if t < untabled:
+                        try:
+                            scale = table[t]
+                        except IndexError:
+                            scale = table.grow(t)
+                    else:
+                        coef, m, k, log_pow, c_exp = table.constants
+                        scale = coef * (log(m * t**k) * log_pow) ** c_exp
+                    best, arm = lowest, 0
+                    for a in arms:
+                        score = means[a] + scale * weights[a]
+                        if score > best:
+                            best = score
+                            arm = a
+                n = own[arm] + 1
+                if pulls is None:
+                    # The baseline: the arm's next reward, truncated as in _observe.
+                    try:
+                        reward = next(unread[arm])
+                    except StopIteration:
+                        unread[arm] = rest = iter(takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
+                        reward = next(rest)
+                    bound = (u * n / log((float(t) if t > 1 else 2.0) ** 2)) ** exp
+                    value = reward if abs(reward) <= bound else 0.0
+                    sums[arm] = total = sums[arm] + value
+                    mean = total / n
+                    try:
+                        weight = pull_weights[n]
+                    except IndexError:  # grow the table, or evaluate w past its cap
+                        weight = pull_weights.entries(n, n + 1)[0]
+                else:
+                    # The private policy: the arm's next computed pull.
+                    try:
+                        value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
+                    except StopIteration:
+                        fill(arm, takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
+                        value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
+                    mean = adds[arm](value, bound, noise_scale, eta) / n
+                own[arm] = n
+                means[arm] = mean
+                weights[arm] = weight
+                arm_column.append(arm)
+                reward_column.append(reward)
+                flag_column.append(value is reward)
+                t += 1
+        finally:
+            self._round = t - 1
+            self._radius_scale = scale
+            counts[:] = own
+        return t
+
+    def _drop_lookahead(self) -> None:
+        self._loop = None
+        super()._drop_lookahead()
+
 
 class DPRobustUCB(_IndexPolicy):
     """Differentially private index policy for heavy-tailed rewards.
@@ -544,8 +636,8 @@ class DPRobustUCB(_IndexPolicy):
     tree noise and ``w`` depend only on the arm's streams and ``n``, so the
     policy computes them ahead in blocks, one pass per step over the block
     (``_fill``): under ``run_single`` blocks of 1, 2, 4, ... up to
-    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, which its
-    own stretch of rounds (``_play_until``) takes and fills; ``observe``
+    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, which the
+    index policies' stretch of rounds (``_play_until``) takes and fills; ``observe``
     fills a block of the one reward it is given.  Every pull is checked as
     ``AdaptiveTree.insert`` checks a value, and the block stops before a
     pull that fails, so the error comes in the round that plays it.  The
@@ -609,68 +701,6 @@ class DPRobustUCB(_IndexPolicy):
         # pull: (kept reward, truncation level, noise scale, noise value, w,
         # reward).
         self._pulls = [iter(())] * self.num_arms
-        self._loop: Optional[tuple] = None  # while run_single plays
-
-    def _begin_run(self, takes: list, horizon: int) -> None:
-        super()._begin_run(takes, horizon)
-        # What _play_until reads, gathered once per run: at dense checkpoints
-        # a stretch is a round or two, so its set-up must cost little.
-        self._loop = (
-            self.num_arms, horizon, self._untabled, self._scales, self._arms, self._means,
-            self._weights, self._counts, self._pulls, takes, self._fill,
-            [tree._add for tree in self._trees], *self.transcript.columns,
-        )
-
-    def _play_until(self, t: int, stop: int, counts: list) -> int:
-        """Play rounds ``t`` to ``stop`` in one loop; return the next round.
-
-        Each round does the work of ``_select``, ``_play`` and ``_observe``
-        with the policy's state in locals; the arm's tree adds the pull in
-        its one step, ``AdaptiveTree._add``.  An arm whose computed pulls
-        have run out takes its next block (see :meth:`_begin_run`) and fills
-        it.  ``counts`` ends equal to the pull counts.
-        """
-        (num_arms, horizon, untabled, table, arms, means, weights, own, pulls, takes, fill, adds,
-         arm_column, reward_column, flag_column) = self._loop
-        scale, lowest = self._radius_scale, -math.inf
-        try:
-            while t <= stop:
-                if t <= num_arms:
-                    arm = t - 1
-                else:
-                    if t < untabled:
-                        try:
-                            scale = table[t]
-                        except IndexError:
-                            scale = table.grow(t)
-                    else:
-                        coef, m, k, log_pow, exp = table.constants
-                        scale = coef * (math.log(m * t**k) * log_pow) ** exp
-                    best, arm = lowest, 0
-                    for a in arms:
-                        score = means[a] + scale * weights[a]
-                        if score > best:
-                            best = score
-                            arm = a
-                try:
-                    value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
-                except StopIteration:
-                    fill(arm, takes[arm](min(own[arm] + 1, _MAX_BLOCK, horizon - t + 1)))
-                    value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
-                release = adds[arm](value, bound, noise_scale, eta)
-                n = own[arm] + 1
-                own[arm] = n
-                means[arm] = release / n
-                weights[arm] = weight
-                arm_column.append(arm)
-                reward_column.append(reward)
-                flag_column.append(value is reward)
-                t += 1
-        finally:
-            self._round = t - 1
-            self._radius_scale = scale
-            counts[:] = own
-        return t
 
     def _observe(self, t: int, arm: int, reward: float) -> float:
         # The contract's route: the pulls of the one reward.
@@ -682,6 +712,10 @@ class DPRobustUCB(_IndexPolicy):
         self._means[arm] = release / n
         self._weights[arm] = weight
         return value
+
+    def _pull_state(self) -> tuple:
+        # (pulls, fill, adds, sums, u, exp); the baseline's three are None.
+        return self._pulls, self._fill, [tree._add for tree in self._trees], None, None, None
 
     def _fill(self, arm: int, rewards: list) -> None:
         """Compute what the arm's streams fix of its next pulls, one per reward.
@@ -715,8 +749,29 @@ class DPRobustUCB(_IndexPolicy):
         for tree, pulls in zip(self._trees, self._pulls):
             tree._noise._unread(len(list(pulls)))
         self._pulls = [iter(())] * self.num_arms
-        self._loop = None
         super()._drop_lookahead()
+
+
+# Keeps the last 64 configs' walks: the benchmark's audited grid builds 20.
+@functools.lru_cache(maxsize=64)
+def _check_later_epochs(policy_class, params, eps: float, beta: float, horizon: int, num_arms: int):
+    """Compute every later epoch a run may begin, and check its noise scale if it fits.
+
+    An epoch of ``m >= 2`` viable arms follows epoch 1 and epochs of at least
+    ``m`` arms, each no shorter than the same epoch of ``m`` arms, so epochs
+    2, 3, ... of ``m`` arms after epoch 1 begin no later.  A config's
+    repetitions walk once per process; a walk that raises is not cached.
+    """
+    first_end = policy_class._make_schedule(params, eps, beta, num_arms, 1).pulls_per_arm * num_arms
+    for m in range(2, num_arms + 1):
+        end, epoch = first_end, 2
+        while end < horizon:
+            sched = policy_class._make_schedule(params, eps, beta, m, epoch)
+            end += sched.pulls_per_arm * m
+            if end <= horizon:
+                scale = policy_class._noise_scale(sched, eps)
+                _check_in_range(f"epoch {epoch}'s noise scale", scale, v=params.v, eps=eps)
+            epoch += 1
 
 
 class _EliminationPolicy(_PolicyBase):
@@ -770,10 +825,11 @@ class _EliminationPolicy(_PolicyBase):
         self.horizon = horizon
         self.beta = float(beta)
         # Epoch 1 plays every arm.  _begin_epoch takes its schedule from here.
-        self._sched = self._make_schedule(self.num_arms, 1)
+        self._sched = self._make_schedule(params, self.eps, self.beta, self.num_arms, 1)
         # The noise scale of the epoch's draws.
-        self._scale = self._checked_scale(self._sched, 1)
-        self._check_later_epochs()
+        scale = self._noise_scale(self._sched, self.eps)
+        self._scale = _check_in_range("epoch 1's noise scale", scale, v=params.v, eps=self.eps)
+        _check_later_epochs(type(self), params, self.eps, self.beta, horizon, self.num_arms)
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
@@ -798,33 +854,8 @@ class _EliminationPolicy(_PolicyBase):
         """Scores from the most recent completed epoch (empty before any)."""
         return dict(self._last_scores)
 
-    def _make_schedule(self, num_viable: int, epoch: int):
-        raise NotImplementedError
-
-    def _noise_scale(self, sched) -> float:
-        raise NotImplementedError
-
-    def _checked_scale(self, sched, epoch: int) -> float:
-        return _check_in_range(
-            f"epoch {epoch}'s noise scale", self._noise_scale(sched), v=self.params.v, eps=self.eps
-        )
-
-    def _check_later_epochs(self) -> None:
-        """Compute every later epoch a run may begin, and check its noise scale if it fits.
-
-        An epoch of ``m >= 2`` viable arms follows epoch 1 and epochs of at
-        least ``m`` arms, each no shorter than the same epoch of ``m`` arms,
-        so epochs 2, 3, ... of ``m`` arms after epoch 1 begin no later.
-        """
-        first_end = self._sched.pulls_per_arm * self.num_arms
-        for m in range(2, self.num_arms + 1):
-            end, epoch = first_end, 2
-            while end < self.horizon:
-                sched = self._make_schedule(m, epoch)
-                end += sched.pulls_per_arm * m
-                if end <= self.horizon:
-                    self._checked_scale(sched, epoch)
-                epoch += 1
+    # A subclass defines two static methods: _make_schedule(params, eps, beta,
+    # num_viable, epoch), the epoch's schedule, and _noise_scale(sched, eps).
 
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         raise NotImplementedError
@@ -840,13 +871,16 @@ class _EliminationPolicy(_PolicyBase):
 
     def _begin_epoch(self, t: int) -> None:
         epoch = len(self.completed_epochs) + 1
-        sched = self._sched if epoch == 1 else self._make_schedule(len(self._viable), epoch)
+        if epoch == 1:
+            sched = self._sched
+        else:
+            sched = self._make_schedule(self.params, self.eps, self.beta, len(self._viable), epoch)
         end = t - 1 + sched.pulls_per_arm * len(self._viable)
         if end > self.horizon:
             self._commit(self._best_known(), t)
             return
         self._sched = sched
-        self._scale = self._noise_scale(sched)
+        self._scale = self._noise_scale(sched, self.eps)
         self._epoch_end = end
         for a in self._viable:
             self._sums[a] = 0.0
@@ -902,11 +936,13 @@ class DPRobustSE(_EliminationPolicy):
     _epoch_kind = CENTRAL_EPOCH_KIND
     _elimination_mult = CENTRAL_ELIMINATION_MULT
 
-    def _make_schedule(self, num_viable: int, epoch: int):
-        return central_se_schedule(self.params, self.eps, self.beta, num_viable, epoch)
+    @staticmethod
+    def _make_schedule(params: MomentParams, eps: float, beta: float, num_viable: int, epoch: int):
+        return central_se_schedule(params, eps, beta, num_viable, epoch)
 
-    def _noise_scale(self, sched) -> float:
-        return 2.0 * sched.truncation / (sched.pulls_per_arm * self.eps)
+    @staticmethod
+    def _noise_scale(sched, eps: float) -> float:
+        return 2.0 * sched.truncation / (sched.pulls_per_arm * eps)
 
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         return kept
@@ -937,11 +973,13 @@ class LDPRobustSE(_EliminationPolicy):
     _epoch_kind = LOCAL_EPOCH_KIND
     _elimination_mult = LOCAL_ELIMINATION_MULT
 
-    def _make_schedule(self, num_viable: int, epoch: int):
-        return local_se_schedule(self.params, self.eps, self.beta, num_viable, epoch)
+    @staticmethod
+    def _make_schedule(params: MomentParams, eps: float, beta: float, num_viable: int, epoch: int):
+        return local_se_schedule(params, eps, beta, num_viable, epoch)
 
-    def _noise_scale(self, sched) -> float:
-        return 2.0 * sched.truncation / self.eps
+    @staticmethod
+    def _noise_scale(sched, eps: float) -> float:
+        return 2.0 * sched.truncation / eps
 
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         truncation = self._sched.truncation
@@ -962,6 +1000,7 @@ class RobustUCB(_IndexPolicy):
     with ``C(t)`` at ``(m, k, L) = (1, 2, 1.0)`` and ``w_a = n_a ** -exp``.
     Rounds before t=2 clamp the threshold's log argument to t=2.  Baseline for
     qualitative comparison; no privacy guarantee.
+    ``run_single`` plays its rounds in :meth:`_IndexPolicy._play_until`.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
@@ -978,6 +1017,10 @@ class RobustUCB(_IndexPolicy):
         # and n ** -exp, bit for bit: w is w at eps 1.0.
         self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
+    def _pull_state(self) -> tuple:
+        # (pulls, fill, adds, sums, u, exp); pulls None picks this pull.
+        return None, None, None, self._sums, self._trunc_u, self._trunc_exp
+
     def _observe(self, t: int, arm: int, reward: float) -> float:
         n = self._counts[arm] + 1
         self._counts[arm] = n
@@ -986,11 +1029,8 @@ class RobustUCB(_IndexPolicy):
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
         self._means[arm] = self._sums[arm] / n
-        if n < _TABLE_CAP:
-            try:
-                self._weights[arm] = self._pull_weights[n]
-            except IndexError:
-                self._weights[arm] = self._pull_weights.grow(n)
-        else:
-            self._weights[arm] = n ** self._pull_weights.constants[1]
+        try:
+            self._weights[arm] = self._pull_weights[n]
+        except IndexError:  # grow the table, or evaluate w past its cap
+            self._weights[arm] = self._pull_weights.entries(n, n + 1)[0]
         return kept

@@ -95,7 +95,8 @@ def test_grid_output_matches_the_golden_digest(tmp_path) -> None:
 # Per cell of test_transcript.CASES, (algo, setting, eps, horizon, arm
 # order): the value digest of its audited rep 0.  Cells 6-9 end in committed
 # tails; their digests were recorded with every round played one at a time,
-# as were those of the last five, short dprucb cells.
+# as were those of the five short dprucb cells.  The five short rucb cells'
+# were recorded with each rucb round a _select, _play and _observe call.
 VALUE_SHA256 = {
     ("dprse", "S1", 1.0, 300, "given"): (
         "768034fb86f89f23117a6ac1c166eff420c9986a704c3c770a9e6b993ccf7116"
@@ -138,6 +139,21 @@ VALUE_SHA256 = {
     ),
     ("dprucb", "S1", 1.0, 130, "given"): (
         "b2474b37d5ca1c01fc22a6021d6dc830c7f9d4942e3e5ead19504bb888a58a31"
+    ),
+    ("rucb", "S1", 1.0, 5, "given"): (
+        "d3c321d43d421ce255130d03a70aa31c7d6a033d3c541d2ac9609d40caa474f0"
+    ),
+    ("rucb", "S1", 1.0, 6, "given"): (
+        "0ce7a80bdd2e61b518628ec042998b316d98411ea05f5f4ee17d2847916a2537"
+    ),
+    ("rucb", "S1", 1.0, 64, "given"): (
+        "ab625603880bcb986d71cf5068da32ad55accd4b1e58ad3f6c91317df0fc807b"
+    ),
+    ("rucb", "S1", 1.0, 65, "given"): (
+        "f1ca0bbc446067b4f6dac0398a634b765a346a4b75c06c96705388dffaed0966"
+    ),
+    ("rucb", "S1", 1.0, 130, "given"): (
+        "c30562b1024d828d66d4225b8a344fd74bb4722dc73e405494027d107db2f3a4"
     ),
 }
 

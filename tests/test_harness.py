@@ -28,6 +28,7 @@ from htbandits import (
     NoiseSource,
     ParetoModel,
     RegretTrace,
+    RobustUCB,
     aggregate,
     checkpoint_schedule,
     make_instance,
@@ -36,7 +37,7 @@ from htbandits import (
     run_single,
     write_csv,
 )
-from htbandits import harness
+from htbandits import harness, policies
 from htbandits.distributions import format_value, instance_description
 from htbandits.harness import (
     ALGORITHMS,
@@ -236,6 +237,34 @@ def test_a_later_epoch_without_a_noise_scale_in_doubles_is_rejected() -> None:
             algo="dprse", setting="two_arm_hard", v=0.05, eps=1.7976931348623157e308,
             horizon=100,
         )
+
+
+def test_a_config_walks_its_later_epochs_once_and_a_rejection_every_time(monkeypatch) -> None:
+    # A build checks every later epoch a run may begin; the outcome is kept
+    # per config, so only the first build of a config (here the one
+    # ExperimentConfig makes) computes a later epoch's schedule.  On k_arm_hard
+    # at eps 1000 the walk computes several.  A rejection is not kept: every
+    # build of a config that fails raises the same error.
+    schedule = policies.central_se_schedule
+    epochs = []
+
+    def spy(params, eps, beta, num_viable, epoch):
+        epochs.append(epoch)
+        return schedule(params, eps, beta, num_viable, epoch)
+
+    monkeypatch.setattr(policies, "central_se_schedule", spy)
+    policies._check_later_epochs.cache_clear()
+    config = small_config(algo="dprse", setting="k_arm_hard", eps=1000.0, horizon=300)
+    assert epochs[0] == 1 and max(epochs) > 1
+    epochs.clear()
+    make_policy(config, make_instance_for(config.setting, config.v), 1)
+    assert epochs == [1]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="epoch 43's noise scale must be finite and positive"):
+            small_config(
+                algo="dprse", setting="two_arm_hard", v=0.05, eps=1.7976931348623157e308,
+                horizon=100,
+            )
 
 
 def test_beta_defaults_to_one_over_the_horizon() -> None:
@@ -467,12 +496,16 @@ def test_regret_matches_pull_counts_from_the_transcript() -> None:
 
 
 @pytest.mark.parametrize(
-    "cls,setting,eps,horizon",
-    [(DPRobustUCB, "S1", 1.0, 2000), (DPRobustSE, "two_arm_hard", 100.0, 5000)],
-    ids=["dprucb", "dprse"],
+    "algo,cls,setting,eps,horizon",
+    [
+        ("dprucb", DPRobustUCB, "S1", 1.0, 2000),
+        ("rucb", RobustUCB, "S1", 1.0, 2000),
+        ("dprse", DPRobustSE, "two_arm_hard", 100.0, 5000),
+    ],
+    ids=["dprucb", "rucb", "dprse"],
 )
 def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
-    monkeypatch, cls, setting, eps, horizon
+    monkeypatch, algo, cls, setting, eps, horizon
 ) -> None:
     # bench/pace.py samples the local t of the running run_single frame and
     # reads t - 1 as the rounds done.  So each stretch starts with t - 1 equal
@@ -493,7 +526,6 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
         return next_round
 
     monkeypatch.setattr(cls, "_play_until", spy)
-    algo = "dprucb" if cls is DPRobustUCB else "dprse"
     config = small_config(algo=algo, setting=setting, eps=eps, horizon=horizon)
     _, policy = run_single(config, 0, return_policy=True)
     cps = config.checkpoints()
@@ -507,7 +539,7 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
         if committed is None:
             assert end == min(next_cp, start + 64)
     assert [committed for _, _, committed in stretches[:-1]] == [None] * (len(stretches) - 1)
-    if cls is DPRobustUCB:
+    if cls is not DPRobustSE:
         assert stretches[-1][1] == horizon
     else:
         assert stretches[-1][2] is not None

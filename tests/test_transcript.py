@@ -110,11 +110,11 @@ ALGO_CLASSES = {
 # many reward blocks: with the arms reversed, S1's arm 0 is its worst, so the
 # regret grows through the tail.  In the ninth, the committed arm holds 123
 # unread rewards of its current block, taken while five arms shared the
-# rounds, and 64 rounds are left.  The last five dprucb runs end at and just
-# past the round-robin pass over S1's 5 arms (T=5, 6) and at, just past and
-# twice run_single's longest stretch of 64 rounds (T=64, 65, 130); their dense
-# checkpoints cut the stretches to 1-5 rounds, while the T=2000 cell's last
-# stretches run the full 64.
+# rounds, and 64 rounds are left.  The last five dprucb runs, and the five
+# rucb runs after them, end at and just past the round-robin pass over S1's 5
+# arms (T=5, 6) and at, just past and twice run_single's longest stretch of
+# 64 rounds (T=64, 65, 130); their dense checkpoints cut the stretches to 1-5
+# rounds, while the T=2000 cells' last stretches run the full 64.
 CASES = [
     ("dprse", "S1", 1.0, 300, 0, "at_round_1", "given"),
     ("dprse", "two_arm_hard", 100.0, 5000, 2, "after_epochs", "given"),
@@ -125,7 +125,11 @@ CASES = [
     ("ldprse", "two_arm_hard", 1000.0, 20_000, 1, "after_epochs", "given"),
     ("dprse", "S1", 1.0, 20_000, 0, "at_round_1", "reversed"),
     ("dprse", "S1", 1000.0, 2000, 1, "after_epochs", "given"),
-] + [("dprucb", "S1", 1.0, horizon, 0, "never", "given") for horizon in (5, 6, 64, 65, 130)]
+] + [
+    (algo, "S1", 1.0, horizon, 0, "never", "given")
+    for algo in ("dprucb", "rucb")
+    for horizon in (5, 6, 64, 65, 130)
+]
 # The ids name the arm order only where it is not the setting's.
 CASE_IDS = ["-".join(map(str, case[:6] if case[6] == "given" else case)) for case in CASES]
 
@@ -230,12 +234,12 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     monkeypatch, algo, setting, eps, horizon, epochs, commits, arms, zero_noise
 ) -> None:
     # run_single has the policy play stretches of rounds, then plays a
-    # committed tail in blocks.  For the elimination policies and rucb a
-    # stretch drives _select and _play, reaching the _select and _observe the
-    # contract reaches; the private index policy's stretch does their work
-    # in one loop and calls neither.  Both routes give the same run bit for
-    # bit.  Both pass _observe the round, which RobustUCB's truncation and a
-    # commitment made in _observe read; a truncation that moves with it
+    # committed tail in blocks.  For the elimination policies a stretch
+    # drives _select and _play, reaching the _select and _observe the
+    # contract reaches; the index policies' stretch does their work in one
+    # loop and calls neither.  Both routes give the same run bit for bit.
+    # The contract passes _observe the round, which RobustUCB's truncation
+    # and a commitment made in _observe read; a truncation that moves with it
     # seldom changes a kept flag, so the round _observe is given is checked
     # too.  A committed round reaches no _observe on either route.
     cls = ALGO_CLASSES[algo]
@@ -253,7 +257,7 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     trace, policy = run_single(config, 0, instance=instance, ledger=ledgers[0], return_policy=True)
     first_committed = policy.transcript._first_committed
     observed = list(range(1, horizon + 1 if first_committed is None else first_committed))
-    assert rounds_seen == ([] if algo == "dprucb" else observed)
+    assert rounds_seen == ([] if algo in ("dprucb", "rucb") else observed)
     rounds_seen.clear()
     by_contract = make_policy(config, instance, 0, ledger=ledgers[1])
     drive_by_contract(config, by_contract, instance)
@@ -279,8 +283,11 @@ def test_run_single_and_the_public_contract_play_the_same_run(
         assert policy.committed_arm() is None
         assert policy.pull_counts == by_contract.pull_counts
         assert [x.hex() for x in policy._means] == [x.hex() for x in by_contract._means]
+        assert [x.hex() for x in policy._weights] == [x.hex() for x in by_contract._weights]
         assert policy._radius_scale.hex() == by_contract._radius_scale.hex()
-        if algo == "dprucb":
+        if algo == "rucb":
+            assert [x.hex() for x in policy._sums] == [x.hex() for x in by_contract._sums]
+        else:
             assert [tree_state(tree) for tree in policy._trees] == [
                 tree_state(tree) for tree in by_contract._trees
             ]
