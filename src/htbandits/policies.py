@@ -4,14 +4,14 @@ All policies share one driving contract: ``select_arm(t)`` is called with
 ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is there for
 outside callers and is enforced; misuse raises.  ``observe`` checks the
-contract and calls ``_play(t, ...)``, which passes the round to
-``_observe``, checks the truncated reward and only then sets the round and
-records it.  ``run_single`` builds its policy and keeps the contract itself,
-so it has the policy play a stretch of rounds at a time (``_play_until``):
-both index policies play their stretch in one shared loop that does the
-work of ``_select``, ``_play`` and ``_observe`` with its state in locals,
-while each round of an elimination policy is ``_select(t)`` and then
-``_play``, as on the contract's route.  Once a policy has
+contract and calls ``_play(t, ...)``.  ``run_single`` builds its policy and
+keeps the contract itself, so it has the policy play a stretch of rounds at
+a time (``_play_until``).  An index policy plays every round of either route
+in one loop, ``_IndexPolicy._play_until``, which picks each round's arm when
+the round before it ends: ``_select`` returns that arm, and ``_play`` plays a
+stretch of one round.  Each round of an elimination policy is ``_select(t)``
+and then ``_play``, which passes the round to ``_observe``, checks the
+truncated reward and only then sets the round and records it.  Once a policy has
 committed, its rounds take one path on both routes: ``select_arm`` returns
 the committed arm without ``_select``, and ``_play_committed`` records the
 rounds, which reach no ``_observe``.  ``run_single`` has each arm's rewards
@@ -222,13 +222,14 @@ class _PolicyBase:
 
         :meth:`observe` calls this once its contract checks have passed, and
         :meth:`_play_until` calls ``_select(t)`` and then this, for ``t = 1,
-        2, ...``, with a float reward.  A committed round goes to
-        :meth:`_play_committed`; any other is given to ``_observe`` with its
-        round.  The transcript stores whether the reward was kept, so a
-        truncated reward must be the reward itself or +0.0; anything else
-        raises ``ValueError``.  Only a round that passes this check sets
-        ``rounds_played`` to ``t`` and is recorded, so a round that raises
-        leaves both at ``t - 1`` on either route.
+        2, ...``, with a float reward; the index policies play the round in
+        their stretch loop instead (:meth:`_IndexPolicy._play`).  A committed
+        round goes to :meth:`_play_committed`; any other is given to
+        ``_observe`` with its round.  The transcript stores whether the
+        reward was kept, so a truncated reward must be the reward itself or
+        +0.0; anything else raises ``ValueError``.  Only a round that passes
+        this check sets ``rounds_played`` to ``t`` and is recorded, so a round
+        that raises leaves both at ``t - 1`` on either route.
         """
         if self._committed is not None:
             self._play_committed([reward])
@@ -446,15 +447,28 @@ class _Schedule(array):
 _schedule = functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)(_Schedule)
 
 
-class _IndexPolicy(_PolicyBase):
-    """One select loop, one stretch loop and one per-arm state for both index policies.
+class _Observed:
+    """The contract route's reward take: the reward of the round ``observe`` plays.
 
-    ``C(t) = coef * (ln(m * t**k) * L) ** exp`` is read once per round and
-    kept in ``_radius_scale``.  On the contract's route the subclass's
-    ``_observe`` truncates a reward and updates the pulled arm's ``_means``
-    and ``_weights`` (``w_a = (n_a * eps_w) ** -exp``).  Under
-    ``run_single`` both play their rounds in one stretch loop,
-    :meth:`_play_until`, which does the same work.  Once its argument checks
+    ``observe`` plays one round at a time, so whatever block size the round
+    asks for, its arm's take gives the one reward it was given.
+    """
+
+    def __call__(self, size: int) -> list:
+        return [self.reward]
+
+
+class _IndexPolicy(_PolicyBase):
+    """One stretch loop and one per-arm state for both index policies.
+
+    Every round, on the contract's route and under ``run_single``, is played
+    by one loop, :meth:`_play_until`: it truncates the round's reward,
+    updates the pulled arm's ``_means`` and ``_weights`` (``w_a = (n_a *
+    eps_w) ** -exp``) and chooses the next round's arm, ``_next_arm``, from
+    ``C(t) = coef * (ln(m * t**k) * L) ** exp``, kept in ``_radius_scale``.
+    ``select_arm`` returns that arm, and ``observe`` plays its round as a
+    stretch of one round.  Only the pull differs between the subclasses,
+    which give what theirs reads (``_pull_state``).  Once its argument checks
     have passed, a subclass passes the multiplier ``c`` of ``coef = c * u **
     (1/(1+v))``, ``m``, ``k``, ``L`` and ``eps_w`` to :meth:`_share_tables`.
     The exponents are shared: ``exp = v/(1+v)`` for the radius and
@@ -488,9 +502,13 @@ class _IndexPolicy(_PolicyBase):
         # Per arm, updated when it is pulled: truncated mean, w_a.
         self._means = [0.0] * self.num_arms
         self._weights = [0.0] * self.num_arms
-        # C(t) of the latest round past the first pass over the arms.
+        # C(t) of the latest round past the first pass over the arms, and the
+        # arm of the next round, both chosen when the round before it ends.
         self._radius_scale = math.nan
-        self._loop: Optional[tuple] = None  # while run_single plays
+        self._next_arm = 0
+        # What _play_until reads: per run_single run, or from the contract's
+        # first round on.
+        self._loop: Optional[tuple] = None
 
     def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
         """Take the tables of ``C(t)`` and ``w`` for these constants from the memo."""
@@ -508,32 +526,29 @@ class _IndexPolicy(_PolicyBase):
         return tuple(self._counts)
 
     def _select(self, t: int) -> int:
-        # A round past the cap makes one comparison, as without the memo.
-        if t >= self._untabled:
-            coef, m, k, log_pow, exp = self._scales.constants
-            scale = coef * (math.log(m * t**k) * log_pow) ** exp
-        elif t <= self.num_arms:
-            return t - 1
-        else:
-            try:
-                scale = self._scales[t]
-            except IndexError:
-                scale = self._scales.grow(t)
-        self._radius_scale = scale
-        means, weights = self._means, self._weights
-        best_score = -math.inf
-        best_arm = 0
-        for a in self._arms:
-            score = means[a] + scale * weights[a]
-            if score > best_score:
-                best_score = score
-                best_arm = a
-        return best_arm
+        return self._next_arm
+
+    def _play(self, t: int, arm: int, reward: float) -> None:
+        """Play round ``t``, ``arm``'s pull of ``reward``, as a stretch of one round.
+
+        The contract's rounds are played by :meth:`_play_until`, as
+        ``run_single``'s are.  On the first of them the policy gathers what
+        the loop reads, with one reward take for every arm that returns the
+        round's reward whatever the block size, so the private policy fills
+        a block of one pull.
+        """
+        if self._loop is None:
+            # The horizon only sizes the blocks, which the take ignores.
+            self._begin_run([_Observed()] * self.num_arms, t)
+        self._takes[arm].reward = reward
+        self._next_arm = arm
+        self._play_until(t, t, self._counts)
 
     def _begin_run(self, takes: list, horizon: int) -> None:
         super()._begin_run(takes, horizon)
-        # What _play_until reads, gathered once per run: at dense checkpoints
-        # a stretch is a round or two, so its set-up must cost little.  Only
+        # What _play_until reads, gathered once per run or at the contract's
+        # first round: at dense checkpoints a stretch is a round or two, and
+        # a contract round is one, so its set-up must cost little.  Only
         # the pull differs, so the subclass gives what its pulls read.
         self._loop = (
             self.num_arms, horizon, self._untabled, self._scales, self._pull_weights, self._arms,
@@ -544,40 +559,26 @@ class _IndexPolicy(_PolicyBase):
     def _play_until(self, t: int, stop: int, counts: list) -> int:
         """Play rounds ``t`` to ``stop`` in one loop; return the next round.
 
-        Each round does the work of ``_select``, ``_play`` and ``_observe``
-        with the policy's state in locals; only the pull differs.  The
-        private policy plays the arm's next computed pull, filling the arm's
-        next block when they run out, and the arm's tree adds it in its one
-        step, ``AdaptiveTree._add``.  The baseline truncates the arm's next
-        reward as its ``_observe`` does, with ``max(float(t), 2.0)`` as a
-        conditional.  ``counts`` ends equal to the pull counts.
+        This loop is the only code that plays an index round, on both routes,
+        with the policy's state in locals; only the pull differs.  Each round
+        plays the arm chosen when the round before it ended (``_next_arm``),
+        and ends by choosing the next round's arm: the round-robin pass, then
+        the arm maximizing mean + ``C(t) * w``, ties to the lowest index.
+        The private policy plays the arm's next computed pull, filling the
+        arm's next block when they run out, and the arm's tree adds it in its
+        one step, ``AdaptiveTree._add``.  The baseline truncates the arm's
+        next reward at ``(u * n / ln(max(t, 2)**2)) ** (1/(1+v))``.
+        ``counts`` ends equal to the pull counts.
         """
         (num_arms, horizon, untabled, table, pull_weights, arms, means, weights, own, takes,
-         unread, lowest, log, arm_column, reward_column, flag_column, pulls, fill, adds, sums, u,
+         unread, lowest, log, arm_column, reward_column, flag_column, pulls, adds, sums, u,
          exp) = self._loop
-        scale = self._radius_scale
+        arm, scale = self._next_arm, self._radius_scale
         try:
             while t <= stop:
-                if t <= num_arms:
-                    arm = t - 1
-                else:
-                    if t < untabled:
-                        try:
-                            scale = table[t]
-                        except IndexError:
-                            scale = table.grow(t)
-                    else:
-                        coef, m, k, log_pow, c_exp = table.constants
-                        scale = coef * (log(m * t**k) * log_pow) ** c_exp
-                    best, arm = lowest, 0
-                    for a in arms:
-                        score = means[a] + scale * weights[a]
-                        if score > best:
-                            best = score
-                            arm = a
                 n = own[arm] + 1
                 if pulls is None:
-                    # The baseline: the arm's next reward, truncated as in _observe.
+                    # The baseline: the arm's next reward, truncated.
                     try:
                         reward = next(unread[arm])
                     except StopIteration:
@@ -596,7 +597,7 @@ class _IndexPolicy(_PolicyBase):
                     try:
                         value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
                     except StopIteration:
-                        fill(arm, takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
+                        self._fill(arm, takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
                         value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
                     mean = adds[arm](value, bound, noise_scale, eta) / n
                 own[arm] = n
@@ -606,8 +607,27 @@ class _IndexPolicy(_PolicyBase):
                 reward_column.append(reward)
                 flag_column.append(value is reward)
                 t += 1
+                if t <= num_arms:
+                    arm = t - 1
+                else:
+                    # A round past the cap makes one comparison, as without the memo.
+                    if t < untabled:
+                        try:
+                            scale = table[t]
+                        except IndexError:
+                            scale = table.grow(t)
+                    else:
+                        coef, m, k, log_pow, c_exp = table.constants
+                        scale = coef * (log(m * t**k) * log_pow) ** c_exp
+                    best, arm = lowest, 0
+                    for a in arms:
+                        score = means[a] + scale * weights[a]
+                        if score > best:
+                            best = score
+                            arm = a
         finally:
             self._round = t - 1
+            self._next_arm = arm
             self._radius_scale = scale
             counts[:] = own
         return t
@@ -635,10 +655,10 @@ class DPRobustUCB(_IndexPolicy):
     An arm's ``n``-th reward, kept reward, truncation level, noise scale,
     tree noise and ``w`` depend only on the arm's streams and ``n``, so the
     policy computes them ahead in blocks, one pass per step over the block
-    (``_fill``): under ``run_single`` blocks of 1, 2, 4, ... up to
-    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, which the
-    index policies' stretch of rounds (``_play_until``) takes and fills; ``observe``
-    fills a block of the one reward it is given.  Every pull is checked as
+    (``_fill``), which the index policies' stretch loop (``_play_until``)
+    takes and fills: under ``run_single`` blocks of 1, 2, 4, ... up to
+    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, and under
+    ``observe`` a block of the one reward it is given.  Every pull is checked as
     ``AdaptiveTree.insert`` checks a value, and the block stops before a
     pull that fails, so the error comes in the round that plays it.  The
     tree changes only when a round plays a pull: its one step
@@ -702,20 +722,9 @@ class DPRobustUCB(_IndexPolicy):
         # reward).
         self._pulls = [iter(())] * self.num_arms
 
-    def _observe(self, t: int, arm: int, reward: float) -> float:
-        # The contract's route: the pulls of the one reward.
-        self._fill(arm, [reward])
-        value, bound, scale, eta, weight, _ = next(self._pulls[arm])
-        release = self._trees[arm]._add(value, bound, scale, eta)
-        n = self._counts[arm] + 1
-        self._counts[arm] = n
-        self._means[arm] = release / n
-        self._weights[arm] = weight
-        return value
-
     def _pull_state(self) -> tuple:
-        # (pulls, fill, adds, sums, u, exp); the baseline's three are None.
-        return self._pulls, self._fill, [tree._add for tree in self._trees], None, None, None
+        # (pulls, adds, sums, u, exp); the baseline's three are None.
+        return self._pulls, [tree._add for tree in self._trees], None, None, None
 
     def _fill(self, arm: int, rewards: list) -> None:
         """Compute what the arm's streams fix of its next pulls, one per reward.
@@ -724,7 +733,7 @@ class DPRobustUCB(_IndexPolicy):
         the arm's tree checks it (``AdaptiveTree._scales``); the arm's noise
         source draws each pull's noise in one pass, and ``w`` is read from
         its table.  The pulls wait in ``_pulls`` until their rounds play
-        them: then ``_observe`` has the tree record and add each one, and
+        them: then ``_play_until`` has the tree record and add each one, and
         sets the arm's mean (release / pulls) and ``w``.  The tree may stop
         the block early, before a pull that fails a check; ``rewards`` is
         cut to the pulls computed.
@@ -999,8 +1008,8 @@ class RobustUCB(_IndexPolicy):
     maximizing truncated mean + :func:`~htbandits.schedules.nonprivate_ucb_radius`,
     with ``C(t)`` at ``(m, k, L) = (1, 2, 1.0)`` and ``w_a = n_a ** -exp``.
     Rounds before t=2 clamp the threshold's log argument to t=2.  Baseline for
-    qualitative comparison; no privacy guarantee.
-    ``run_single`` plays its rounds in :meth:`_IndexPolicy._play_until`.
+    qualitative comparison; no privacy guarantee.  Both routes play its rounds
+    in :meth:`_IndexPolicy._play_until`.
     """
 
     def __init__(self, num_arms: int, params: MomentParams):
@@ -1018,19 +1027,5 @@ class RobustUCB(_IndexPolicy):
         self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
     def _pull_state(self) -> tuple:
-        # (pulls, fill, adds, sums, u, exp); pulls None picks this pull.
-        return None, None, None, self._sums, self._trunc_u, self._trunc_exp
-
-    def _observe(self, t: int, arm: int, reward: float) -> float:
-        n = self._counts[arm] + 1
-        self._counts[arm] = n
-        t = max(float(t), 2.0)
-        bound = (self._trunc_u * n / math.log(t**2)) ** self._trunc_exp
-        kept = reward if abs(reward) <= bound else 0.0
-        self._sums[arm] += kept
-        self._means[arm] = self._sums[arm] / n
-        try:
-            self._weights[arm] = self._pull_weights[n]
-        except IndexError:  # grow the table, or evaluate w past its cap
-            self._weights[arm] = self._pull_weights.entries(n, n + 1)[0]
-        return kept
+        # (pulls, adds, sums, u, exp); pulls None picks this pull.
+        return None, None, self._sums, self._trunc_u, self._trunc_exp

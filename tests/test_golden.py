@@ -200,11 +200,14 @@ RELEASE_CELLS = {
 
 
 def release_digest(monkeypatch, config: ExperimentConfig, ledger) -> tuple:
-    """SHA-256 of ``float.hex`` of the means every ``_select(t)`` reads, then the final means.
+    """SHA-256 of ``float.hex`` of the means before every round, then the final means.
 
-    The repetition is played through ``select_arm``/``observe``, which call
-    ``_select(t)`` in every round, as ``run_single`` did when the digests
-    were recorded.  Returns the digest and the played policy.
+    The repetition is played through ``select_arm``/``observe``, and
+    ``select_arm`` calls ``_select(t)`` once before each round plays, so the
+    wrapper hashes the means round ``t``'s arm was chosen from: the policy's
+    stretch loop chose it when round ``t - 1`` ended.  When the digests were
+    recorded, ``_select(t)`` itself read these means in every round, under
+    ``run_single`` too.  Returns the digest and the played policy.
     """
     digest = hashlib.sha256()
     select = DPRobustUCB._select

@@ -1,23 +1,28 @@
-"""The index policies' per-round fast path against the public schedules.
+"""The index policies' stretch loop against per-round references on the public schedules.
 
 The reference classes keep the per-round code the index policies had before
 their schedule constants were fixed at construction: every round calls the
-public schedule functions, and every stream is a bare generator.  The fast
-policies read their streams through ``BlockStream``, as ``run_single`` does.
-Driven for the same rounds on the same seeds, with real Laplace noise and
-Pareto rewards, both must play the same arms and record the same transcript,
-bit for bit.  The private policy's ledgers must match too: every truncation
-level (as an insertion bound) and every noise scale.
+public schedule functions in the reference's own ``_select`` and
+``_observe``, which ``_PolicyBase._play`` reaches, and every stream is a bare
+generator.  The policies play each round of the contract as a one-round
+stretch of ``_IndexPolicy._play_until`` and read their streams through
+``BlockStream``, as ``run_single`` does.  Driven for the same rounds on the
+same seeds, with real Laplace noise and Pareto rewards, both must play the
+same arms and record the same transcript, bit for bit.  The private policy's
+ledgers must match too: every truncation level (as an insertion bound) and
+every noise scale.  A reference that keeps a wrong sum must fail the same
+comparison.
 
 A last-ulp change in a radius rarely changes which arm wins, so the value
 tests read the values themselves.  A policy keeps its radius as a per-round
 factor ``_radius_scale`` and a per-arm factor in ``_weights``; their product
 must equal the public radius, and the level at which a reward stops being
 kept must be the public truncation level, both compared with ``float.hex``
-over a grid of tail exponents, budgets, pull counts and rounds.  The grid
-runs twice on one emptied schedule memo: cold, when every value is computed
-as a table grows to it, and warm, when the points inside the tables' cap are
-read back from the tables the cold pass filled.
+over a grid of tail exponents, budgets, pull counts and rounds, each reached
+by a one-round stretch of the loop.  The grid runs twice on one emptied
+schedule memo: cold, when every value is computed as a table grows to it,
+and warm, when the points inside the tables' cap are read back from the
+tables the cold pass filled.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from htbandits import (
     private_ucb_radius,
     private_ucb_truncation,
 )
-from htbandits.policies import _TABLE_CAP, _schedule
+from htbandits.policies import _TABLE_CAP, _PolicyBase, _schedule
 from htbandits.seeding import REWARDS, TREE_NOISE, BlockStream, derive_stream
 
 ROUNDS = 20_000
@@ -48,6 +53,9 @@ SEED = 5
 
 
 class ReferenceDPRobustUCB(DPRobustUCB):
+    # Each round is this class's _select, then _observe through the base _play.
+    _play = _PolicyBase._play
+
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
@@ -74,6 +82,8 @@ class ReferenceDPRobustUCB(DPRobustUCB):
 
 
 class ReferenceRobustUCB(RobustUCB):
+    _play = _PolicyBase._play
+
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
@@ -94,6 +104,15 @@ class ReferenceRobustUCB(RobustUCB):
         bound = nonprivate_ucb_threshold(self.params, n, max(float(t), 2.0))
         kept = reward if abs(reward) <= bound else 0.0
         self._sums[arm] += kept
+        return kept
+
+
+class WrongSumReferenceRobustUCB(ReferenceRobustUCB):
+    """A reference that adds each reward to its arm's sum before truncation."""
+
+    def _observe(self, t: int, arm: int, reward: float) -> float:
+        kept = super()._observe(t, arm, reward)
+        self._sums[arm] += reward - kept
         return kept
 
 
@@ -161,6 +180,19 @@ def test_nonprivate_index_fast_path_matches_the_schedules(v: float) -> None:
     assert_same_transcript(fast, reference)
 
 
+def test_a_reference_that_keeps_a_wrong_sum_fails_the_comparison() -> None:
+    # The references' own rounds are what the comparison checks: one whose
+    # _observe keeps the untruncated sum plays other arms.
+    instance = make_instance_for("S1", 0.9)
+    params = MomentParams(u=instance.u, v=instance.v)
+    fast = RobustUCB(instance.num_arms, params)
+    wrong = WrongSumReferenceRobustUCB(instance.num_arms, params)
+    play(fast, instance, blocked=True)
+    play(wrong, instance, blocked=False)
+    with pytest.raises(AssertionError):
+        assert_same_transcript(fast, wrong)
+
+
 # Pull counts and rounds of the value tests.  The rounds run from the first
 # one past the round-robin pass over the arms to 2**20 + 1.  Past 55,108,
 # 2 * t**4 needs more than 64 bits.  Rounds 4 to 55,109 and pull counts 1 to
@@ -180,12 +212,27 @@ def at_the_level(level: float) -> tuple:
     return ((level, True), (-level, True), (above, False), (-above, False))
 
 
+def play_pull(policy, arm: int, n: int, t: int, reward: float) -> bool:
+    """Play ``arm``'s ``n``-th pull, of ``reward``, as round ``t``; return whether it was kept.
+
+    The round is a one-round stretch of ``_play_until``, which ends by
+    choosing round ``t + 1``'s arm and so reads ``C(t + 1)``.
+    """
+    policy._counts[arm] = n - 1
+    policy._play(t, arm, reward)
+    return policy.transcript.columns[2][-1] == 1
+
+
 def assert_keeps_exactly_to(policy, arm: int, n: int, level: float, t: int = 1) -> None:
-    """Observe ``arm``'s ``n``-th pull, in round ``t``, at and just past ``level``, both signs."""
+    """Play ``arm``'s ``n``-th pull, in round ``t``, at and just past ``level``, both signs."""
     for reward, keep in at_the_level(level):
-        policy._counts[arm] = n - 1
-        truncated = policy._observe(t, arm, reward)
-        assert (truncated is reward) == keep, (n, reward.hex(), level.hex())
+        assert play_pull(policy, arm, n, t, reward) == keep, (n, reward.hex(), level.hex())
+
+
+def assert_radius(policy, arm: int, n: int, t: int, want: float) -> None:
+    """``C(t) * w`` after ``arm``'s ``n``-th pull, played in round ``t - 1``, is ``want``."""
+    play_pull(policy, arm, n, t - 1, 0.0)
+    assert_same_double(policy._radius_scale * policy._weights[arm], want, n, t)
 
 
 def assert_same_double(got: float, want: float, *where) -> None:
@@ -216,10 +263,7 @@ def assert_private_values(params: MomentParams, eps: float) -> tuple:
         # The ledger holds the bound the tree checked the insertion against.
         assert_same_double(ledger.insertions.columns[3][-1], level, n)
         for t in VALUE_ROUNDS:
-            policy._select(t)
-            radius = policy._radius_scale * policy._weights[arm]
-            want = private_ucb_radius(params, eps, VALUE_HORIZON, n, t)
-            assert_same_double(radius, want, n, t)
+            assert_radius(policy, arm, n, t, private_ucb_radius(params, eps, VALUE_HORIZON, n, t))
     return policy._scales, policy._bounds, policy._pull_weights
 
 
@@ -239,12 +283,10 @@ def assert_nonprivate_values(params: MomentParams) -> tuple:
     for n in VALUE_PULLS:
         arm = n % VALUE_ARMS
         for t in VALUE_ROUNDS:
-            # _observe reads the round being observed; rounds before t=2 clamp.
+            # The truncation reads the round being played; rounds before t=2 clamp.
             level = nonprivate_ucb_threshold(params, n, float(t))
             assert_keeps_exactly_to(policy, arm, n, level, t)
-            policy._select(t)
-            radius = policy._radius_scale * policy._weights[arm]
-            assert_same_double(radius, nonprivate_ucb_radius(params, n, t), n, t)
+            assert_radius(policy, arm, n, t, nonprivate_ucb_radius(params, n, t))
     assert_keeps_exactly_to(policy, 0, 1, nonprivate_ucb_threshold(params, 1, 2.0), 1)
     return policy._scales, policy._pull_weights
 

@@ -21,6 +21,7 @@ import pickle
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -33,10 +34,13 @@ from htbandits import (
     PrivacyLedger,
     RobustUCB,
     audit_run,
+    make_instance_for,
+    make_policy,
     run_single,
 )
 from htbandits import policies
 from htbandits.policies import _TABLE_CAP, _schedule
+from test_transcript import drive_by_contract
 
 # The bound _IndexPolicy's docstring states: 16 tables of at most 2**17
 # doubles plus the array's growth slack, under 18 MiB.
@@ -159,31 +163,50 @@ def test_a_warm_memo_plays_the_same_run_as_a_cold_one(algo: str) -> None:
 def test_past_the_cap_the_round_robin_still_comes_first() -> None:
     # Rounds past the cap skip the tables, but not the first pass over the
     # arms: with more arms than the cap, round cap + 1 still plays its arm.
+    # A round's arm is chosen when the round before it ends, here a
+    # one-round stretch of _play_until.
     arms = _TABLE_CAP + 2
     policy = RobustUCB(arms, MomentParams(u=2.5, v=0.9))
-    for t in (1, _TABLE_CAP, _TABLE_CAP + 1, arms):
+    assert policy._select(1) == 0
+    for t in (_TABLE_CAP, _TABLE_CAP + 1, arms):
+        policy._play(t - 1, policy._select(t - 1), 0.25)
         assert policy._select(t) == t - 1
     assert math.isnan(policy._radius_scale)
 
 
 @pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
-@pytest.mark.parametrize("algo", ["dprucb", "rucb"])
-def test_a_copied_policy_plays_on_as_the_original(algo: str, duplicate) -> None:
+@pytest.mark.parametrize(
+    "algo,mid_contract",
+    [("dprucb", False), ("rucb", False), ("dprucb", True)],
+    ids=["dprucb", "rucb", "dprucb-mid_contract"],
+)
+def test_a_copied_policy_plays_on_as_the_original(algo: str, mid_contract: bool, duplicate) -> None:
     # A copy's tables start empty and refill with the same doubles, and it
-    # records its rounds in its own transcript, not in the original's.
+    # records its rounds in its own transcript, not in the original's.  The
+    # policy is copied after run_single, or after 1000 rounds of the
+    # contract, when what its rounds read is kept with the tree steps as
+    # bound methods.
     _schedule.cache_clear()
     config = config_for(algo, 2000)
-    _, policy = run_single(config, 0, return_policy=True)
+    if mid_contract:
+        played = 1000
+        policy = make_policy(config, make_instance_for(config.setting, config.v), 0)
+        drive_by_contract(replace(config, horizon=played), policy)
+        assert policy._loop is not None
+    else:
+        played = 2000
+        _, policy = run_single(config, 0, return_policy=True)
     recorded = state_bits(policy)[0]
     twin = duplicate(policy)
     assert len(twin._scales) == 1 < len(policy._scales)
     assert state_bits(twin)[0] == recorded
-    for t in range(2001, 2400):
+    rounds = range(played + 1, played + 400)
+    for t in rounds:
         twin._play(t, twin._select(t), 0.25)
     assert state_bits(policy)[0] == recorded
-    assert len(policy.transcript) == policy.rounds_played == 2000
-    assert len(twin.transcript) == twin.rounds_played == 2399
-    for t in range(2001, 2400):
+    assert len(policy.transcript) == policy.rounds_played == played
+    assert len(twin.transcript) == twin.rounds_played == played + 399
+    for t in rounds:
         policy._play(t, policy._select(t), 0.25)
     assert state_bits(twin) == state_bits(policy)
 
@@ -192,11 +215,11 @@ def drive_past_the_cap(policy) -> weakref.ref:
     """Fill every table of ``policy`` to the cap, then read past it."""
     names = TABLES["dprucb" if isinstance(policy, DPRobustUCB) else "rucb"]
     tables = [getattr(policy, name) for name in names]
-    for t in (_TABLE_CAP - 1, 2 * _TABLE_CAP):
-        policy._select(t)
     for n in (_TABLE_CAP - 1, 2 * _TABLE_CAP):
+        # Arm 0's n-th pull, played by a one-round stretch of _play_until in
+        # round n - 1, which ends by reading C(n) to choose round n's arm.
         policy._counts[0] = n - 1
-        policy._observe(n, 0, 0.0)
+        policy._play(n - 1, 0, 0.0)
     assert [len(table) for table in tables] == [_TABLE_CAP] * len(tables)
     return weakref.ref(policy)
 

@@ -7,9 +7,12 @@ core; the reference, built by ``make_policy`` from the same streams, is driven
 by a hand loop over the public ``select_arm``/``observe`` contract, and every
 way of reading the transcript must give the reference's entries: iteration,
 length, positive and negative indices, slices, entry and field types, and
-``IndexError`` past either end.  The same hand loop on a plain policy must
-give ``run_single``'s transcript, ledger and final state bit for bit.  Further
-tests compare a transcript with the list of its entries, bound what a
+``IndexError`` past either end.  An elimination reference plays each round
+with its policy's ``_select`` and ``_observe``; an index reference, whose
+policy plays every round in its stretch loop, with those of the per-round
+reference of ``test_index_fast_path``.  The same hand loop on a plain policy
+must give ``run_single``'s transcript, ledger and final state bit for bit.
+Further tests compare a transcript with the list of its entries, bound what a
 transcript holds per round, check that a finished policy and its columns are
 freed without the cycle collector, and check that a round whose observe fails
 is not recorded and ends the policy.
@@ -31,6 +34,8 @@ from htbandits import (
     ExperimentConfig,
     LDPRobustSE,
     MomentParams,
+    NoiseHook,
+    NoiseSource,
     PrivacyLedger,
     RobustUCB,
     TranscriptEntry,
@@ -40,7 +45,9 @@ from htbandits import (
     make_policy,
     run_single,
 )
-from htbandits.seeding import REWARDS, derive_stream
+from htbandits.policies import _PolicyBase
+from htbandits.seeding import REWARDS, TREE_NOISE, derive_stream
+from test_index_fast_path import ReferenceDPRobustUCB, ReferenceRobustUCB
 
 V = 0.9
 SEED = 7
@@ -72,9 +79,14 @@ class ListTranscript:
         self._committed = arm
 
 
+# An index policy has no _observe: its rounds are its reference's.
+PER_ROUND = {DPRobustUCB: ReferenceDPRobustUCB, RobustUCB: ReferenceRobustUCB}
+
+
 def list_reference(policy):
     """``policy``, before its first round, as its per-round-list reference."""
-    policy.__class__ = type(f"List{type(policy).__name__}", (ListTranscript, type(policy)), {})
+    base = PER_ROUND.get(type(policy), type(policy))
+    policy.__class__ = type(f"List{base.__name__}", (ListTranscript, base), {})
     policy.transcript = []
     policy._pending_committed = False
     return policy
@@ -236,13 +248,14 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     # run_single has the policy play stretches of rounds, then plays a
     # committed tail in blocks.  For the elimination policies a stretch
     # drives _select and _play, reaching the _select and _observe the
-    # contract reaches; the index policies' stretch does their work in one
-    # loop and calls neither.  Both routes give the same run bit for bit.
-    # The contract passes _observe the round, which RobustUCB's truncation
-    # and a commitment made in _observe read; a truncation that moves with it
-    # seldom changes a kept flag, so the round _observe is given is checked
-    # too.  A committed round reaches no _observe on either route.
+    # contract reaches; an index policy plays the rounds of both routes in
+    # its stretch loop and has no _observe.  Both routes give the same run
+    # bit for bit.  The contract passes _observe the round, which a
+    # commitment made in _observe reads, so the round _observe is given is
+    # checked too.  A committed round reaches no _observe on either route.
     cls = ALGO_CLASSES[algo]
+    index = algo in ("dprucb", "rucb")
+    assert (cls._observe is _PolicyBase._observe) == index
     core_observe = cls._observe
     rounds_seen = []
 
@@ -256,8 +269,8 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     ledgers = (PrivacyLedger(), PrivacyLedger())
     trace, policy = run_single(config, 0, instance=instance, ledger=ledgers[0], return_policy=True)
     first_committed = policy.transcript._first_committed
-    observed = list(range(1, horizon + 1 if first_committed is None else first_committed))
-    assert rounds_seen == ([] if algo in ("dprucb", "rucb") else observed)
+    observed = [] if index else list(range(1, first_committed))
+    assert rounds_seen == observed
     rounds_seen.clear()
     by_contract = make_policy(config, instance, 0, ledger=ledgers[1])
     drive_by_contract(config, by_contract, instance)
@@ -279,7 +292,7 @@ def test_run_single_and_the_public_contract_play_the_same_run(
             want.append((entry.round, math.fsum(map(operator.mul, instance.gaps, counts))))
     assert trace.checkpoints == tuple(want)
     assert policy.committed_arm() == by_contract.committed_arm()
-    if algo in ("dprucb", "rucb"):
+    if index:
         assert policy.committed_arm() is None
         assert policy.pull_counts == by_contract.pull_counts
         assert [x.hex() for x in policy._means] == [x.hex() for x in by_contract._means]
@@ -343,24 +356,33 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str, rounds: int) -> None:
         assert peak / rounds < 18, f"peak {peak / rounds:.1f} B/round"
 
 
+def misreporting(truncate):
+    """A two-arm elimination policy whose ``_observe`` returns ``truncate(t, kept, reward)``.
+
+    Its epoch 1 plays rounds 1 to 418, so every round below reaches ``_observe``.
+    """
+
+    class Misreporting(DPRobustSE):
+        def _observe(self, t: int, arm: int, reward: float) -> float:
+            return truncate(t, super()._observe(t, arm, reward), reward)
+
+    sources = [NoiseSource(hook=NoiseHook.ZERO) for _ in range(2)]
+    return Misreporting(MomentParams(u=1.0, v=1.0), 100.0, 1000, sources)
+
+
 @pytest.mark.parametrize(
     "truncate", [lambda reward: 0.5 * reward, lambda reward: -0.0], ids=["half", "minus_zero"]
 )
 def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
     # The transcript keeps a flag: the truncated reward is the reward or +0.0.
     # Both routes check it: observe, and _select then _play as run_single
-    # calls them.
-    class Misreporting(RobustUCB):
-        def _observe(self, t: int, arm: int, reward: float) -> float:
-            super()._observe(t, arm, reward)
-            return truncate(reward)
-
+    # calls them.  Only an elimination policy has an _observe to misreport.
     routes = {
         "observe": lambda policy: policy.observe(policy.select_arm(1), 0.25),
         "_play": lambda policy: policy._play(1, policy._select(1), 0.25),
     }
     for route, play_round_1 in routes.items():
-        policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
+        policy = misreporting(lambda t, kept, reward: truncate(reward))
         with pytest.raises(ValueError, match="to itself or to 0.0"):
             play_round_1(policy)
         assert [len(column) for column in policy.transcript.columns] == [0, 0, 0], route
@@ -371,12 +393,7 @@ def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
 def test_a_failed_observe_stops_the_policy(failed_round: int) -> None:
     # The round that fails is not recorded, and the policy, whose state the
     # failure may have left half updated, plays no further round.
-    class Misreporting(RobustUCB):
-        def _observe(self, t: int, arm: int, reward: float) -> float:
-            kept = super()._observe(t, arm, reward)
-            return 0.5 * reward if t == failed_round else kept
-
-    policy = Misreporting(2, MomentParams(u=1.0, v=1.0))
+    policy = misreporting(lambda t, kept, reward: 0.5 * reward if t == failed_round else kept)
     for t in range(1, failed_round):
         policy.observe(policy.select_arm(t), 0.25)
     arm = policy.select_arm(failed_round)
@@ -391,6 +408,42 @@ def test_a_failed_observe_stops_the_policy(failed_round: int) -> None:
         with pytest.raises(RuntimeError, match=message):
             policy.observe(a, 0.25)
     assert policy.rounds_played == len(policy.transcript) == failed_round - 1
+
+
+def test_a_round_past_the_tree_capacity_fails_and_stops_the_policy() -> None:
+    # A private index round that fails for real: with one arm and horizon 2,
+    # round 3's pull does not fit the arm's tree.  The round is not recorded,
+    # leaves the pull counts, means, tree and noise draws as they were, and
+    # the policy plays no further round.
+    ledger = PrivacyLedger()
+    source = NoiseSource(rng=derive_stream(SEED, 0, arm=0, purpose=TREE_NOISE), ledger=ledger)
+    policy = DPRobustUCB(MomentParams(u=1.0, v=1.0), 1.0, 2, [source])
+    for t in (1, 2):
+        policy.observe(policy.select_arm(t), 0.25)
+
+    def state() -> tuple:
+        return (
+            policy.rounds_played,
+            policy.pull_counts,
+            [x.hex() for x in policy._means],
+            tree_state(policy._trees[0]),
+            [c.tobytes() for table in (policy.transcript, ledger.noise_draws, ledger.insertions)
+             for c in table.columns],
+        )
+
+    before = state()
+    assert before[0] == 2 and before[3][-1] == 2
+    arm = policy.select_arm(3)
+    with pytest.raises(ValueError, match="tree is full"):
+        policy.observe(arm, 0.25)
+    assert state() == before
+    message = "round 3 failed in observe"
+    for t in (3, 4):
+        with pytest.raises(RuntimeError, match=message):
+            policy.select_arm(t)
+    with pytest.raises(RuntimeError, match=message):
+        policy.observe(arm, 0.25)
+    assert state() == before
 
 
 def test_a_transcript_equals_the_list_of_its_entries() -> None:
