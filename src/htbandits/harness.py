@@ -27,7 +27,12 @@ pull is recorded, only when its round plays it, and once the rounds end the
 policy hands the noise of the pulls no round played back to the streams, so
 it holds the played state only.  A stream that is never read (the noise of an
 arm that is never released, the rewards of an arm that is never pulled) is
-never derived.
+never derived.  Every stream is given its key, so runs of one ``base_seed``
+and ``rep`` share the seeding module's bounded memo of stream prefixes: a
+stream whose key an earlier run of the process read takes its first 256
+doubles from the memo and derives its generator only to read past them.  The
+memo holds copies of doubles, never state a run changes, so a run's output
+does not depend on what ran before it in the process.
 
 Once an elimination policy commits, every remaining round plays one arm, so
 ``run_single`` plays them as blocks of that arm's rewards, appended to the
@@ -226,10 +231,13 @@ _NOISE_PURPOSE = {"dprucb": TREE_NOISE, "dprse": ELIMINATION_NOISE, "ldprse": PE
 
 
 def _streams(config: ExperimentConfig, rep: int, num_arms: int, purpose: int) -> list:
-    # One stream per arm, derived on its first read.
+    # One stream per arm, read through the prefix memo and derived, through
+    # this module's name derive_stream, only past what the memo holds.
+    seed = config.base_seed
     return [
         BlockStream(
-            functools.partial(derive_stream, config.base_seed, rep, arm=a, purpose=purpose)
+            functools.partial(derive_stream, seed, rep, arm=a, purpose=purpose),
+            (seed, rep, a, purpose),
         )
         for a in range(num_arms)
     ]

@@ -8,10 +8,23 @@ stream is stable across processes and platforms.  :class:`BlockStream` derives
 a stream on its first read and draws it ahead in blocks, kept packed as
 doubles, without changing the values it yields; it hands them out one at a
 time or ``k`` at a time.
+
+Runs that share a seed read the same streams: every cell of a sweep with one
+``base_seed`` reads the same uniforms for the same ``(rep, arm, purpose)``.
+So a :class:`BlockStream` given its key shares a process-wide memo of stream
+prefixes: the first ``_PREFIX`` = 256 doubles of each of at most
+``_MEMO_KEYS`` = 64 keys, least recently read dropped first (128 KiB of
+doubles).  A stream whose key is in the memo takes its first block from it and
+derives its generator only if it reads past the prefix, skipping the prefix
+with one ``random(256)`` draw.  Neither changes a value: a key's doubles
+depend only on the key, and ``Generator.random(n)`` returns exactly the
+doubles of ``n`` scalar calls.  A stream that reads past its prefix removes
+the key from the memo, so long runs pin no prefix.
 """
 
 import operator
 from array import array
+from collections import OrderedDict
 
 import numpy as np
 
@@ -40,6 +53,24 @@ GENERIC = 4
 _FIRST_BLOCK = 16
 BLOCK_CAP = 1024
 
+# The memo of stream prefixes: checked key -> the bytes of the key's first
+# _PREFIX doubles, reversed as a stream keeps them ahead.
+_PREFIX = 256
+_MEMO_KEYS = 64
+_prefixes: OrderedDict = OrderedDict()
+
+
+def _checked_key(base_seed, rep, arm, purpose) -> tuple:
+    """The key as a tuple of Python ints; ``ValueError`` for one ``derive_stream`` rejects."""
+    given = (base_seed, rep, arm, purpose)
+    try:
+        key = tuple(map(operator.index, given))
+    except TypeError:
+        raise ValueError(f"seed key components must be integers, got {given!r}") from None
+    if any(part < 0 for part in key):
+        raise ValueError(f"seed key components must be non-negative, got {key}")
+    return key
+
 
 def derive_stream(
     base_seed: int, rep: int, arm: int = 0, purpose: int = GENERIC
@@ -63,13 +94,7 @@ def derive_stream(
     numpy.random.Generator
         Generator backed by Philox seeded from the key tuple.
     """
-    given = (base_seed, rep, arm, purpose)
-    try:
-        key = tuple(map(operator.index, given))
-    except TypeError:
-        raise ValueError(f"seed key components must be integers, got {given!r}") from None
-    if any(part < 0 for part in key):
-        raise ValueError(f"seed key components must be non-negative, got {key}")
+    key = _checked_key(base_seed, rep, arm, purpose)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
 
 
@@ -86,17 +111,30 @@ class BlockStream:
     holds it, it has no other consumer.  The block is kept packed, 8 bytes a
     double in an ``array('d')``.
 
+    Given ``key``, the stream reads through the memo of stream prefixes (see
+    the module docstring).  Its first read checks the key as
+    :func:`derive_stream` does, and a key it rejects raises ``ValueError`` on
+    every read.  If the memo holds the key, its prefix becomes the stream's
+    first block; otherwise the stream derives its generator and draws and
+    stores the prefix.  A read past the prefix removes the key from the memo,
+    and the stream goes on from its own generator.
+
     Parameters
     ----------
     factory : callable
         Takes no arguments and returns the stream to read, a
         ``numpy.random.Generator``; called at most once.
+    key : tuple or None
+        The ``(base_seed, rep, arm, purpose)`` key of :func:`derive_stream`
+        that ``factory`` derives, or None to read without the memo.
     """
 
-    __slots__ = ("_factory", "_rng", "_ahead", "_next_size")
+    __slots__ = ("_factory", "_key", "_skip", "_rng", "_ahead", "_next_size")
 
-    def __init__(self, factory):
+    def __init__(self, factory, key=None):
         self._factory = factory
+        self._key = key  # None once the stream reads past its prefix
+        self._skip = 0  # doubles taken from the memo, skipped when deriving
         self._rng = None
         self._ahead = array("d")  # drawn but unread, the next one last
         self._next_size = _FIRST_BLOCK
@@ -123,12 +161,52 @@ class BlockStream:
 
     def _draw_ahead(self, needed: int) -> array:
         """Draw at least ``needed`` more doubles behind the unread ones."""
-        if self._rng is None:
-            self._rng = self._factory()
-            self._factory = None
+        if self._key is not None:
+            needed = self._read_prefix(needed)
+            if needed <= 0:
+                return self._ahead
         size = self._next_size
         self._next_size = min(2 * size, BLOCK_CAP)
-        block = array("d", self._rng.random(max(size, needed))[::-1].tobytes())
+        return self._put_ahead(self._generator().random(max(size, needed))[::-1].tobytes())
+
+    def _put_ahead(self, doubles: bytes) -> array:
+        """Put packed ``doubles``, the next one last, behind the unread ones."""
+        block = array("d", doubles)
         block += self._ahead
         self._ahead = block
         return block
+
+    def _generator(self):
+        """The stream's generator, derived on first use past what the memo gave."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._factory()
+            self._factory = None
+            if self._skip:
+                rng.random(self._skip)
+        return rng
+
+    def _read_prefix(self, needed: int) -> int:
+        """Put the key's prefix ahead on the first read; leave the memo on a read past it.
+
+        Returns how many of the ``needed`` doubles are still to be drawn:
+        none (0 or less) when the prefix holds them.
+        """
+        key = _checked_key(*self._key)
+        # The first read: nothing is drawn or taken from the memo yet.
+        if self._rng is None and not self._skip and needed <= _PREFIX:
+            prefix = _prefixes.pop(key, None)
+            if prefix is None:
+                prefix = self._generator().random(_PREFIX)[::-1].tobytes()
+            else:
+                self._skip = _PREFIX
+            _prefixes[key] = prefix
+            if len(_prefixes) > _MEMO_KEYS:
+                _prefixes.popitem(last=False)
+            self._put_ahead(prefix)
+            return needed - _PREFIX
+        # A read past the prefix: a long stream gains nothing from a stored
+        # prefix, so the key keeps none.
+        _prefixes.pop(key, None)
+        self._key = None
+        return needed
