@@ -17,22 +17,20 @@ Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
 derives its generator on the first read, draws uniforms in blocks and hands
 them out one or ``k`` at a time.  The policy takes each arm's rewards in
 blocks: ``model.samples`` maps a block of the arm's uniforms in one pass.
-The private index policy draws a block's tree noise ahead too
-(``NoiseSource`` maps its uniforms in blocks).  The values are
-unchanged: a stream's doubles depend only on its key, ``Generator.random(n)``
-returns exactly the doubles of ``n`` scalar calls, and each stream has a
-single consumer, so deriving late and drawing ahead change only when the
-generator advances, never what a consumer reads.  A tree adds a pull, and the
-pull is recorded, only when its round plays it, and once the rounds end the
-policy hands the noise of the pulls no round played back to the streams, so
-it holds the played state only.  A stream that is never read (the noise of an
-arm that is never released, the rewards of an arm that is never pulled) is
-never derived.  Every stream is given its key, so runs of one ``base_seed``
-and ``rep`` share the seeding module's bounded memo of stream prefixes: a
-stream whose key an earlier run of the process read takes its first 256
-doubles from the memo and derives its generator only to read past them.  The
-memo holds copies of doubles, never state a run changes, so a run's output
-does not depend on what ran before it in the process.
+The private index policy's trees read their noise streams one uniform per
+played pull.  The values are unchanged: a stream's doubles depend only on
+its key, ``Generator.random(n)`` returns exactly the doubles of ``n`` scalar
+calls, and each stream has a single consumer, so deriving late and drawing
+ahead change only when the generator advances, never what a consumer reads.
+Once the rounds end the policy drops the rewards no round read.  A stream
+that is never read (the noise of an arm that is never released, the rewards
+of an arm that is never pulled) is never derived.  Every stream is given its
+key, so runs of one ``base_seed`` and ``rep`` share the seeding module's
+bounded memo of stream prefixes: a stream whose key an earlier run of the
+process read takes its first 256 doubles from the memo and derives its
+generator only to read past them.  The memo holds copies of doubles, never
+state a run changes, so a run's output does not depend on what ran before it
+in the process.
 
 Once an elimination policy commits, every remaining round plays one arm, so
 ``run_single`` plays them as blocks of that arm's rewards, appended to the

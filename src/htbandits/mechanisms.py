@@ -13,14 +13,12 @@ elimination release and the local per-reward perturbation.  Every draw passes
 the same three parameters its scale rests on, a sensitivity bound, a budget
 and a count, and the ledger records each draw as one row ``(site, scale,
 bound, eps, count)``; a draw at any other site is rejected when it is
-recorded.  A draw is recorded when its value is used: the private index
-policy draws a block of an arm's tree noise ahead, and the arm's tree records
-each draw, counts it and adds its value, in one call (``AdaptiveTree._add``),
-only when a round plays the pull.  The ledger keeps its draws and insertions
-in two :class:`RecordTable`, typed arrays by column, about 57 bytes per round
-of an audited index run.  The columns are the record: the audit reads them,
-and no record object is built.  The policies' transcripts are stored by
-column too.
+recorded.  A tree draws and records the noise of each value in its one step,
+``AdaptiveTree.insert``, one uniform per value.  The ledger keeps its draws
+and insertions in two :class:`RecordTable`, typed arrays by column, about 57
+bytes per round of an audited index run.  The columns are the record: the
+audit reads them, and no record object is built.  The policies' transcripts
+are stored by column too.
 """
 
 import enum
@@ -73,22 +71,16 @@ _log = math.log
 _INF = math.inf
 
 
-def _laplace(uniforms, scales) -> list:
-    """The Laplace variate of each uniform in [0, 1) at its scale; unchecked.
+def _laplace(u: float, scale: float) -> float:
+    """The Laplace variate of the uniform ``u`` in [0, 1) at ``scale``; unchecked.
 
     Inverse CDF: negative branch ``scale*ln(2u)`` for ``u < 1/2``, positive
     branch ``-scale*ln(2(1-u))`` otherwise, so ``u = 1/2`` maps to 0.
+    :meth:`AdaptiveTree.insert` keeps its own copy of this expression.
     """
-    log, low = _log, _MIN_UNIFORM
-    values = []
-    i = 0
-    for u in uniforms:
-        scale = scales[i]
-        i += 1
-        values.append(
-            scale * log(2.0 * (u if u >= low else low)) if u < 0.5 else -scale * log(2.0 * (1.0 - u))
-        )
-    return values
+    if u < 0.5:
+        return scale * _log(2.0 * (u if u >= _MIN_UNIFORM else _MIN_UNIFORM))
+    return -scale * _log(2.0 * (1.0 - u))
 
 
 def laplace_from_uniform(u: float, scale: float) -> float:
@@ -102,7 +94,7 @@ def laplace_from_uniform(u: float, scale: float) -> float:
         raise ValueError(f"u must lie in [0, 1), got {u}")
     if not 0.0 <= scale < _INF:  # NaN fails too
         raise ValueError(f"scale must be finite and non-negative, got {scale}")
-    return _laplace((u,), (scale,))[0]
+    return _laplace(u, scale)
 
 
 class NoiseHook(enum.Enum):
@@ -175,7 +167,9 @@ class PrivacyLedger:
     not at all.  They raise ``ValueError`` for what the columns cannot hold
     as given: a draw site other than the three the mechanisms draw at, a
     count that is not an int in the signed 64-bit range, a parameter that is
-    not a number, or a negative owner.
+    not a number, or a negative owner.  :meth:`register_mechanism` rejects an
+    owner that is neither None nor a non-negative integer, so no mechanism
+    holds an owner its insertions could not record.
     """
 
     __slots__ = ("mechanisms", "epochs", "noise_draws", "insertions")
@@ -189,6 +183,14 @@ class PrivacyLedger:
         self.insertions = RecordTable("iidd")
 
     def register_mechanism(self, kind: str, owner: int | None) -> int:
+        """Register a mechanism holding ``owner``'s data and return its index.
+
+        ``owner`` is the arm, a non-negative integer, or None for no single
+        arm; anything else raises ``ValueError``, before the mechanism records
+        a row it could not carry into its insertions.
+        """
+        if owner is not None:
+            owner = _as_index("owner", owner, 0)
         self.mechanisms.append(MechanismRecord(kind=kind, owner=owner))
         return len(self.mechanisms) - 1
 
@@ -245,21 +247,17 @@ class NoiseSource:
     :class:`NoiseHook` member (anything else raises ``ValueError``), sets once
     whether a draw reads a uniform for Laplace noise or returns a constant.
 
-    :meth:`draw` checks, records and draws one value.  The private index
-    policy draws an arm's tree noise ahead of its use, which splits this:
-    ``_values`` draws the values of a block of checked scales, reading one
-    uniform per value, and the tree's step records each draw in the ledger
-    and counts it in ``draws_made`` when a round plays its pull.  ``_unread``
-    hands the uniforms of the latest block's last values, never played, back
-    to the stream.
+    :meth:`draw` checks, records and draws one value.  A tree draws its noise
+    in its own step (:meth:`AdaptiveTree.insert`), from the source's ``rng``
+    and hook, and records and counts each draw as :meth:`draw` does.
 
     Parameters
     ----------
-    rng : object with ``random()`` and ``random(k)``, or None
+    rng : object with ``random()``, or None
         Stream for real draws, read one uniform per draw: a
         ``numpy.random.Generator`` or a :class:`~htbandits.seeding.BlockStream`
-        over one (only a ``BlockStream`` can take uniforms back).  May be None
-        for the ZERO/UNIT hooks, which consume no randomness.
+        over one.  May be None for the ZERO/UNIT hooks, which consume no
+        randomness.
     hook : NoiseHook
         LAPLACE for real noise; ZERO returns 0.0 and UNIT returns 1.0
         (test hooks, no privacy guarantee).
@@ -267,7 +265,7 @@ class NoiseSource:
         Destination for draw records; None disables recording.
     """
 
-    __slots__ = ("rng", "hook", "ledger", "draws_made", "_value", "_read")
+    __slots__ = ("rng", "hook", "ledger", "draws_made", "_value")
 
     def __init__(self, rng=None, hook: NoiseHook = NoiseHook.LAPLACE, ledger=None):
         if not isinstance(hook, NoiseHook):
@@ -279,7 +277,6 @@ class NoiseSource:
         self.ledger = ledger
         self.draws_made = 0
         self._value = _HOOK_VALUE[hook]
-        self._read = ()  # the uniforms of the latest _values call
 
     def draw(self, scale: float, site: str, bound: float, eps: float, count: int) -> float:
         """Draw one value at ``scale`` for the draw site ``site``.
@@ -300,27 +297,8 @@ class NoiseSource:
         if ledger is not None:
             ledger.record_draw(site, scale, bound, eps, count)
         self.draws_made += 1
-        return self._values((scale,))[0]
-
-    def _values(self, scales) -> list:
-        """The value of one draw at each scale, which must be checked already.
-
-        Reads one uniform per value under LAPLACE, and counts and records
-        nothing.
-        """
         value = self._value
-        if value is not None:
-            return [value] * len(scales)
-        rng = self.rng
-        uniforms = [rng.random()] if len(scales) == 1 else rng.random(len(scales))
-        self._read = uniforms
-        return _laplace(uniforms, scales)
-
-    def _unread(self, count: int) -> None:
-        """Hand the uniforms of the latest ``_values`` call's last ``count`` values back."""
-        read, self._read = self._read, ()
-        if count and self._value is None:
-            self.rng.unread(read[len(read) - count :])
+        return _laplace(self.rng.random(), scale) if value is None else value
 
 
 class AdaptiveTree:
@@ -342,14 +320,13 @@ class AdaptiveTree:
     Which adds are made is post-processing of the same noisy sums, each drawn
     once, so the privacy guarantee is unchanged.
 
-    :meth:`insert` checks one value (``_scales``), draws its noise and hands
-    both to ``_add``, the one step that records the draw and the insertion,
-    counts the draw in the source's ``draws_made``, adds the value and its
-    noise and returns the release, in one Python call.  The private index
-    policy checks a block of an arm's next values and draws their noise
-    ahead, in one pass each (``_scales``, ``NoiseSource._values``), but calls
-    ``_add`` only when a round plays the value: the tree changes only then,
-    so it never holds a value no round played.
+    :meth:`insert` is the tree's one step, a Python call per value: it checks
+    the value and its bound, draws the value's noise from one uniform of the
+    source's stream, records the draw and the insertion, counts the draw in
+    the source's ``draws_made``, adds the value and its noise and returns the
+    release.  It maps the uniform with its own copy of ``_laplace``'s
+    expression: calling ``_laplace`` made a private index round about 5%
+    slower (S1, T=1e5, one pinned CPU of a 2-vCPU Xeon host).
 
     Bounds supplied with the values must be finite, positive and
     non-decreasing, and each value's magnitude must not exceed its bound.
@@ -431,67 +408,46 @@ class AdaptiveTree:
     def insert(self, value: float, bound: float) -> float:
         """Insert one value and return the updated noisy running sum.
 
-        A value or bound that fails a check changes nothing: the checks run
-        before the noise draw and before any state changes.
-        """
-        (scale,) = self._scales((value,), (bound,))
-        return self._add(value, bound, scale, self._noise._values((scale,))[0])
-
-    def _scales(self, values, bounds) -> list:
-        """Check each value and bound in order and return each draw's noise scale.
-
         A value passes when its insertion fits the capacity, its bound is
-        positive, finite and no less than the bound before, its magnitude
-        is at most its bound and its noise scale is finite.  The block stops
-        before the first value that fails; if that is the first value,
-        ``ValueError`` names the first check it fails, in that order.
+        positive, finite and no less than the bound before, its magnitude is
+        at most its bound and its noise scale is finite; ``ValueError`` names
+        the first check it fails, in that order.  A value that fails changes
+        nothing: the checks run before a uniform is read.  The draw and the
+        insertion are recorded, in the ledger of the tree's source, before
+        the draw is counted and the tree changes.
         """
-        last, eps_prime, inf = self._last_bound, self._eps_prime, _INF
-        room = self.horizon - self._t
-        if len(values) > room:
-            values = values[:room]
-        scales = []
-        if 0.0 < bounds[0]:  # and so is every later bound that passes
-            i = 0
-            for value in values:
-                bound = bounds[i]
-                scale = 2.0 * bound / eps_prime
-                if not (last <= bound and abs(value) <= bound and scale < inf):
-                    break  # NaN fails too
-                scales.append(scale)
-                last = bound
-                i += 1
-        if scales:
-            return scales
-        value = values[0] if values else 0.0
-        bound = bounds[0]
-        if not room:
-            problem = f"tree is full: capacity {self.horizon}"
-        elif not 0.0 < bound < _INF:
-            problem = f"bound must be positive and finite, got {bound}"
-        elif bound < self._last_bound:
-            problem = f"bounds must be non-decreasing: {bound} after {self._last_bound}"
-        elif not abs(value) <= bound:
-            problem = f"|value| = {abs(value)} exceeds bound {bound}"
-        else:
-            problem = f"scale must be finite and non-negative, got {2.0 * bound / eps_prime}"
-        raise ValueError(problem)
-
-    def _add(self, value: float, bound: float, scale: float, eta: float) -> float:
-        """Record and add one checked value with its noise draw; return the release.
-
-        ``scale`` is the value's noise scale from :meth:`_scales` and ``eta``
-        its draw at that scale.  The draw and the insertion are recorded
-        first, in the ledger of the tree's source, and then the draw is
-        counted, so a record the ledger rejects leaves the tree and the count
-        as they were.
-        """
+        t = self._t + 1
+        last = self._last_bound
+        scale = 2.0 * bound / self._eps_prime
+        # NaN fails too.
+        if not (t <= self.horizon and 0.0 < bound and last <= bound
+                and abs(value) <= bound and scale < _INF):
+            if t > self.horizon:
+                problem = f"tree is full: capacity {self.horizon}"
+            elif not 0.0 < bound < _INF:
+                problem = f"bound must be positive and finite, got {bound}"
+            elif bound < last:
+                problem = f"bounds must be non-decreasing: {bound} after {last}"
+            elif not abs(value) <= bound:
+                problem = f"|value| = {abs(value)} exceeds bound {bound}"
+            else:
+                problem = f"scale must be finite and non-negative, got {scale}"
+            raise ValueError(problem)
+        noise = self._noise
+        eta = noise._value
+        if eta is None:
+            # _laplace(u, scale), inline.
+            u = noise.rng.random()
+            eta = (
+                scale * _log(2.0 * (u if u >= _MIN_UNIFORM else _MIN_UNIFORM))
+                if u < 0.5
+                else -scale * _log(2.0 * (1.0 - u))
+            )
         ledger = self._ledger
         if ledger is not None:
             ledger.record_draw(TREE_SITE, scale, bound, self.eps, self.horizon)
             ledger.record_insertion(self._mech, self.owner, value, bound)
-        self._noise.draws_made += 1
-        t = self._t + 1
+        noise.draws_made += 1
         psums = self._psums
         stack = self._noisy_stack
         if t & 1:

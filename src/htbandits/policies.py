@@ -16,10 +16,9 @@ committed, its rounds take one path on both routes: ``select_arm`` returns
 the committed arm without ``_select``, and ``_play_committed`` records the
 rounds, which reach no ``_observe``.  ``run_single`` has each arm's rewards
 read in blocks (``_begin_run``) and plays a committed policy's remaining
-rounds a block of rewards at a time (``_committed_blocks``); the private
-index policy draws the tree noise of each block's pulls ahead (``_fill``),
-its trees change only when a round plays a pull, and ``_drop_lookahead``
-hands the noise of the pulls no round played back to the streams.  Each
+rounds a block of rewards at a time (``_committed_blocks``); once the
+rounds end, ``_drop_lookahead`` drops the rewards no round read.  The private
+index policy's trees draw each pull's noise when a round plays the pull.  Each
 observed round is recorded in ``transcript``, a list-like view of
 :class:`TranscriptEntry` stored by column at 13 bytes per round: the arm,
 the reward and a kept flag of each round, plus the first committed round.
@@ -321,12 +320,7 @@ class _PolicyBase:
             yield self._takes[arm](min(_TAIL_BLOCK, horizon - self._round))
 
     def _drop_lookahead(self) -> None:
-        """Undo what was read or computed ahead of the played rounds.
-
-        Every policy drops the unread rewards of its arms' blocks, so a
-        finished policy holds none of them; the private index policy also
-        takes back the pulls it computed ahead.
-        """
+        """Drop the unread rewards of the arms' blocks: a finished run holds none."""
         self._takes = self._unread = None
 
     def _raise_if_failed(self) -> None:
@@ -365,10 +359,9 @@ _MEMO_TABLES = 16
 # A table that misses grows this many entries past the one asked for, so it
 # grows once per 256 rounds or pulls rather than once per round.
 _FILL_AHEAD = 256
-# run_single hands each arm's rewards to a policy in blocks, and the private
-# index policy computes each block's pulls ahead: the first block is one pull,
-# as a pull computed and never played costs a pull's work, and each later one
-# doubles, up to this many.
+# run_single hands each arm's rewards to a policy in blocks: the first block is
+# one reward, as a reward read and never played costs a sample, and each later
+# one doubles, up to this many.
 _MAX_BLOCK = 256
 # run_single reads a committed arm's remaining rewards in blocks of this many:
 # a block's list of floats holds about 32 bytes per reward.
@@ -534,8 +527,7 @@ class _IndexPolicy(_PolicyBase):
         The contract's rounds are played by :meth:`_play_until`, as
         ``run_single``'s are.  On the first of them the policy gathers what
         the loop reads, with one reward take for every arm that returns the
-        round's reward whatever the block size, so the private policy fills
-        a block of one pull.
+        round's reward whatever the block size.
         """
         if self._loop is None:
             # The horizon only sizes the blocks, which the take ignores.
@@ -564,42 +556,44 @@ class _IndexPolicy(_PolicyBase):
         plays the arm chosen when the round before it ended (``_next_arm``),
         and ends by choosing the next round's arm: the round-robin pass, then
         the arm maximizing mean + ``C(t) * w``, ties to the lowest index.
-        The private policy plays the arm's next computed pull, filling the
-        arm's next block when they run out, and the arm's tree adds it in its
-        one step, ``AdaptiveTree._add``.  The baseline truncates the arm's
-        next reward at ``(u * n / ln(max(t, 2)**2)) ** (1/(1+v))``.
+        A pull reads the arm's next reward and its ``w``; only the truncation
+        level and the mean differ.  The private policy truncates at the
+        tabled level for the pull count, and the arm's tree inserts the kept
+        reward in its one step, ``AdaptiveTree.insert``, whose release over
+        the pulls is the mean.  The baseline truncates at ``(u * n /
+        ln(max(t, 2)**2)) ** (1/(1+v))`` and keeps the arm's sum.
         ``counts`` ends equal to the pull counts.
         """
         (num_arms, horizon, untabled, table, pull_weights, arms, means, weights, own, takes,
-         unread, lowest, log, arm_column, reward_column, flag_column, pulls, adds, sums, u,
+         unread, lowest, log, arm_column, reward_column, flag_column, inserts, bounds, sums, u,
          exp) = self._loop
         arm, scale = self._next_arm, self._radius_scale
         try:
             while t <= stop:
                 n = own[arm] + 1
-                if pulls is None:
-                    # The baseline: the arm's next reward, truncated.
-                    try:
-                        reward = next(unread[arm])
-                    except StopIteration:
-                        unread[arm] = rest = iter(takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
-                        reward = next(rest)
+                try:
+                    reward = next(unread[arm])
+                except StopIteration:  # the arm's block has run out
+                    unread[arm] = rest = iter(takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
+                    reward = next(rest)
+                try:
+                    weight = pull_weights[n]
+                except IndexError:  # grow the table, or evaluate w past its cap
+                    weight = pull_weights.entries(n, n + 1)[0]
+                if inserts is None:
+                    # The baseline: the truncated reward joins the arm's sum.
                     bound = (u * n / log((float(t) if t > 1 else 2.0) ** 2)) ** exp
                     value = reward if abs(reward) <= bound else 0.0
                     sums[arm] = total = sums[arm] + value
                     mean = total / n
-                    try:
-                        weight = pull_weights[n]
-                    except IndexError:  # grow the table, or evaluate w past its cap
-                        weight = pull_weights.entries(n, n + 1)[0]
                 else:
-                    # The private policy: the arm's next computed pull.
+                    # The private policy: the truncated reward joins the arm's tree.
                     try:
-                        value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
-                    except StopIteration:
-                        self._fill(arm, takes[arm](min(n, _MAX_BLOCK, horizon - t + 1)))
-                        value, bound, noise_scale, eta, weight, reward = next(pulls[arm])
-                    mean = adds[arm](value, bound, noise_scale, eta) / n
+                        bound = bounds[n]
+                    except IndexError:  # grow the table, or evaluate it past its cap
+                        bound = bounds.entries(n, n + 1)[0]
+                    value = reward if abs(reward) <= bound else 0.0
+                    mean = inserts[arm](value, bound) / n
                 own[arm] = n
                 means[arm] = mean
                 weights[arm] = weight
@@ -652,21 +646,12 @@ class DPRobustUCB(_IndexPolicy):
     ``(m, k, L) = (2, 4, ln(horizon) ** (1.5 + 1/v))`` and
     ``w_a = (n_a * eps) ** -exp``.
 
-    An arm's ``n``-th reward, kept reward, truncation level, noise scale,
-    tree noise and ``w`` depend only on the arm's streams and ``n``, so the
-    policy computes them ahead in blocks, one pass per step over the block
-    (``_fill``), which the index policies' stretch loop (``_play_until``)
-    takes and fills: under ``run_single`` blocks of 1, 2, 4, ... up to
-    ``_MAX_BLOCK`` = 256 pulls, never more than rounds are left, and under
-    ``observe`` a block of the one reward it is given.  Every pull is checked as
-    ``AdaptiveTree.insert`` checks a value, and the block stops before a
-    pull that fails, so the error comes in the round that plays it.  The
-    tree changes only when a round plays a pull: its one step
-    (``AdaptiveTree._add``) records the pull's draw and insertion rows,
-    counts the draw, adds the pull and returns the release.  When
-    ``run_single`` ends, the noise uniforms of the pulls computed and never
-    played go back to the arm's stream, so the policy holds the state of the
-    played rounds only and plays on as if nothing had been computed ahead.
+    The index policies' stretch loop (``_play_until``) plays each pull: it
+    truncates the arm's next reward at the tabled level for the pull count,
+    and the arm's tree inserts it (``AdaptiveTree.insert``), reading one
+    uniform of the arm's noise stream, recording the draw and insertion rows,
+    counting the draw and returning the release.  A pull the tree rejects
+    raises in the round that plays it.
 
     The constructor rejects an eps too small or too large for doubles: one
     that makes the first pull's truncation level 0, the last pull's
@@ -717,48 +702,10 @@ class DPRobustUCB(_IndexPolicy):
             AdaptiveTree(horizon, eps, noise=src, owner=a)
             for a, src in enumerate(noise_sources)
         ]
-        # Per arm, its pulls computed ahead and not yet played, one tuple a
-        # pull: (kept reward, truncation level, noise scale, noise value, w,
-        # reward).
-        self._pulls = [iter(())] * self.num_arms
 
     def _pull_state(self) -> tuple:
-        # (pulls, adds, sums, u, exp); the baseline's three are None.
-        return self._pulls, [tree._add for tree in self._trees], None, None, None
-
-    def _fill(self, arm: int, rewards: list) -> None:
-        """Compute what the arm's streams fix of its next pulls, one per reward.
-
-        Each reward is truncated at the tabled level for its pull count, and
-        the arm's tree checks it (``AdaptiveTree._scales``); the arm's noise
-        source draws each pull's noise in one pass, and ``w`` is read from
-        its table.  The pulls wait in ``_pulls`` until their rounds play
-        them: then ``_play_until`` has the tree record and add each one, and
-        sets the arm's mean (release / pulls) and ``w``.  The tree may stop
-        the block early, before a pull that fails a check; ``rewards`` is
-        cut to the pulls computed.
-        """
-        n = self._counts[arm]
-        stop = n + len(rewards) + 1
-        bounds = self._bounds.entries(n + 1, stop)
-        kept = []
-        i = 0
-        for reward in rewards:
-            kept.append(reward if abs(reward) <= bounds[i] else 0.0)
-            i += 1
-        tree = self._trees[arm]
-        scales = tree._scales(kept, bounds)
-        if len(scales) < len(rewards):
-            del rewards[len(scales) :]
-        etas = tree._noise._values(scales)
-        weights = self._pull_weights.entries(n + 1, stop)
-        self._pulls[arm] = zip(kept, bounds, scales, etas, weights, rewards)
-
-    def _drop_lookahead(self) -> None:
-        for tree, pulls in zip(self._trees, self._pulls):
-            tree._noise._unread(len(list(pulls)))
-        self._pulls = [iter(())] * self.num_arms
-        super()._drop_lookahead()
+        # (inserts, bounds, sums, u, exp); the baseline's three are None.
+        return [tree.insert for tree in self._trees], self._bounds, None, None, None
 
 
 # Keeps the last 64 configs' walks: the benchmark's audited grid builds 20.
@@ -1027,5 +974,5 @@ class RobustUCB(_IndexPolicy):
         self._share_tables(4.0, 1, 2, 1.0, 1.0)
 
     def _pull_state(self) -> tuple:
-        # (pulls, adds, sums, u, exp); pulls None picks this pull.
+        # (inserts, bounds, sums, u, exp); inserts None picks this pull.
         return None, None, self._sums, self._trunc_u, self._trunc_exp

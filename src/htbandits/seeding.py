@@ -105,11 +105,10 @@ class BlockStream:
     is never read costs nothing.  ``random()`` returns one double and
     ``random(k)`` the next ``k`` as a list; either way the ``i``-th
     double read is exactly the ``i``-th double that scalar ``random()`` calls
-    on ``factory()`` would return, at a fraction of their per-call cost.
-    :meth:`unread` hands doubles back, to be read again first.  The generator
-    runs up to one block ahead of the reader; since only this object ever
-    holds it, it has no other consumer.  The block is kept packed, 8 bytes a
-    double in an ``array('d')``.
+    on ``factory()`` would return, at a fraction of their per-call cost.  The
+    generator runs up to one block ahead of the reader; since only this
+    object ever holds it, it has no other consumer.  The block is kept
+    packed, 8 bytes a double in an ``array('d')``.
 
     Given ``key``, the stream reads through the memo of stream prefixes (see
     the module docstring).  Its first read checks the key as
@@ -154,10 +153,6 @@ class BlockStream:
         block = ahead[: cut - 1 if cut else None : -1].tolist()
         del ahead[cut:]
         return block
-
-    def unread(self, values) -> None:
-        """Hand ``values``, the latest doubles read, out again, first to last."""
-        self._ahead.extend(reversed(values))
 
     def _draw_ahead(self, needed: int) -> array:
         """Draw at least ``needed`` more doubles behind the unread ones."""

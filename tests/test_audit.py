@@ -38,20 +38,21 @@ class HalvingSource(NoiseSource):
 class HalvingTree(AdaptiveTree):
     """Fault injection: gives its values' noise half their scale.
 
-    The tree computes each draw's scale (``_scales``), draws its noise at that
-    scale and records it when it adds the value, so the draws are made and
-    recorded at half scale.
+    The tree's step draws each value's noise at ``2 * bound / _eps_prime`` and
+    records the draw at that scale, so with ``_eps_prime`` doubled the draws
+    are made and recorded at half scale.
     """
 
-    def _scales(self, values, bounds):
-        return [scale * 0.5 for scale in super()._scales(values, bounds)]
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._eps_prime *= 2.0
 
 
 def run_halved(run, ledger) -> None:
     """``run(ledger)`` with every draw made and recorded at half its scale.
 
     The sources draw the elimination policies' noise (``HalvingSource``), and
-    the trees compute the scales of the index policy's (``HalvingTree``).
+    the trees draw the index policy's (``HalvingTree``).
     """
     real = policies.AdaptiveTree
     policies.AdaptiveTree = HalvingTree
@@ -101,7 +102,7 @@ def clean_ldprse(ledger, cls=NoiseSource) -> None:
 
 
 def run_single_dprucb(ledger, cls=NoiseSource) -> None:
-    """A ``run_single`` repetition of dprucb, whose policy computes pulls ahead.
+    """A ``run_single`` repetition of dprucb, whose policy reads rewards ahead.
 
     ``make_policy`` builds each arm's source as ``cls``.
     """

@@ -1,15 +1,15 @@
-"""The private index policy's pulls computed ahead never show in what a run records.
+"""The private index policy's rewards read ahead never show in what a run records.
 
-``run_single`` lets dprucb draw each arm's next rewards and tree noise in
-blocks (1, 2, 4, ... up to 256 pulls, never more than the rounds left), ahead
-of the rounds that play them.  A tree adds a pull, and the pull is recorded,
-when its round plays it: its transcript row, its ledger draw and insertion
-rows and its source's ``draws_made``.  After every played pull each tree
-holds exactly its arm's played pulls, and after the run the policy holds the
+``run_single`` lets dprucb read each arm's next rewards in blocks (1, 2, 4,
+... up to 256 pulls, never more than the rounds left), ahead of the rounds
+that play them.  A tree inserts a pull, and the pull is recorded, when its
+round plays it: its transcript row, its ledger draw and insertion rows and
+its source's ``draws_made``.  After every played pull each tree holds
+exactly its arm's played pulls, and after the run the policy holds the
 played state only.  These tests run audited repetitions at horizons around
 the block boundaries, with Laplace noise and with the zero-noise hook, and
 compare each with the same repetition played through
-``select_arm``/``observe``, which computes nothing ahead: the ledger columns,
+``select_arm``/``observe``, which reads nothing ahead: the ledger columns,
 each tree's state, each source's count and the next uniform of each noise
 stream must be equal, and both policies must play on alike.
 """
@@ -92,10 +92,10 @@ def test_run_single_records_only_the_pulls_it_plays(horizon, setting, zero_noise
 @pytest.mark.parametrize("setting", ["S1", "two_arm_hard"])
 @pytest.mark.parametrize("horizon", HORIZONS)
 def test_no_tree_holds_a_pull_no_round_played(horizon, setting, monkeypatch) -> None:
-    # Whenever a tree adds a pull, each tree holds exactly its arm's played
-    # pulls, the arm's rows of the transcript: a fill draws rewards and noise
-    # ahead, never the tree's state.
-    begin, add = DPRobustUCB._begin_run, AdaptiveTree._add
+    # Whenever a tree inserts a pull, each tree holds exactly its arm's played
+    # pulls, the arm's rows of the transcript: a reward block is read ahead,
+    # never the tree's state.
+    begin, insert = DPRobustUCB._begin_run, AdaptiveTree.insert
     running = []
     added = []
     ahead = []
@@ -104,16 +104,16 @@ def test_no_tree_holds_a_pull_no_round_played(horizon, setting, monkeypatch) -> 
         running.append(policy)
         return begin(policy, takes, rounds)
 
-    def add_spy(tree, value, bound, scale, eta):
+    def insert_spy(tree, value, bound):
         policy = running[-1]
         arms = policy.transcript.columns[0]
         if [each.t for each in policy._trees] != [arms.count(a) for a in policy._arms]:
             ahead.append(len(arms) + 1)
         added.append(tree.owner)
-        return add(tree, value, bound, scale, eta)
+        return insert(tree, value, bound)
 
     monkeypatch.setattr(DPRobustUCB, "_begin_run", begin_spy)
-    monkeypatch.setattr(AdaptiveTree, "_add", add_spy)
+    monkeypatch.setattr(AdaptiveTree, "insert", insert_spy)
     run_single(config_for(setting, horizon, False), 0)
     assert len(added) == horizon
     assert added == list(running[-1].transcript.columns[0])

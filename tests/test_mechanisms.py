@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from htbandits import (
 from htbandits.mechanisms import LOCAL_REWARD_SITE, SE_RELEASE_SITE, TREE_SITE
 from htbandits.seeding import TREE_NOISE, derive_stream
 
-from conftest import draw_rows
+from conftest import draw_rows, insertion_rows
 
 
 def zero_source(ledger=None) -> NoiseSource:
@@ -340,6 +341,42 @@ def test_a_rejected_insert_changes_nothing(value: float, bound: float, match: st
     if accepted < 4:
         assert tree.insert(0.5, 2.0) == twin.insert(0.5, 2.0)
         assert _tree_state(tree, source, ledger) == _tree_state(twin, twin_source, twin_ledger)
+
+
+@pytest.mark.parametrize("bound", [1e-3, 0.5, 1.0, 7.25, 1e6])
+def test_the_tree_step_draws_what_laplace_from_uniform_gives(bound: float) -> None:
+    # AdaptiveTree.insert keeps its own copy of the Laplace map.  A tree's
+    # first release of the value 0.0 is 0.0 + (0.0 + draw): the draw, bit for
+    # bit, except that a -0.0 draw (u = 0.5) reads +0.0.
+    edges = [0.0, 2.0**-53, math.nextafter(0.5, 0.0), 0.5, math.nextafter(1.0, 0.0)]
+    uniforms = edges + np.random.default_rng(2107).random(10_000).tolist()
+    horizon, eps = 1000, 0.7
+    scale = 2.0 * bound / (eps / math.log(horizon))
+    ledger = PrivacyLedger()
+    # The rng has random() only: one uniform per insert, in order.
+    source = NoiseSource(rng=SimpleNamespace(random=iter(uniforms).__next__), ledger=ledger)
+    got = [AdaptiveTree(horizon, eps, noise=source).insert(0.0, bound) for _ in uniforms]
+    want = [0.0 + laplace_from_uniform(u, scale) for u in uniforms]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert math.copysign(1.0, laplace_from_uniform(0.5, scale)) == -1.0
+    assert math.copysign(1.0, got[edges.index(0.5)]) == 1.0
+    assert source.draws_made == len(uniforms)
+    assert set(ledger.noise_draws.columns[1]) == {scale}
+
+
+@pytest.mark.parametrize("owner", [-1, 1.5, "x"])
+def test_a_tree_rejects_an_owner_that_is_not_an_arm_index(owner) -> None:
+    # Its insertions could not record the owner: each insert would fail after
+    # its draw row was stored, so the tree is rejected when it registers.
+    ledger = PrivacyLedger()
+    with pytest.raises(ValueError, match="owner must be"):
+        AdaptiveTree(8, 1.0, noise=zero_source(ledger), owner=owner)
+    assert ledger.mechanisms == []
+    for arm in (None, 0, np.int64(2)):
+        AdaptiveTree(8, 1.0, noise=zero_source(ledger), owner=arm).insert(0.5, 1.0)
+    assert [record.owner for record in ledger.mechanisms] == [None, 0, 2]
+    assert insertion_rows(ledger) == [(0, None, 0.5, 1.0), (1, 0, 0.5, 1.0), (2, 2, 0.5, 1.0)]
+    assert len(ledger.noise_draws) == 3
 
 
 def test_tree_level_structure_matches_set_bits() -> None:

@@ -181,23 +181,6 @@ def test_a_stream_that_records_the_prefix_reads_on_from_its_own_generator(cold_m
     assert factory.calls == 1 and KEY not in _prefixes
 
 
-def test_unread_values_of_a_memo_stream_are_read_again(cold_memo) -> None:
-    want = derive_stream(*KEY).random(1000).tolist()
-    for first in (True, False):
-        # The first stream records the prefix, the second reads it from the memo.
-        stream, factory = keyed_stream(KEY)
-        at = 0
-        for size, back in ((100, 30), (200, 200), (180, 1), (300, 150), (300, 0)):
-            got = stream.random(size)
-            assert got == want[at : at + size]
-            stream.unread(got[size - back :])
-            at += size - back
-        assert [stream.random() for _ in range(1000 - at)] == want[at:]
-        assert factory.calls == 1
-        if first:
-            stored(KEY)
-
-
 def test_two_live_streams_of_one_key_read_in_turns(cold_memo) -> None:
     want = derive_stream(*KEY).random(2000).tolist()
     a, a_factory = keyed_stream(KEY)
