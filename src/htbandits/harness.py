@@ -6,12 +6,15 @@ keys, so reruns are bit-identical and parallel execution equals sequential.
 Regret traces record exact pseudo-regret (gap-weighted pull counts), not
 realized reward differences.
 
-``run_single`` has the policy play the rounds in stretches of at most
-``_STRETCH`` = 64 rounds, each ending at the next checkpoint at the latest,
-and computes the checkpoint's regret after the stretch that ends there.  Its
-local round counter ``t`` is the next round before each stretch, so a
-sampler that reads ``t - 1`` as the rounds done (``bench/pace.py``) lags the
-run by fewer than 64 rounds.
+``run_single`` has the policy play the rounds in stretches.  While the
+policy is uncommitted, a stretch plays at most ``_STRETCH`` = 64 rounds and
+ends at the next checkpoint at the latest, and the checkpoint's regret is
+computed after the stretch that ends there.  Once an elimination policy has
+committed, one stretch plays every round left (see below).  The local round
+counter ``t`` is the next round before each stretch, so a sampler that reads
+``t - 1`` as the rounds done (``bench/pace.py``) lags the run by fewer than
+64 rounds until the policy commits, and by the whole committed stretch
+inside it.
 
 Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
 derives its generator on the first read, draws uniforms in blocks and hands
@@ -33,13 +36,13 @@ state a run changes, so a run's output does not depend on what ran before it
 in the process.
 
 Once an elimination policy commits, every remaining round plays one arm, so
-``run_single`` plays them as blocks of that arm's rewards, appended to the
-transcript's columns in bulk: the rest of the arm's current block, then
-takes of up to 1024 rewards, never one list of the whole tail.  Each
-checkpoint of the tail gets its regret from the same ``math.fsum`` over
-pull counts, the committed arm's count computed from the round; while the
-committed arm has a zero gap the regret cannot move, and the first value is
-kept.
+the policy's stretch loop plays them as blocks of that arm's rewards,
+appended to the transcript's columns in bulk: the rest of the arm's current
+block, then takes of up to 1024 rewards, never one list of the whole tail.
+That stretch passes the checkpoints, and each gets its regret from the same
+``math.fsum`` over pull counts, the committed arm's count computed from the
+round; while the committed arm has a zero gap the regret cannot move, and
+the first value is kept.
 
 ``write_csv`` builds each output file as one string and writes it in one
 call; the CSV files hold the bytes ``csv.writer`` would write.
@@ -220,8 +223,9 @@ def make_instance_for(setting: str, v: float) -> BanditInstance:
     raise ValueError(f"unknown setting {setting!r}")
 
 
-# run_single has the policy play at most this many rounds at a time, so the
-# round counter t that bench/pace.py samples moves at least this often.
+# run_single has an uncommitted policy play at most this many rounds at a
+# time, so the round counter t that bench/pace.py samples moves at least this
+# often until the policy commits.
 _STRETCH = 64
 
 # The stream purpose of each private algorithm's noise; rucb draws none.
@@ -289,13 +293,12 @@ def run_single(
 ):
     """Play one repetition and return its :class:`RegretTrace`.
 
-    The policy plays the rounds a stretch at a time (``_play_until``), each
-    stretch ending at the next checkpoint, after ``_STRETCH`` rounds or after
-    the round in which the policy commits; the rounds left after that are
-    played a block of the committed arm's rewards at a time (see the module
-    docstring), with the same transcript, ledger and checkpoints.  With
-    ``return_policy=True`` returns ``(trace, policy)`` so tests can inspect
-    final policy state.
+    The policy plays the rounds a stretch at a time (``_play_until``).  A
+    stretch of an uncommitted policy ends at the next checkpoint or after
+    ``_STRETCH`` rounds; a committed policy plays every round left in one
+    stretch, and each checkpoint it passed gets its regret from the pull
+    counts (see the module docstring).  With ``return_policy=True`` returns
+    ``(trace, policy)`` so tests can inspect final policy state.
     """
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
@@ -316,22 +319,22 @@ def run_single(
     # t is the next round: bench/pace.py reads t - 1 as the rounds done.
     t = 1
     try:
-        while t <= horizon and policy._committed is None:
-            t = play_until(t, min(next_cp, t + _STRETCH - 1), counts)
-            if t > next_cp:
-                values.append(math.fsum(map(operator.mul, gaps, counts)))
-                next_cp = next(cp_iter, None)
-        arm = policy._committed
-        if arm is not None:
-            # Every round left plays the committed arm, a block at a time.
-            # After round s > t - 1 the arm's count is counts[arm] - (t - 1) + s;
-            # no other count moves, so with a zero gap the regret keeps its
-            # first value.
-            gap, offset, value = gaps[arm], counts[arm] - (t - 1), None
-            for block in policy._committed_blocks():
-                policy._play_committed(block)
-                t += len(block)
-                while next_cp is not None and next_cp < t:
+        while t <= horizon:
+            arm = policy._committed
+            if arm is None:
+                # An uncommitted stretch ends at the next checkpoint at the latest.
+                t = play_until(t, min(next_cp, t + _STRETCH - 1), counts)
+                if t > next_cp:
+                    values.append(math.fsum(map(operator.mul, gaps, counts)))
+                    next_cp = next(cp_iter, None)
+            else:
+                # A committed stretch plays every round left and passes the
+                # checkpoints.  It moves only the arm's count, which after
+                # round s is its count at the end less the rounds after s;
+                # with a zero gap the regret keeps its first value.
+                t = play_until(t, horizon, counts)
+                gap, offset, value = gaps[arm], counts[arm] - (t - 1), None
+                while next_cp is not None:
                     if gap or value is None:
                         counts[arm] = offset + next_cp
                         value = math.fsum(map(operator.mul, gaps, counts))

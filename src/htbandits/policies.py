@@ -3,28 +3,23 @@
 All policies share one driving contract: ``select_arm(t)`` is called with
 ``t = 1, 2, ...`` and then ``observe(arm, reward)`` with the arm just
 selected, exactly once per round, in order.  The contract is there for
-outside callers and is enforced; misuse raises.  ``observe`` checks the
-contract and calls ``_play(t, ...)``.  ``run_single`` builds its policy and
-keeps the contract itself, so it has the policy play a stretch of rounds at
-a time (``_play_until``).  An index policy plays every round of either route
-in one loop, ``_IndexPolicy._play_until``, which picks each round's arm when
-the round before it ends: ``_select`` returns that arm, and ``_play`` plays a
-stretch of one round.  Each round of an elimination policy is ``_select(t)``
-and then ``_play``, which passes the round to ``_observe``, checks the
-truncated reward and only then sets the round and records it.  Once a policy has
-committed, its rounds take one path on both routes: ``select_arm`` returns
-the committed arm without ``_select``, and ``_play_committed`` records the
-rounds, which reach no ``_observe``.  ``run_single`` has each arm's rewards
-read in blocks (``_begin_run``) and plays a committed policy's remaining
-rounds a block of rewards at a time (``_committed_blocks``); once the
-rounds end, ``_drop_lookahead`` drops the rewards no round read.  The private
-index policy's trees draw each pull's noise when a round plays the pull.  Each
-observed round is recorded in ``transcript``, a list-like view of
-:class:`TranscriptEntry` stored by column at 13 bytes per round: the arm,
-the reward and a kept flag of each round, plus the first committed round.
-A policy truncates a reward to itself or to ``0.0``, so the flag and the
-reward give the truncated reward; an ``_observe`` that returns anything
-else makes ``_play`` raise.
+outside callers and is enforced; misuse raises.  ``run_single`` builds its
+policy and keeps the contract itself, so it has the policy play a stretch of
+rounds at a time.  Each policy plays every round of either route in one
+loop, ``_play_until``: ``observe`` checks the contract and plays its round
+as a stretch of one round (``_play``).  An index policy's loop picks each
+round's arm when the round before it ends, and ``select_arm`` returns that
+arm.  An elimination policy's loop begins each epoch, or commits, when the
+epoch's first round starts, and ``select_arm`` does the same to name the
+round's arm; once committed, the loop appends the committed arm's rewards to
+the transcript a block at a time.  ``run_single`` has each arm's rewards
+read in blocks (``_begin_run``); once the rounds end, ``_drop_lookahead``
+drops the rewards no round read.  The private index policy's trees draw each
+pull's noise when a round plays the pull.  Each observed round is recorded
+in ``transcript``, a list-like view of :class:`TranscriptEntry` stored by
+column at 13 bytes per round: the arm, the reward and a kept flag of each
+round, plus the first committed round.  A policy truncates a reward to
+itself or to ``0.0``, so the flag and the reward give the truncated reward.
 
 The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
@@ -169,12 +164,14 @@ def _shared_ledger(noise_sources: list):
 
 
 class _PolicyBase:
-    """Round bookkeeping, contract enforcement, transcript recording.
+    """Round bookkeeping, contract enforcement and the one-round stretch.
 
-    A round that raises is not recorded: ``rounds_played`` stays at the
-    transcript's length.  The policy's own state may be half updated by then,
-    so after ``observe`` raises every later ``select_arm`` or ``observe``
-    raises ``RuntimeError``.
+    A subclass plays every round, on both routes, in its stretch loop
+    ``_play_until(t, stop, counts)``, and picks the contract's arm in
+    ``_select(t)``.  A round that raises is not recorded: ``rounds_played``
+    stays at the transcript's length.  The policy's own state may be half
+    updated by then, so after ``observe`` raises every later ``select_arm``
+    or ``observe`` raises ``RuntimeError``.
     """
 
     def __init__(self, num_arms: int):
@@ -185,11 +182,13 @@ class _PolicyBase:
         # The arm every remaining round plays; the index policies never commit.
         # Set only through _commit.
         self._committed: Optional[int] = None
-        # While run_single plays (_begin_run to _drop_lookahead): per arm, its
-        # reward take and the unread rest of its current block; the rounds.
-        self._takes: Optional[list] = None
+        # Per arm, the pulls the contract's rounds played: an index policy's
+        # pull counts, which its loop keeps on both routes.
+        self._counts = [0] * self.num_arms
+        # While a run plays (_begin_run to _drop_lookahead): per arm, the
+        # unread rest of its current block of rewards; what _play_until reads.
         self._unread: Optional[list] = None
-        self._horizon = 0
+        self._loop: Optional[tuple] = None
 
     def select_arm(self, t: int) -> int:
         if self._pending is not None:
@@ -217,50 +216,18 @@ class _PolicyBase:
             raise
 
     def _play(self, t: int, arm: int, reward: float) -> None:
-        """Observe and record round ``t``, for a caller that keeps the contract.
+        """Play round ``t``, ``arm``'s pull of ``reward``, as a stretch of one round.
 
-        :meth:`observe` calls this once its contract checks have passed, and
-        :meth:`_play_until` calls ``_select(t)`` and then this, for ``t = 1,
-        2, ...``, with a float reward; the index policies play the round in
-        their stretch loop instead (:meth:`_IndexPolicy._play`).  A committed
-        round goes to :meth:`_play_committed`; any other is given to
-        ``_observe`` with its round.  The transcript stores whether the
-        reward was kept, so a truncated reward must be the reward itself or
-        +0.0; anything else raises ``ValueError``.  Only a round that passes
-        this check sets ``rounds_played`` to ``t`` and is recorded, so a round
-        that raises leaves both at ``t - 1`` on either route.
+        :meth:`observe` calls this once its contract checks have passed, so
+        the contract's rounds are played by the subclass's ``_play_until``,
+        as ``run_single``'s are.  On the first of them the policy gathers
+        what the loop reads, with no reward takes: each round hands its arm
+        the one reward the round reads, as the rest of the arm's block.
         """
-        if self._committed is not None:
-            self._play_committed([reward])
-            return
-        kept = self._observe(t, arm, reward)
-        if kept is not reward and (kept != 0.0 or math.copysign(1.0, kept) < 0.0):
-            raise ValueError(
-                f"a policy truncates reward {reward!r} to itself or to 0.0, got {kept!r}"
-            )
-        self._round = t
-        arms, rewards, flags = self.transcript.columns
-        arms.append(arm)
-        rewards.append(reward)
-        flags.append(kept is reward)
-
-    def _play_committed(self, rewards: list) -> None:
-        """Play and record the next ``len(rewards)`` rounds, all committed.
-
-        Every committed round pulls the committed arm and keeps its reward as
-        it is, so the rounds are appended to the transcript's columns in bulk
-        and none of them reaches ``_observe``.  ``_play`` calls this with the
-        one reward of a committed round, and ``run_single`` with each block
-        of the committed arm's rewards for its remaining rounds.
-        ``rewards`` is a list of floats.
-        """
-        arms, column, flags = self.transcript.columns
-        n = len(rewards)
-        # fromlist leaves the column as it was if an item is not a float.
-        column.fromlist(rewards)
-        arms.extend(array("I", (self._committed,)) * n)
-        flags.frombytes(b"\x01" * n)
-        self._round += n
+        if self._loop is None:
+            self._begin_run(None, t)
+        self._unread[arm] = iter((reward,))
+        self._play_until(t, t, self._counts)
 
     def _begin_run(self, takes: list, horizon: int) -> None:
         """Take each arm's rewards from ``takes`` in the rounds ``run_single`` plays.
@@ -269,59 +236,18 @@ class _PolicyBase:
         An arm's rewards are taken a block at a time: after ``n`` pulls of
         the arm, ``min(n + 1, _MAX_BLOCK)`` of them (1, 2, 4, ... as the
         blocks run out), but no block covers more pulls than there are rounds
-        left of ``horizon``.  ``run_single`` then plays the rounds with
-        :meth:`_play_until`, reads the committed arm's remaining rewards from
-        :meth:`_committed_blocks` and calls :meth:`_drop_lookahead` once the
-        rounds end.
+        left of ``horizon``; a committed arm's rewards are taken up to
+        ``_TAIL_BLOCK`` at a time.  ``run_single`` then plays the rounds with
+        ``_play_until`` and calls :meth:`_drop_lookahead` once they end.  A
+        subclass extends this to gather what its loop reads, once per run.
+        On the contract's route ``takes`` is None: :meth:`_play` hands each
+        round its reward.
         """
-        self._takes, self._horizon = takes, horizon
         self._unread = [iter(())] * self.num_arms
-
-    def _play_until(self, t: int, stop: int, counts: list) -> int:
-        """Play rounds ``t`` to ``stop``, adding each pull to ``counts``; return the next round.
-
-        Round ``t`` is the one after ``rounds_played``.  Each round is
-        ``_select(t)`` and then :meth:`_play` with the arm's next reward, and
-        the stretch ends early after the round in which the policy commits.
-        This is the elimination policies' route; the index policies play
-        their stretches in :meth:`_IndexPolicy._play_until`.
-        """
-        select, play, takes, unread = self._select, self._play, self._takes, self._unread
-        while t <= stop:
-            arm = select(t)
-            reward = next(unread[arm], None)
-            if reward is None:  # the arm's block has run out
-                size = min(counts[arm] + 1, _MAX_BLOCK, self._horizon - t + 1)
-                unread[arm] = rest = iter(takes[arm](size))
-                reward = next(rest)
-            play(t, arm, reward)
-            counts[arm] += 1
-            t += 1
-            if self._committed is not None:
-                break
-        return t
-
-    def _committed_blocks(self):
-        """The committed arm's rewards for the rounds left of the run, in blocks.
-
-        The first block is the unread rest of the arm's current block, if
-        any, cut to the rounds left: an arm that shared the rounds with
-        others may hold more rewards than that.  Each later block is a take
-        of up to ``_TAIL_BLOCK`` rewards.  The caller plays each block with
-        :meth:`_play_committed` before it reads the next, so the rewards are
-        the ones the arm's pulls would read one round at a time, and no list
-        holds more than one block.
-        """
-        arm, horizon = self._committed, self._horizon
-        rest = list(islice(self._unread[arm], horizon - self._round))
-        if rest:
-            yield rest
-        while self._round < horizon:
-            yield self._takes[arm](min(_TAIL_BLOCK, horizon - self._round))
 
     def _drop_lookahead(self) -> None:
         """Drop the unread rewards of the arms' blocks: a finished run holds none."""
-        self._takes = self._unread = None
+        self._unread = self._loop = None
 
     def _raise_if_failed(self) -> None:
         if self._pending is _FAILED:
@@ -333,21 +259,15 @@ class _PolicyBase:
         return self._committed
 
     def _commit(self, arm: int, first_round: int) -> None:
-        # first_round is the first round the committed arm plays: t when
-        # _select(t) commits, t + 1 when _observe(t, ...) does.
+        # first_round is the first round the committed arm plays: t when round
+        # t would begin an epoch that does not fit, t + 1 when round t ends an
+        # epoch with one viable arm left.
         self._committed = arm
         self.transcript._first_committed = first_round
 
     @property
     def rounds_played(self) -> int:
         return self._round
-
-    def _select(self, t: int) -> int:
-        raise NotImplementedError
-
-    def _observe(self, t: int, arm: int, reward: float) -> float:
-        # Returns round t's truncated reward: ``reward`` itself, or 0.0.
-        raise NotImplementedError
 
 
 # A schedule table holds entries 0 to _TABLE_CAP - 1 at most: 1 MiB of
@@ -363,8 +283,8 @@ _FILL_AHEAD = 256
 # one reward, as a reward read and never played costs a sample, and each later
 # one doubles, up to this many.
 _MAX_BLOCK = 256
-# run_single reads a committed arm's remaining rewards in blocks of this many:
-# a block's list of floats holds about 32 bytes per reward.
+# An elimination policy reads a committed arm's rewards in blocks of at most
+# this many: a block's list of floats holds about 32 bytes per reward.
 _TAIL_BLOCK = 1024
 
 
@@ -440,17 +360,6 @@ class _Schedule(array):
 _schedule = functools.lru_cache(maxsize=_MEMO_TABLES, typed=True)(_Schedule)
 
 
-class _Observed:
-    """The contract route's reward take: the reward of the round ``observe`` plays.
-
-    ``observe`` plays one round at a time, so whatever block size the round
-    asks for, its arm's take gives the one reward it was given.
-    """
-
-    def __call__(self, size: int) -> list:
-        return [self.reward]
-
-
 class _IndexPolicy(_PolicyBase):
     """One stretch loop and one per-arm state for both index policies.
 
@@ -491,7 +400,6 @@ class _IndexPolicy(_PolicyBase):
         super().__init__(num_arms)
         self.params = params
         self._arms = range(self.num_arms)
-        self._counts = [0] * self.num_arms
         # Per arm, updated when it is pulled: truncated mean, w_a.
         self._means = [0.0] * self.num_arms
         self._weights = [0.0] * self.num_arms
@@ -499,9 +407,6 @@ class _IndexPolicy(_PolicyBase):
         # arm of the next round, both chosen when the round before it ends.
         self._radius_scale = math.nan
         self._next_arm = 0
-        # What _play_until reads: per run_single run, or from the contract's
-        # first round on.
-        self._loop: Optional[tuple] = None
 
     def _share_tables(self, c: float, m: int, k: int, log_pow: float, weight_eps: float) -> None:
         """Take the tables of ``C(t)`` and ``w`` for these constants from the memo."""
@@ -522,19 +427,9 @@ class _IndexPolicy(_PolicyBase):
         return self._next_arm
 
     def _play(self, t: int, arm: int, reward: float) -> None:
-        """Play round ``t``, ``arm``'s pull of ``reward``, as a stretch of one round.
-
-        The contract's rounds are played by :meth:`_play_until`, as
-        ``run_single``'s are.  On the first of them the policy gathers what
-        the loop reads, with one reward take for every arm that returns the
-        round's reward whatever the block size.
-        """
-        if self._loop is None:
-            # The horizon only sizes the blocks, which the take ignores.
-            self._begin_run([_Observed()] * self.num_arms, t)
-        self._takes[arm].reward = reward
+        # The loop plays the arm chosen when the round before it ended.
         self._next_arm = arm
-        self._play_until(t, t, self._counts)
+        super()._play(t, arm, reward)
 
     def _begin_run(self, takes: list, horizon: int) -> None:
         super()._begin_run(takes, horizon)
@@ -625,10 +520,6 @@ class _IndexPolicy(_PolicyBase):
             self._radius_scale = scale
             counts[:] = own
         return t
-
-    def _drop_lookahead(self) -> None:
-        self._loop = None
-        super()._drop_lookahead()
 
 
 class DPRobustUCB(_IndexPolicy):
@@ -731,7 +622,7 @@ def _check_later_epochs(policy_class, params, eps: float, beta: float, horizon: 
 
 
 class _EliminationPolicy(_PolicyBase):
-    """Shared state machine of the two successive-elimination policies.
+    """Shared state machine and stretch loop of the two successive-elimination policies.
 
     Epochs run back to back, each kept as its schedule, ``_sched`` (epoch
     1's is computed at construction), and its last round, ``_epoch_end``: a
@@ -742,11 +633,20 @@ class _EliminationPolicy(_PolicyBase):
     An epoch whose total pull budget does not fit into the remaining horizon
     is never started: the policy commits to the best arm under the latest
     release scores (the lowest-index viable arm if no epoch ever completed)
-    and plays it forever.  Committed rounds belong to ``_PolicyBase``: they
-    keep their rewards as they are and never reach ``_select`` or
-    ``_observe``, and ``run_single`` plays them in blocks of the committed
+    and plays it forever.
+
+    Every round, on the contract's route and under ``run_single``, is played
+    by one loop, :meth:`_play_until`.  A round past ``_epoch_end`` begins the
+    next epoch, or commits, when it starts, never when the round before it
+    ends, so a run whose last epoch ends at its last round ends uncommitted.
+    An epoch's round truncates the arm's next reward, records the insertion,
+    adds ``_epoch_contribution`` to the arm's sum and, at ``_epoch_end``,
+    ends the epoch.  Committed rounds keep their rewards as they are: the
+    loop appends them to the transcript's columns in blocks of the committed
     arm's rewards, so a long run costs little more than its completed epochs
-    and one reward draw per committed round.
+    and one reward draw per committed round.  ``select_arm`` begins an epoch
+    that is due in ``_select`` to name the round's arm, and ``observe`` plays
+    the round as a stretch of one round.
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
@@ -863,19 +763,85 @@ class _EliminationPolicy(_PolicyBase):
     def _select(self, t: int) -> int:
         if t > self._epoch_end:
             self._begin_epoch(t)
-            if self._committed is not None:
-                return self._committed
-        return self._viable[(t - self._epoch_end - 1) % len(self._viable)]
+        arm = self._committed
+        if arm is None:
+            arm = self._viable[(t - self._epoch_end - 1) % len(self._viable)]
+        return arm
 
-    def _observe(self, t: int, arm: int, reward: float) -> float:
-        sched = self._sched
-        kept = reward if abs(reward) <= sched.truncation else 0.0
-        if self.ledger is not None:
-            self.ledger.record_insertion(self._mechs[arm], arm, kept, sched.truncation)
-        self._sums[arm] += self._epoch_contribution(arm, kept)
-        if t == self._epoch_end:
-            self._end_epoch(t)
-        return kept
+    def _begin_run(self, takes: list, horizon: int) -> None:
+        super()._begin_run(takes, horizon)
+        # What _play_until reads, gathered once per run or at the contract's
+        # first round: at dense checkpoints a stretch is a round or two.  The
+        # contribution is the class's function, as a bound method here would
+        # tie the policy into a reference cycle.
+        ledger = self.ledger
+        self._loop = (
+            horizon, takes, self._unread, self._sums, type(self)._epoch_contribution,
+            None if ledger is None else ledger.record_insertion, self._mechs,
+            *self.transcript.columns,
+        )
+
+    def _play_until(self, t: int, stop: int, counts: list) -> int:
+        """Play rounds ``t`` to ``stop``, adding each pull to ``counts``; return the next round.
+
+        This loop is the only code that plays an elimination round, on both
+        routes.  An epoch's round reads the round-robin arm's next reward,
+        truncates it at the epoch's level, records the insertion, adds
+        ``_epoch_contribution`` to the arm's sum and, in the epoch's last
+        round, ends the epoch.  A round past ``_epoch_end`` first begins the
+        next epoch, which commits instead if the epoch does not fit.  Once
+        committed, the rounds up to ``stop`` play the committed arm: the
+        unread rest of its current block, then takes of up to
+        ``_TAIL_BLOCK`` rewards, each appended to the columns in bulk.
+        """
+        (horizon, takes, unread, sums, contribute, record, mechs, arm_column, reward_column,
+         flag_column) = self._loop
+        try:
+            while t <= stop:
+                arm = self._committed
+                if arm is not None:
+                    # Every round left plays the committed arm, a block at a time.
+                    rewards = list(islice(unread[arm], stop - t + 1))
+                    while True:
+                        n = len(rewards)
+                        # fromlist leaves the column as it was if an item is not a float.
+                        reward_column.fromlist(rewards)
+                        arm_column.extend(array("I", (arm,)) * n)
+                        flag_column.frombytes(b"\x01" * n)
+                        counts[arm] += n
+                        t += n
+                        if t > stop:
+                            break
+                        rewards = takes[arm](min(_TAIL_BLOCK, stop - t + 1))
+                    break
+                if t > self._epoch_end:
+                    self._begin_epoch(t)  # commits instead if the epoch does not fit
+                    continue
+                # The epoch's rounds up to stop, round-robin over the viable arms.
+                end, viable, truncation = self._epoch_end, self._viable, self._sched.truncation
+                num_viable, last = len(viable), min(end, stop)
+                while t <= last:
+                    arm = viable[(t - end - 1) % num_viable]
+                    try:
+                        reward = next(unread[arm])
+                    except StopIteration:  # the arm's block has run out
+                        size = min(counts[arm] + 1, _MAX_BLOCK, horizon - t + 1)
+                        unread[arm] = rest = iter(takes[arm](size))
+                        reward = next(rest)
+                    kept = reward if abs(reward) <= truncation else 0.0
+                    if record is not None:
+                        record(mechs[arm], arm, kept, truncation)
+                    sums[arm] += contribute(self, arm, kept)
+                    if t == end:
+                        self._end_epoch(t)
+                    arm_column.append(arm)
+                    reward_column.append(reward)
+                    flag_column.append(kept is reward)
+                    counts[arm] += 1
+                    t += 1
+        finally:
+            self._round = t - 1
+        return t
 
 
 class DPRobustSE(_EliminationPolicy):

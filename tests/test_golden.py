@@ -19,6 +19,9 @@ policy's per-arm means (noisy sum / pulls) as each round's selection reads
 them, on three cells played through ``select_arm``/``observe``: one audited,
 one whose arms pass the schedule tables' cap of 2**17 pulls, and the
 benchmark's 1e5-round cell.  ``run_single`` must end each in the same state.
+The epoch-score digests hash the elimination policies' release scores after
+each completed epoch, on every cell where an epoch completes, so a drawn
+noise value that never reaches a score shows there.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from htbandits import (
     write_csv,
 )
 
+from htbandits.seeding import REWARDS, derive_stream
 from test_transcript import CASES, config_for, drive_by_contract, instance_for, tree_state
 
 V = 0.9
@@ -155,6 +159,12 @@ VALUE_SHA256 = {
     ("rucb", "S1", 1.0, 130, "given"): (
         "c30562b1024d828d66d4225b8a344fd74bb4722dc73e405494027d107db2f3a4"
     ),
+    ("dprse", "two_arm_hard", 100.0, 252, "given"): (
+        "37abcf53a2856c7d1406b9ccf8dbdd6025b66e5413e631da2c1a26b973f7f751"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 2020, "given"): (
+        "05f787362f6a05675c03a763baa9c7d4bda3b9a04061376205b37739d6cc6c7d"
+    ),
 }
 
 
@@ -232,6 +242,87 @@ def played_state(policy, ledger) -> tuple:
         [tree_state(tree) for tree in policy._trees],
         [column.tobytes() for table in tables for column in table.columns],
     )
+
+
+# Per elimination cell of EPOCH_CELLS and of test_transcript.CASES, (algo,
+# setting, eps, horizon): the epoch-score digest of rep 0.  The value digests
+# see the draws' scales, never a drawn value, so without this one an
+# elimination policy that draws its noise and drops it would pass.
+EPOCH_SCORE_SHA256 = {
+    ("dprse", "k_arm_hard", 1000.0, 300): (
+        "f23a4436ffaf1c1d8c89877a5ce016afc09b4236edadcc4f413078b31f657c60"
+    ),
+    ("dprse", "two_arm_hard", 100.0, 5000): (
+        "27f33267260a09e7775e52f46c651588a44de0fe5b98c83050943e979ae5d8db"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 5000): (
+        "4d5b212c4aed34c223ceb88a8dd85e754813e4ae92ef26aab61108b28fd52df2"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 20_000): (
+        "4653adec85ae08991a0e749724e1137506569fd857f576ed5f9e9bfd08c06558"
+    ),
+    ("dprse", "S1", 1000.0, 2000): (
+        "0ecd0f48eaed5893820146ea845c90b1abd2b97984372fd805b7aa3202c38bc4"
+    ),
+    ("dprse", "two_arm_hard", 100.0, 252): (
+        "a4ca09f74bd6fae5548821a78e78d517582d1f3d6d9662ac427f8e6836004418"
+    ),
+    ("ldprse", "two_arm_hard", 1000.0, 2020): (
+        "e343c0e63aa9e358f7d37897b1c75b9464c135b555b281a5053b5daf764f39a0"
+    ),
+}
+
+
+def epoch_cells() -> list:
+    """Every elimination cell that completes an epoch, once each, in the given arm order."""
+    cells = [cell[:4] for cell in EPOCH_CELLS]
+    cells += [
+        case[:4] for case in CASES
+        if case[0] in ("dprse", "ldprse") and case[4] and case[6] == "given"
+    ]
+    return list(dict.fromkeys(cells))
+
+
+def epoch_score_digest(config: ExperimentConfig) -> tuple:
+    """SHA-256 of ``float.hex`` of every completed epoch's release scores, arm by arm.
+
+    The repetition is played through ``select_arm``/``observe``, and the
+    scores are read with ``last_release_scores()`` after the round that
+    completes each epoch.  Returns the digest and the played policy.
+    """
+    instance = make_instance_for(config.setting, config.v)
+    policy = make_policy(config, instance, 0)
+    rngs = [
+        derive_stream(config.base_seed, 0, arm=a, purpose=REWARDS)
+        for a in range(instance.num_arms)
+    ]
+    digest = hashlib.sha256()
+    epochs = 0
+    for t in range(1, config.horizon + 1):
+        arm = policy.select_arm(t)
+        policy.observe(arm, instance.arms[arm].sample(rngs[arm]))
+        if len(policy.completed_epochs) > epochs:
+            epochs += 1
+            scores = sorted(policy.last_release_scores().items())
+            digest.update(",".join(f"{a}:{x.hex()}" for a, x in scores).encode() + b";")
+    return digest.hexdigest(), policy
+
+
+def test_epoch_scores_match_the_recorded_digests() -> None:
+    # run_single must end in the contract route's epochs, viable arms and
+    # last scores.
+    digests = {}
+    for cell in epoch_cells():
+        config = config_for(*cell)
+        digests[cell], by_contract = epoch_score_digest(config)
+        print(f"epoch-score digest {cell}: {digests[cell]} epochs {by_contract.completed_epochs}")
+        _, policy = run_single(config, 0, return_policy=True)
+        assert policy.completed_epochs == by_contract.completed_epochs != []
+        assert policy.viable_arms == by_contract.viable_arms
+        assert {a: x.hex() for a, x in policy.last_release_scores().items()} == {
+            a: x.hex() for a, x in by_contract.last_release_scores().items()
+        }
+    assert digests == EPOCH_SCORE_SHA256
 
 
 def test_releases_match_the_recorded_digests(monkeypatch) -> None:

@@ -7,6 +7,7 @@ import csv
 import inspect
 import itertools
 import math
+import operator
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +24,7 @@ from htbandits import (
     DPRobustUCB,
     ExperimentConfig,
     FiniteSupportModel,
+    LDPRobustSE,
     MomentParams,
     NoiseHook,
     NoiseSource,
@@ -496,22 +498,29 @@ def test_regret_matches_pull_counts_from_the_transcript() -> None:
 
 
 @pytest.mark.parametrize(
-    "algo,cls,setting,eps,horizon",
+    "algo,cls,setting,eps,horizon,epochs,reverse",
     [
-        ("dprucb", DPRobustUCB, "S1", 1.0, 2000),
-        ("rucb", RobustUCB, "S1", 1.0, 2000),
-        ("dprse", DPRobustSE, "two_arm_hard", 100.0, 5000),
+        ("dprucb", DPRobustUCB, "S1", 1.0, 2000, 0, False),
+        ("rucb", RobustUCB, "S1", 1.0, 2000, 0, False),
+        ("dprse", DPRobustSE, "two_arm_hard", 100.0, 5000, 2, False),
+        ("ldprse", LDPRobustSE, "two_arm_hard", 1000.0, 5000, 1, False),
+        ("dprse", DPRobustSE, "S1", 1.0, 2000, 0, True),
     ],
-    ids=["dprucb", "rucb", "dprse"],
+    ids=["dprucb", "rucb", "dprse", "ldprse", "dprse-at_round_1-reversed"],
 )
 def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
-    monkeypatch, algo, cls, setting, eps, horizon
+    monkeypatch, algo, cls, setting, eps, horizon, epochs, reverse
 ) -> None:
     # bench/pace.py samples the local t of the running run_single frame and
     # reads t - 1 as the rounds done.  So each stretch starts with t - 1 equal
-    # to the rounds played, plays at most 64 rounds and passes no checkpoint;
-    # it ends at the next checkpoint or after 64 rounds, or after the round in
-    # which the policy commits (the dprse cell commits after two epochs).
+    # to the rounds played.  A stretch that starts uncommitted plays at most
+    # 64 rounds and passes no checkpoint: it ends at the next checkpoint or
+    # after 64 rounds, also when the policy commits in it.  A stretch that
+    # starts committed plays every round left and passes checkpoints, and each
+    # checkpoint's regret is still the one a recount of the transcript gives.
+    # The elimination cells commit after two epochs, after one, and at round 1;
+    # the last on S1 with its arms reversed, so the committed arm is the worst
+    # and the regret grows at every checkpoint of the committed stretch.
     play_until = cls._play_until
     stretches = []
 
@@ -520,31 +529,44 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
         assert frame.f_code is harness.run_single.__code__
         before = policy.rounds_played
         assert frame.f_locals["t"] - 1 == before
+        committed = policy.committed_arm()
         next_round = play_until(policy, t, stop, counts)
         assert next_round == policy.rounds_played + 1
-        stretches.append((before, policy.rounds_played, policy.committed_arm()))
+        stretches.append((before, policy.rounds_played, committed))
         return next_round
 
     monkeypatch.setattr(cls, "_play_until", spy)
     config = small_config(algo=algo, setting=setting, eps=eps, horizon=horizon)
-    _, policy = run_single(config, 0, return_policy=True)
+    instance = make_instance_for(setting, config.v)
+    if reverse:
+        instance = make_instance(instance.arms[::-1], instance.v, instance.u)
+    trace, policy = run_single(config, 0, instance=instance, return_policy=True)
     cps = config.checkpoints()
     assert stretches[0][0] == 0
     for (_, end, _), (start, _, _) in zip(stretches, stretches[1:]):
         assert start == end
     for start, end, committed in stretches:
-        next_cp = min(c for c in cps if c > start)
-        assert 0 < end - start <= 64
-        assert end <= next_cp
         if committed is None:
+            next_cp = min(c for c in cps if c > start)
             assert end == min(next_cp, start + 64)
+        else:
+            assert end == horizon
+    assert stretches[-1][1] == policy.rounds_played == horizon
     assert [committed for _, _, committed in stretches[:-1]] == [None] * (len(stretches) - 1)
-    if cls is not DPRobustSE:
-        assert stretches[-1][1] == horizon
-    else:
+    assert len(getattr(policy, "completed_epochs", ())) == epochs
+    if cls in (DPRobustSE, LDPRobustSE):
+        start = stretches[-1][0]
         assert stretches[-1][2] is not None
-        assert len(policy.completed_epochs) == 2
-    assert policy.rounds_played == horizon
+        assert sum(start < c for c in cps) > 1
+        if reverse:
+            assert instance.gaps[policy.committed_arm()] == max(instance.gaps)
+    counts = [0] * instance.num_arms
+    want = []
+    for entry in policy.transcript:
+        counts[entry.arm] += 1
+        if entry.round in cps:
+            want.append((entry.round, math.fsum(map(operator.mul, instance.gaps, counts))))
+    assert trace.checkpoints == tuple(want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@
 The reference classes keep the per-round code the index policies had before
 their schedule constants were fixed at construction: every round calls the
 public schedule functions in the reference's own ``_select`` and
-``_observe``, which ``_PolicyBase._play`` reaches, and every stream is a bare
-generator.  The policies play each round of the contract as a one-round
+``_observe``, which the per-round ``_play`` of :class:`PerRound` reaches, and
+every stream is a bare generator.  The policies play each round of the contract as a one-round
 stretch of ``_IndexPolicy._play_until`` and read their streams through
 ``BlockStream``, as ``run_single`` does.  Driven for the same rounds on the
 same seeds, with real Laplace noise and Pareto rewards, both must play the
@@ -45,17 +45,33 @@ from htbandits import (
     private_ucb_radius,
     private_ucb_truncation,
 )
-from htbandits.policies import _TABLE_CAP, _PolicyBase, _schedule
+from htbandits.policies import _TABLE_CAP, _schedule
 from htbandits.seeding import REWARDS, TREE_NOISE, BlockStream, derive_stream
 
 ROUNDS = 20_000
 SEED = 5
 
 
-class ReferenceDPRobustUCB(DPRobustUCB):
-    # Each round is this class's _select, then _observe through the base _play.
-    _play = _PolicyBase._play
+class PerRound:
+    """Mixin: play each round of the contract by itself, as policies once did.
 
+    ``select_arm`` calls the reference's ``_select(t)``; ``observe`` calls
+    this ``_play``, which gives the round to the reference's ``_observe``
+    unless the policy has committed (a committed round keeps its reward) and
+    then records it.
+    """
+
+    def _play(self, t: int, arm: int, reward: float) -> None:
+        kept = reward if self._committed is not None else self._observe(t, arm, reward)
+        self._round = t
+        arms, rewards, flags = self.transcript.columns
+        arms.append(arm)
+        rewards.append(reward)
+        flags.append(kept is reward)
+
+
+class ReferenceDPRobustUCB(PerRound, DPRobustUCB):
+    # Each round is this class's _select, then _observe through PerRound._play.
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1
@@ -81,9 +97,7 @@ class ReferenceDPRobustUCB(DPRobustUCB):
         return kept
 
 
-class ReferenceRobustUCB(RobustUCB):
-    _play = _PolicyBase._play
-
+class ReferenceRobustUCB(PerRound, RobustUCB):
     def _select(self, t: int) -> int:
         if t <= self.num_arms:
             return t - 1

@@ -7,20 +7,24 @@ core; the reference, built by ``make_policy`` from the same streams, is driven
 by a hand loop over the public ``select_arm``/``observe`` contract, and every
 way of reading the transcript must give the reference's entries: iteration,
 length, positive and negative indices, slices, entry and field types, and
-``IndexError`` past either end.  An elimination reference plays each round
-with its policy's ``_select`` and ``_observe``; an index reference, whose
-policy plays every round in its stretch loop, with those of the per-round
-reference of ``test_index_fast_path``.  The same hand loop on a plain policy
-must give ``run_single``'s transcript, ledger and final state bit for bit.
-Further tests compare a transcript with the list of its entries, bound what a
-transcript holds per round, check that a finished policy and its columns are
-freed without the cycle collector, and check that a round whose observe fails
-is not recorded and ends the policy.
+``IndexError`` past either end.  Every policy plays every round in its
+stretch loop, so each reference plays its rounds one at a time with the
+``_select`` and ``_observe`` of a per-round reference: the elimination
+references below hold the per-round code the elimination policies had before
+their rounds moved into one loop, and the index references are those of
+``test_index_fast_path``.  The same hand loop on a plain policy must give
+``run_single``'s transcript, ledger and final state bit for bit, with every
+round of both routes played by the policy's stretch loop.  Further tests
+compare a transcript with the list of its entries, bound what a transcript
+holds per round, check that a finished policy and its columns are freed
+without the cycle collector, and check that a round whose observe fails is
+not recorded and ends the policy.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import operator
 import tracemalloc
@@ -45,12 +49,40 @@ from htbandits import (
     make_policy,
     run_single,
 )
-from htbandits.policies import _PolicyBase
 from htbandits.seeding import REWARDS, TREE_NOISE, derive_stream
-from test_index_fast_path import ReferenceDPRobustUCB, ReferenceRobustUCB
+from test_index_fast_path import PerRound, ReferenceDPRobustUCB, ReferenceRobustUCB
 
 V = 0.9
 SEED = 7
+
+
+class PerRoundElimination(PerRound):
+    """Mixin: an elimination policy's round as ``_select(t)``, then ``_observe``."""
+
+    def _select(self, t: int) -> int:
+        if t > self._epoch_end:
+            self._begin_epoch(t)
+            if self._committed is not None:
+                return self._committed
+        return self._viable[(t - self._epoch_end - 1) % len(self._viable)]
+
+    def _observe(self, t: int, arm: int, reward: float) -> float:
+        sched = self._sched
+        kept = reward if abs(reward) <= sched.truncation else 0.0
+        if self.ledger is not None:
+            self.ledger.record_insertion(self._mechs[arm], arm, kept, sched.truncation)
+        self._sums[arm] += self._epoch_contribution(arm, kept)
+        if t == self._epoch_end:
+            self._end_epoch(t)
+        return kept
+
+
+class ReferenceDPRobustSE(PerRoundElimination, DPRobustSE):
+    pass
+
+
+class ReferenceLDPRobustSE(PerRoundElimination, LDPRobustSE):
+    pass
 
 
 class ListTranscript:
@@ -79,13 +111,18 @@ class ListTranscript:
         self._committed = arm
 
 
-# An index policy has no _observe: its rounds are its reference's.
-PER_ROUND = {DPRobustUCB: ReferenceDPRobustUCB, RobustUCB: ReferenceRobustUCB}
+# No policy has an _observe: its rounds are its per-round reference's.
+PER_ROUND = {
+    DPRobustUCB: ReferenceDPRobustUCB,
+    RobustUCB: ReferenceRobustUCB,
+    DPRobustSE: ReferenceDPRobustSE,
+    LDPRobustSE: ReferenceLDPRobustSE,
+}
 
 
 def list_reference(policy):
     """``policy``, before its first round, as its per-round-list reference."""
-    base = PER_ROUND.get(type(policy), type(policy))
+    base = PER_ROUND[type(policy)]
     policy.__class__ = type(f"List{base.__name__}", (ListTranscript, base), {})
     policy.transcript = []
     policy._pending_committed = False
@@ -122,11 +159,13 @@ ALGO_CLASSES = {
 # many reward blocks: with the arms reversed, S1's arm 0 is its worst, so the
 # regret grows through the tail.  In the ninth, the committed arm holds 123
 # unread rewards of its current block, taken while five arms shared the
-# rounds, and 64 rounds are left.  The last five dprucb runs, and the five
+# rounds, and 64 rounds are left.  The next five dprucb runs, and the five
 # rucb runs after them, end at and just past the round-robin pass over S1's 5
 # arms (T=5, 6) and at, just past and twice run_single's longest stretch of
 # 64 rounds (T=64, 65, 130); their dense checkpoints cut the stretches to 1-5
-# rounds, while the T=2000 cells' last stretches run the full 64.
+# rounds, while the T=2000 cells' last stretches run the full 64.  In the last
+# two cells, epoch 1 ends at round T: the run ends uncommitted, with
+# both arms viable, as no round is left to begin epoch 2 (and commit) in.
 CASES = [
     ("dprse", "S1", 1.0, 300, 0, "at_round_1", "given"),
     ("dprse", "two_arm_hard", 100.0, 5000, 2, "after_epochs", "given"),
@@ -141,6 +180,9 @@ CASES = [
     (algo, "S1", 1.0, horizon, 0, "never", "given")
     for algo in ("dprucb", "rucb")
     for horizon in (5, 6, 64, 65, 130)
+] + [
+    ("dprse", "two_arm_hard", 100.0, 252, 1, "never", "given"),
+    ("ldprse", "two_arm_hard", 1000.0, 2020, 1, "never", "given"),
 ]
 # The ids name the arm order only where it is not the setting's.
 CASE_IDS = ["-".join(map(str, case[:6] if case[6] == "given" else case)) for case in CASES]
@@ -245,36 +287,32 @@ def test_columnar_transcript_reads_like_the_per_round_list(
 def test_run_single_and_the_public_contract_play_the_same_run(
     monkeypatch, algo, setting, eps, horizon, epochs, commits, arms, zero_noise
 ) -> None:
-    # run_single has the policy play stretches of rounds, then plays a
-    # committed tail in blocks.  For the elimination policies a stretch
-    # drives _select and _play, reaching the _select and _observe the
-    # contract reaches; an index policy plays the rounds of both routes in
-    # its stretch loop and has no _observe.  Both routes give the same run
-    # bit for bit.  The contract passes _observe the round, which a
-    # commitment made in _observe reads, so the round _observe is given is
-    # checked too.  A committed round reaches no _observe on either route.
+    # run_single has the policy play stretches of rounds, and the contract
+    # one round at a time.  On both routes the policy's stretch loop,
+    # _play_until, plays every round, committed ones included, and both
+    # routes give the same run bit for bit.
     cls = ALGO_CLASSES[algo]
     index = algo in ("dprucb", "rucb")
-    assert (cls._observe is _PolicyBase._observe) == index
-    core_observe = cls._observe
+    play_until = cls._play_until
     rounds_seen = []
 
-    def observe_spy(self, t: int, arm: int, reward: float) -> float:
-        rounds_seen.append(t)
-        return core_observe(self, t, arm, reward)
+    def spy(self, t: int, stop: int, counts: list) -> int:
+        next_round = play_until(self, t, stop, counts)
+        assert next_round == self.rounds_played + 1
+        rounds_seen.extend(range(t, next_round))
+        return next_round
 
-    monkeypatch.setattr(cls, "_observe", observe_spy)
+    monkeypatch.setattr(cls, "_play_until", spy)
     config = config_for(algo, setting, eps, horizon, zero_noise)
     instance = instance_for(setting, arms)
     ledgers = (PrivacyLedger(), PrivacyLedger())
     trace, policy = run_single(config, 0, instance=instance, ledger=ledgers[0], return_policy=True)
     first_committed = policy.transcript._first_committed
-    observed = [] if index else list(range(1, first_committed))
-    assert rounds_seen == observed
+    assert rounds_seen == list(range(1, horizon + 1))
     rounds_seen.clear()
     by_contract = make_policy(config, instance, 0, ledger=ledgers[1])
     drive_by_contract(config, by_contract, instance)
-    assert rounds_seen == observed
+    assert rounds_seen == list(range(1, horizon + 1))
 
     assert bits(policy.transcript) == bits(by_contract.transcript)
     assert by_contract.transcript._first_committed == first_committed
@@ -305,9 +343,16 @@ def test_run_single_and_the_public_contract_play_the_same_run(
                 tree_state(tree) for tree in by_contract._trees
             ]
     else:
-        assert policy.committed_arm() is not None
         assert len(policy.completed_epochs) == epochs
         assert policy.completed_epochs == by_contract.completed_epochs
+        assert policy.viable_arms == by_contract.viable_arms
+        if commits == "never":
+            # Epoch 1 ends at round T, and no round is left to begin epoch 2.
+            assert policy.committed_arm() is None
+            assert policy.viable_arms == tuple(range(instance.num_arms))
+            assert len(ledgers[0].epochs) == epochs
+        else:
+            assert policy.committed_arm() is not None
     # Every column of the draws and the insertions, byte for byte.
     columns = [
         [c.tobytes() for table in (ledger.noise_draws, ledger.insertions) for c in table.columns]
@@ -356,48 +401,31 @@ def test_a_long_run_holds_few_bytes_per_round(algo: str, rounds: int) -> None:
         assert peak / rounds < 18, f"peak {peak / rounds:.1f} B/round"
 
 
-def misreporting(truncate):
-    """A two-arm elimination policy whose ``_observe`` returns ``truncate(t, kept, reward)``.
+def failing_sources(num_arms: int, failed_draw: int) -> list:
+    """Zero-noise sources, one per arm, whose ``failed_draw``-th draw among them raises."""
+    draws = itertools.count(1)
 
-    Its epoch 1 plays rounds 1 to 418, so every round below reaches ``_observe``.
-    """
+    class FailingSource(NoiseSource):
+        def draw(self, *args) -> float:
+            if next(draws) == failed_draw:
+                raise ValueError("the noise source failed")
+            return super().draw(*args)
 
-    class Misreporting(DPRobustSE):
-        def _observe(self, t: int, arm: int, reward: float) -> float:
-            return truncate(t, super()._observe(t, arm, reward), reward)
-
-    sources = [NoiseSource(hook=NoiseHook.ZERO) for _ in range(2)]
-    return Misreporting(MomentParams(u=1.0, v=1.0), 100.0, 1000, sources)
-
-
-@pytest.mark.parametrize(
-    "truncate", [lambda reward: 0.5 * reward, lambda reward: -0.0], ids=["half", "minus_zero"]
-)
-def test_a_truncation_the_transcript_cannot_store_raises(truncate) -> None:
-    # The transcript keeps a flag: the truncated reward is the reward or +0.0.
-    # Both routes check it: observe, and _select then _play as run_single
-    # calls them.  Only an elimination policy has an _observe to misreport.
-    routes = {
-        "observe": lambda policy: policy.observe(policy.select_arm(1), 0.25),
-        "_play": lambda policy: policy._play(1, policy._select(1), 0.25),
-    }
-    for route, play_round_1 in routes.items():
-        policy = misreporting(lambda t, kept, reward: truncate(reward))
-        with pytest.raises(ValueError, match="to itself or to 0.0"):
-            play_round_1(policy)
-        assert [len(column) for column in policy.transcript.columns] == [0, 0, 0], route
-        assert policy.rounds_played == 0, route
+    return [FailingSource(hook=NoiseHook.ZERO) for _ in range(num_arms)]
 
 
 @pytest.mark.parametrize("failed_round", [1, 4])
 def test_a_failed_observe_stops_the_policy(failed_round: int) -> None:
-    # The round that fails is not recorded, and the policy, whose state the
-    # failure may have left half updated, plays no further round.
-    policy = misreporting(lambda t, kept, reward: 0.5 * reward if t == failed_round else kept)
+    # A local elimination round draws its reward's noise, so with the k-th
+    # draw failing, round k fails.  Epoch 1 plays rounds 1 to 3576.  The round
+    # that fails is not recorded, and the policy, whose state the failure may
+    # have left half updated, plays no further round.
+    sources = failing_sources(2, failed_round)
+    policy = LDPRobustSE(MomentParams(u=1.0, v=1.0), 1000.0, 5000, sources)
     for t in range(1, failed_round):
         policy.observe(policy.select_arm(t), 0.25)
     arm = policy.select_arm(failed_round)
-    with pytest.raises(ValueError, match="to itself or to 0.0"):
+    with pytest.raises(ValueError, match="the noise source failed"):
         policy.observe(arm, 0.25)
     assert policy.rounds_played == len(policy.transcript) == failed_round - 1
     message = f"round {failed_round} failed in observe"
