@@ -9,12 +9,12 @@ realized reward differences.
 ``run_single`` has the policy play the rounds in stretches.  While the
 policy is uncommitted, a stretch plays at most ``_STRETCH`` = 64 rounds and
 ends at the next checkpoint at the latest, and the checkpoint's regret is
-computed after the stretch that ends there.  Once an elimination policy has
-committed, one stretch plays every round left (see below).  The local round
-counter ``t`` is the next round before each stretch, so a sampler that reads
-``t - 1`` as the rounds done (``bench/pace.py``) lags the run by fewer than
-64 rounds until the policy commits, and by the whole committed stretch
-inside it.
+computed after the stretch that ends there, from the pull counts the
+policy's stretch loop keeps.  Once an elimination policy has committed, one
+stretch plays every round left (see below).  The local round counter ``t``
+is the next round before each stretch, so a sampler that reads ``t - 1`` as
+the rounds done (``bench/pace.py``) lags the run by fewer than 64 rounds
+until the policy commits, and by the whole committed stretch inside it.
 
 Every stream is read through a :class:`~htbandits.seeding.BlockStream`, which
 derives its generator on the first read, draws uniforms in blocks and hands
@@ -40,9 +40,9 @@ the policy's stretch loop plays them as blocks of that arm's rewards,
 appended to the transcript's columns in bulk: the rest of the arm's current
 block, then takes of up to 1024 rewards, never one list of the whole tail.
 That stretch passes the checkpoints, and each gets its regret from the same
-``math.fsum`` over pull counts, the committed arm's count computed from the
-round; while the committed arm has a zero gap the regret cannot move, and
-the first value is kept.
+``math.fsum`` over a copy of the policy's pull counts, the committed arm's
+count computed from the round; while the committed arm has a zero gap the
+regret cannot move, and the first value is kept.
 
 ``write_csv`` builds each output file as one string and writes it in one
 call; the CSV files hold the bytes ``csv.writer`` would write.
@@ -293,12 +293,13 @@ def run_single(
 ):
     """Play one repetition and return its :class:`RegretTrace`.
 
-    The policy plays the rounds a stretch at a time (``_play_until``).  A
-    stretch of an uncommitted policy ends at the next checkpoint or after
-    ``_STRETCH`` rounds; a committed policy plays every round left in one
-    stretch, and each checkpoint it passed gets its regret from the pull
-    counts (see the module docstring).  With ``return_policy=True`` returns
-    ``(trace, policy)`` so tests can inspect final policy state.
+    The policy plays the rounds a stretch at a time (``_play_until``) and
+    counts its pulls.  A stretch of an uncommitted policy ends at the next
+    checkpoint or after ``_STRETCH`` rounds; a committed policy plays every
+    round left in one stretch, and each checkpoint it passed gets its regret
+    from the pull counts (see the module docstring).  With
+    ``return_policy=True`` returns ``(trace, policy)`` so tests can inspect
+    final policy state.
     """
     if instance is None:
         instance = make_instance_for(config.setting, config.v)
@@ -308,7 +309,8 @@ def run_single(
     horizon = config.horizon
     policy._begin_run(takes, horizon)
     gaps = instance.gaps
-    counts = [0] * instance.num_arms
+    # The policy's own pull counts, which its stretch loop keeps.
+    counts = policy._counts
     cps = config.checkpoints()
     values = []
     cp_iter = iter(cps)
@@ -323,16 +325,18 @@ def run_single(
             arm = policy._committed
             if arm is None:
                 # An uncommitted stretch ends at the next checkpoint at the latest.
-                t = play_until(t, min(next_cp, t + _STRETCH - 1), counts)
+                t = play_until(min(next_cp, t + _STRETCH - 1))
                 if t > next_cp:
                     values.append(math.fsum(map(operator.mul, gaps, counts)))
                     next_cp = next(cp_iter, None)
             else:
                 # A committed stretch plays every round left and passes the
                 # checkpoints.  It moves only the arm's count, which after
-                # round s is its count at the end less the rounds after s;
-                # with a zero gap the regret keeps its first value.
-                t = play_until(t, horizon, counts)
+                # round s is its count at the end less the rounds after s,
+                # written into a copy of the counts at each checkpoint; with a
+                # zero gap the regret keeps its first value.
+                t = play_until(horizon)
+                counts = list(counts)
                 gap, offset, value = gaps[arm], counts[arm] - (t - 1), None
                 while next_cp is not None:
                     if gap or value is None:

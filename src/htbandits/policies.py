@@ -6,19 +6,22 @@ selected, exactly once per round, in order.  The contract is there for
 outside callers and is enforced; misuse raises.  ``run_single`` builds its
 policy and keeps the contract itself, so it has the policy play a stretch of
 rounds at a time.  Each policy plays every round of either route in one
-loop, ``_play_until``: ``observe`` checks the contract and plays its round
-as a stretch of one round (``_play``).  An index policy's loop picks each
-round's arm when the round before it ends, and ``select_arm`` returns that
-arm.  An elimination policy's loop begins each epoch, or commits, when the
-epoch's first round starts, and ``select_arm`` does the same to name the
-round's arm; once committed, the loop appends the committed arm's rewards to
-the transcript a block at a time.  ``run_single`` has each arm's rewards
-read in blocks (``_begin_run``); once the rounds end, ``_drop_lookahead``
-drops the rewards no round read.  The private index policy's trees draw each
-pull's noise when a round plays the pull.  Each observed round is recorded
-in ``transcript``, a list-like view of :class:`TranscriptEntry` stored by
-column at 13 bytes per round: the arm, the reward and a kept flag of each
-round, plus the first committed round.  A policy truncates a reward to
+loop, ``_play_until(stop)``: it plays the rounds from the policy's next one
+to ``stop`` and counts each pull in the policy's pull counts, which
+``pull_counts`` reports and ``run_single`` reads for its regret.
+``observe`` checks the contract and plays its round as a stretch of one
+round (``_play``).  An index policy's loop picks each round's arm when the
+round before it ends, and ``select_arm`` returns that arm.  An elimination
+policy's loop begins each epoch, or commits, when the epoch's first round
+starts, and ``select_arm`` does the same to name the round's arm; once
+committed, the loop appends the committed arm's rewards to the transcript a
+block at a time.  ``run_single`` has each arm's rewards read in blocks
+(``_begin_run``); once the rounds end, ``_drop_lookahead`` drops the rewards
+no round read.  The private index policy's trees draw each pull's noise when
+a round plays the pull.  Each observed round is recorded in ``transcript``,
+a list-like view of :class:`TranscriptEntry` stored by column at 13 bytes
+per round: the arm, the reward and a kept flag of each round, plus the first
+committed round.  A policy truncates a reward to
 itself or to ``0.0``, so the flag and the reward give the truncated reward.
 
 The two index policies share one core, ``_IndexPolicy``: after one
@@ -164,14 +167,15 @@ def _shared_ledger(noise_sources: list):
 
 
 class _PolicyBase:
-    """Round bookkeeping, contract enforcement and the one-round stretch.
+    """Round bookkeeping, pull counts, contract enforcement and the one-round stretch.
 
     A subclass plays every round, on both routes, in its stretch loop
-    ``_play_until(t, stop, counts)``, and picks the contract's arm in
-    ``_select(t)``.  A round that raises is not recorded: ``rounds_played``
-    stays at the transcript's length.  The policy's own state may be half
-    updated by then, so after ``observe`` raises every later ``select_arm``
-    or ``observe`` raises ``RuntimeError``.
+    ``_play_until(stop)``, which plays the rounds from ``_round + 1`` to
+    ``stop`` and counts each pull in ``_counts``, and picks the contract's
+    arm in ``_select(t)``.  A round that raises is not recorded:
+    ``rounds_played`` stays at the transcript's length.  The policy's own
+    state may be half updated by then, so after ``observe`` raises every
+    later ``select_arm`` or ``observe`` raises ``RuntimeError``.
     """
 
     def __init__(self, num_arms: int):
@@ -182,8 +186,8 @@ class _PolicyBase:
         # The arm every remaining round plays; the index policies never commit.
         # Set only through _commit.
         self._committed: Optional[int] = None
-        # Per arm, the pulls the contract's rounds played: an index policy's
-        # pull counts, which its loop keeps on both routes.
+        # Per arm, the pulls played so far, on either route: the stretch loop
+        # counts them, and run_single reads them for its checkpoints' regret.
         self._counts = [0] * self.num_arms
         # While a run plays (_begin_run to _drop_lookahead): per arm, the
         # unread rest of its current block of rewards; what _play_until reads.
@@ -210,24 +214,25 @@ class _PolicyBase:
             raise ValueError(f"observe got arm {arm}, selected arm was {self._pending}")
         self._pending = None
         try:
-            self._play(self._round + 1, arm, float(reward))
+            self._play(arm, float(reward))
         except BaseException:
             self._pending = _FAILED
             raise
 
-    def _play(self, t: int, arm: int, reward: float) -> None:
-        """Play round ``t``, ``arm``'s pull of ``reward``, as a stretch of one round.
+    def _play(self, arm: int, reward: float) -> None:
+        """Play the next round, ``arm``'s pull of ``reward``, as a stretch of one round.
 
         :meth:`observe` calls this once its contract checks have passed, so
         the contract's rounds are played by the subclass's ``_play_until``,
         as ``run_single``'s are.  On the first of them the policy gathers
-        what the loop reads, with no reward takes: each round hands its arm
-        the one reward the round reads, as the rest of the arm's block.
+        what the loop reads, with no reward takes and no horizon: each round
+        hands its arm the one reward the round reads, as the rest of the
+        arm's block, so no block runs out.
         """
         if self._loop is None:
-            self._begin_run(None, t)
+            self._begin_run(None, None)
         self._unread[arm] = iter((reward,))
-        self._play_until(t, t, self._counts)
+        self._play_until(self._round + 1)
 
     def _begin_run(self, takes: list, horizon: int) -> None:
         """Take each arm's rewards from ``takes`` in the rounds ``run_single`` plays.
@@ -240,8 +245,8 @@ class _PolicyBase:
         ``_TAIL_BLOCK`` at a time.  ``run_single`` then plays the rounds with
         ``_play_until`` and calls :meth:`_drop_lookahead` once they end.  A
         subclass extends this to gather what its loop reads, once per run.
-        On the contract's route ``takes`` is None: :meth:`_play` hands each
-        round its reward.
+        On the contract's route ``takes`` and ``horizon`` are None:
+        :meth:`_play` hands each round its reward.
         """
         self._unread = [iter(())] * self.num_arms
 
@@ -268,6 +273,10 @@ class _PolicyBase:
     @property
     def rounds_played(self) -> int:
         return self._round
+
+    @property
+    def pull_counts(self) -> tuple:
+        return tuple(self._counts)
 
 
 # A schedule table holds entries 0 to _TABLE_CAP - 1 at most: 1 MiB of
@@ -313,7 +322,7 @@ class _Schedule(array):
     ``constants`` is the tuple of constants the fill reads before the rounds or
     pull counts, in its order; a policy unpacks them to evaluate the schedule
     past the cap.  Entry 0 is a NaN placeholder and nothing else is computed
-    when the table is made; :meth:`grow` extends it as rounds or pull counts
+    when the table is made; :meth:`entry` extends it as rounds or pull counts
     reach it.
     """
 
@@ -332,23 +341,15 @@ class _Schedule(array):
     # array's own copy methods would drop _fill; copy through __reduce_ex__.
     __copy__ = __deepcopy__ = None
 
-    def entries(self, start: int, stop: int) -> list:
-        """Entries ``start`` to ``stop - 1`` (from 1): read from the table below
-        ``_TABLE_CAP``, which grows to them, and evaluated past it."""
-        if stop <= len(self):
-            return self[start:stop].tolist()
-        inside = min(stop, _TABLE_CAP)
-        values = []
-        if start < inside:
-            if len(self) < inside:
-                self.grow(inside - 1)
-            values = self[start:inside].tolist()
-        if stop > _TABLE_CAP:
-            values += self._fill(*self.constants, range(max(start, _TABLE_CAP), stop))
-        return values
+    def entry(self, i: int) -> float:
+        """Entry ``i``, which the table does not hold yet.
 
-    def grow(self, i: int) -> float:
-        """Entry ``i < _TABLE_CAP``, after growing the table ``_FILL_AHEAD`` past ``i``."""
+        Below ``_TABLE_CAP`` the table grows to ``_FILL_AHEAD`` past ``i``
+        (or to the cap) first; at or past the cap the fill evaluates ``i``
+        alone.
+        """
+        if i >= _TABLE_CAP:
+            return self._fill(*self.constants, (i,))[0]
         rows = range(len(self), min(i + _FILL_AHEAD, _TABLE_CAP))
         values = self._fill(*self.constants, rows)
         # Packing the block costs less than extend's conversion of each item.
@@ -413,23 +414,12 @@ class _IndexPolicy(_PolicyBase):
         v = self.params.v
         exp = v / (1.0 + v)
         coef = c * self.params.u ** (1.0 / (1.0 + v))
-        # Rounds from here on are past the tables' cap and the round-robin.
-        self._untabled = max(_TABLE_CAP, self.num_arms + 1)
         self._scales = _schedule(_scales_of_rounds, coef, m, k, log_pow, exp)
         # w's exponent, -exp: the same double as negating exp for each pull.
         self._pull_weights = _schedule(_weights_of_pulls, weight_eps, -exp)
 
-    @property
-    def pull_counts(self) -> tuple:
-        return tuple(self._counts)
-
     def _select(self, t: int) -> int:
         return self._next_arm
-
-    def _play(self, t: int, arm: int, reward: float) -> None:
-        # The loop plays the arm chosen when the round before it ended.
-        self._next_arm = arm
-        super()._play(t, arm, reward)
 
     def _begin_run(self, takes: list, horizon: int) -> None:
         super()._begin_run(takes, horizon)
@@ -438,34 +428,34 @@ class _IndexPolicy(_PolicyBase):
         # a contract round is one, so its set-up must cost little.  Only
         # the pull differs, so the subclass gives what its pulls read.
         self._loop = (
-            self.num_arms, horizon, self._untabled, self._scales, self._pull_weights, self._arms,
-            self._means, self._weights, self._counts, takes, self._unread, -math.inf, math.log,
+            self.num_arms, horizon, self._scales, self._pull_weights, self._arms, self._means,
+            self._weights, self._counts, takes, self._unread, -math.inf, math.log,
             *self.transcript.columns, *self._pull_state(),
         )
 
-    def _play_until(self, t: int, stop: int, counts: list) -> int:
-        """Play rounds ``t`` to ``stop`` in one loop; return the next round.
+    def _play_until(self, stop: int) -> int:
+        """Play the rounds from ``_round + 1`` to ``stop`` in one loop; return the next round.
 
         This loop is the only code that plays an index round, on both routes,
         with the policy's state in locals; only the pull differs.  Each round
         plays the arm chosen when the round before it ended (``_next_arm``),
-        and ends by choosing the next round's arm: the round-robin pass, then
-        the arm maximizing mean + ``C(t) * w``, ties to the lowest index.
-        A pull reads the arm's next reward and its ``w``; only the truncation
-        level and the mean differ.  The private policy truncates at the
-        tabled level for the pull count, and the arm's tree inserts the kept
-        reward in its one step, ``AdaptiveTree.insert``, whose release over
-        the pulls is the mean.  The baseline truncates at ``(u * n /
-        ln(max(t, 2)**2)) ** (1/(1+v))`` and keeps the arm's sum.
-        ``counts`` ends equal to the pull counts.
+        counts the pull in ``_counts``, and ends by choosing the next round's
+        arm: the round-robin pass, then the arm maximizing mean + ``C(t) *
+        w``, ties to the lowest index.  A pull reads the arm's next reward
+        and its ``w``; only the truncation level and the mean differ.  The
+        private policy truncates at the tabled level for the pull count, and
+        the arm's tree inserts the kept reward in its one step,
+        ``AdaptiveTree.insert``, whose release over the pulls is the mean.
+        The baseline truncates at ``(u * n / ln(max(t, 2)**2)) ** (1/(1+v))``
+        and keeps the arm's sum.
         """
-        (num_arms, horizon, untabled, table, pull_weights, arms, means, weights, own, takes,
-         unread, lowest, log, arm_column, reward_column, flag_column, inserts, bounds, sums, u,
+        (num_arms, horizon, table, pull_weights, arms, means, weights, counts, takes, unread,
+         lowest, log, arm_column, reward_column, flag_column, inserts, bounds, sums, u,
          exp) = self._loop
-        arm, scale = self._next_arm, self._radius_scale
+        t, arm, scale = self._round + 1, self._next_arm, self._radius_scale
         try:
             while t <= stop:
-                n = own[arm] + 1
+                n = counts[arm] + 1
                 try:
                     reward = next(unread[arm])
                 except StopIteration:  # the arm's block has run out
@@ -474,7 +464,7 @@ class _IndexPolicy(_PolicyBase):
                 try:
                     weight = pull_weights[n]
                 except IndexError:  # grow the table, or evaluate w past its cap
-                    weight = pull_weights.entries(n, n + 1)[0]
+                    weight = pull_weights.entry(n)
                 if inserts is None:
                     # The baseline: the truncated reward joins the arm's sum.
                     bound = (u * n / log((float(t) if t > 1 else 2.0) ** 2)) ** exp
@@ -486,10 +476,10 @@ class _IndexPolicy(_PolicyBase):
                     try:
                         bound = bounds[n]
                     except IndexError:  # grow the table, or evaluate it past its cap
-                        bound = bounds.entries(n, n + 1)[0]
+                        bound = bounds.entry(n)
                     value = reward if abs(reward) <= bound else 0.0
                     mean = inserts[arm](value, bound) / n
-                own[arm] = n
+                counts[arm] = n
                 means[arm] = mean
                 weights[arm] = weight
                 arm_column.append(arm)
@@ -500,11 +490,11 @@ class _IndexPolicy(_PolicyBase):
                     arm = t - 1
                 else:
                     # A round past the cap makes one comparison, as without the memo.
-                    if t < untabled:
+                    if t < _TABLE_CAP:
                         try:
                             scale = table[t]
                         except IndexError:
-                            scale = table.grow(t)
+                            scale = table.entry(t)
                     else:
                         coef, m, k, log_pow, c_exp = table.constants
                         scale = coef * (log(m * t**k) * log_pow) ** c_exp
@@ -518,7 +508,6 @@ class _IndexPolicy(_PolicyBase):
             self._round = t - 1
             self._next_arm = arm
             self._radius_scale = scale
-            counts[:] = own
         return t
 
 
@@ -776,13 +765,13 @@ class _EliminationPolicy(_PolicyBase):
         # tie the policy into a reference cycle.
         ledger = self.ledger
         self._loop = (
-            horizon, takes, self._unread, self._sums, type(self)._epoch_contribution,
-            None if ledger is None else ledger.record_insertion, self._mechs,
-            *self.transcript.columns,
+            horizon, takes, self._unread, self._counts, self._sums,
+            type(self)._epoch_contribution, None if ledger is None else ledger.record_insertion,
+            self._mechs, *self.transcript.columns,
         )
 
-    def _play_until(self, t: int, stop: int, counts: list) -> int:
-        """Play rounds ``t`` to ``stop``, adding each pull to ``counts``; return the next round.
+    def _play_until(self, stop: int) -> int:
+        """Play the rounds from ``_round + 1`` to ``stop``; return the next round.
 
         This loop is the only code that plays an elimination round, on both
         routes.  An epoch's round reads the round-robin arm's next reward,
@@ -792,10 +781,12 @@ class _EliminationPolicy(_PolicyBase):
         next epoch, which commits instead if the epoch does not fit.  Once
         committed, the rounds up to ``stop`` play the committed arm: the
         unread rest of its current block, then takes of up to
-        ``_TAIL_BLOCK`` rewards, each appended to the columns in bulk.
+        ``_TAIL_BLOCK`` rewards, each appended to the columns in bulk.  Every
+        pull, committed ones included, is counted in ``_counts``.
         """
-        (horizon, takes, unread, sums, contribute, record, mechs, arm_column, reward_column,
-         flag_column) = self._loop
+        (horizon, takes, unread, counts, sums, contribute, record, mechs, arm_column,
+         reward_column, flag_column) = self._loop
+        t = self._round + 1
         try:
             while t <= stop:
                 arm = self._committed

@@ -524,13 +524,13 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
     play_until = cls._play_until
     stretches = []
 
-    def spy(policy, t: int, stop: int, counts: list) -> int:
+    def spy(policy, stop: int) -> int:
         frame = sys._getframe(1)
         assert frame.f_code is harness.run_single.__code__
         before = policy.rounds_played
         assert frame.f_locals["t"] - 1 == before
         committed = policy.committed_arm()
-        next_round = play_until(policy, t, stop, counts)
+        next_round = play_until(policy, stop)
         assert next_round == policy.rounds_played + 1
         stretches.append((before, policy.rounds_played, committed))
         return next_round

@@ -61,7 +61,8 @@ class PerRound:
     then records it.
     """
 
-    def _play(self, t: int, arm: int, reward: float) -> None:
+    def _play(self, arm: int, reward: float) -> None:
+        t = self._round + 1
         kept = reward if self._committed is not None else self._observe(t, arm, reward)
         self._round = t
         arms, rewards, flags = self.transcript.columns
@@ -230,10 +231,13 @@ def play_pull(policy, arm: int, n: int, t: int, reward: float) -> bool:
     """Play ``arm``'s ``n``-th pull, of ``reward``, as round ``t``; return whether it was kept.
 
     The round is a one-round stretch of ``_play_until``, which ends by
-    choosing round ``t + 1``'s arm and so reads ``C(t + 1)``.
+    choosing round ``t + 1``'s arm and so reads ``C(t + 1)``.  The stretch
+    starts at the round after ``_round`` and plays ``_next_arm``, so both are
+    set first.
     """
     policy._counts[arm] = n - 1
-    policy._play(t, arm, reward)
+    policy._round, policy._next_arm = t - 1, arm
+    policy._play(arm, reward)
     return policy.transcript.columns[2][-1] == 1
 
 

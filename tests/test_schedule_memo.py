@@ -169,7 +169,8 @@ def test_past_the_cap_the_round_robin_still_comes_first() -> None:
     policy = RobustUCB(arms, MomentParams(u=2.5, v=0.9))
     assert policy._select(1) == 0
     for t in (_TABLE_CAP, _TABLE_CAP + 1, arms):
-        policy._play(t - 1, policy._select(t - 1), 0.25)
+        policy._round = t - 2  # the stretch plays round t - 1, the one after _round
+        policy._play(policy._select(t - 1), 0.25)
         assert policy._select(t) == t - 1
     assert math.isnan(policy._radius_scale)
 
@@ -202,12 +203,12 @@ def test_a_copied_policy_plays_on_as_the_original(algo: str, mid_contract: bool,
     assert state_bits(twin)[0] == recorded
     rounds = range(played + 1, played + 400)
     for t in rounds:
-        twin._play(t, twin._select(t), 0.25)
+        twin._play(twin._select(t), 0.25)
     assert state_bits(policy)[0] == recorded
     assert len(policy.transcript) == policy.rounds_played == played
     assert len(twin.transcript) == twin.rounds_played == played + 399
     for t in rounds:
-        policy._play(t, policy._select(t), 0.25)
+        policy._play(policy._select(t), 0.25)
     assert state_bits(twin) == state_bits(policy)
 
 
@@ -219,7 +220,8 @@ def drive_past_the_cap(policy) -> weakref.ref:
         # Arm 0's n-th pull, played by a one-round stretch of _play_until in
         # round n - 1, which ends by reading C(n) to choose round n's arm.
         policy._counts[0] = n - 1
-        policy._play(n - 1, 0, 0.0)
+        policy._round, policy._next_arm = n - 2, 0
+        policy._play(0, 0.0)
     assert [len(table) for table in tables] == [_TABLE_CAP] * len(tables)
     return weakref.ref(policy)
 

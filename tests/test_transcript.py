@@ -296,10 +296,11 @@ def test_run_single_and_the_public_contract_play_the_same_run(
     play_until = cls._play_until
     rounds_seen = []
 
-    def spy(self, t: int, stop: int, counts: list) -> int:
-        next_round = play_until(self, t, stop, counts)
+    def spy(self, stop: int) -> int:
+        first = self.rounds_played + 1
+        next_round = play_until(self, stop)
         assert next_round == self.rounds_played + 1
-        rounds_seen.extend(range(t, next_round))
+        rounds_seen.extend(range(first, next_round))
         return next_round
 
     monkeypatch.setattr(cls, "_play_until", spy)
@@ -329,10 +330,11 @@ def test_run_single_and_the_public_contract_play_the_same_run(
         if entry.round in cps:
             want.append((entry.round, math.fsum(map(operator.mul, instance.gaps, counts))))
     assert trace.checkpoints == tuple(want)
+    # Both routes leave the policy's own pull counts at the transcript's.
+    assert policy.pull_counts == by_contract.pull_counts == tuple(counts)
     assert policy.committed_arm() == by_contract.committed_arm()
     if index:
         assert policy.committed_arm() is None
-        assert policy.pull_counts == by_contract.pull_counts
         assert [x.hex() for x in policy._means] == [x.hex() for x in by_contract._means]
         assert [x.hex() for x in policy._weights] == [x.hex() for x in by_contract._weights]
         assert policy._radius_scale.hex() == by_contract._radius_scale.hex()
