@@ -588,33 +588,50 @@ class DPRobustUCB(_IndexPolicy):
         return [tree.insert for tree in self._trees], self._bounds, None, None, None
 
 
-# Keeps the last 64 configs' walks: the benchmark's audited grid builds 20.
+# Keeps the last 64 configs' plans: the benchmark's audited grid builds 20.
 @functools.lru_cache(maxsize=64)
-def _check_later_epochs(policy_class, params, eps: float, beta: float, horizon: int, num_arms: int):
-    """Compute every later epoch a run may begin, and check its noise scale if it fits.
+def _epoch_plan(policy_class, params, eps: float, beta: float, horizon: int, num_arms: int):
+    """Every epoch a run of this config may begin: ``{(num_viable, epoch): (schedule, scale)}``.
 
-    An epoch of ``m >= 2`` viable arms follows epoch 1 and epochs of at least
-    ``m`` arms, each no shorter than the same epoch of ``m`` arms, so epochs
-    2, 3, ... of ``m`` arms after epoch 1 begin no later.  A config's
-    repetitions walk once per process; a walk that raises is not cached.
+    Each value is the epoch's schedule and the noise scale of its draws, both
+    checked here, so a bad eps or v is rejected when the config's first
+    policy is made.  Epoch 1, with every arm viable, is always planned.  For
+    a later epoch the plan walks a shortest path: an epoch of ``m >= 2``
+    viable arms follows epoch 1 and epochs of at least ``m`` arms, each no
+    shorter than the same epoch of ``m`` arms, so epochs 2, 3, ... of ``m``
+    arms after epoch 1 end no later than any run's epoch of ``m`` arms with
+    the same index.  The walk plans every such epoch that ends within the
+    horizon and computes the schedule of the first that does not, to see
+    where it ends.  A run therefore cannot fit an epoch the plan leaves out:
+    ``_begin_epoch`` commits there.  The policies of a config share one plan
+    per process, and nothing writes to it once it is built; a plan that
+    raises is not cached.
     """
-    first_end = policy_class._make_schedule(params, eps, beta, num_arms, 1).pulls_per_arm * num_arms
+    make_schedule = functools.partial(policy_class._make_schedule, params, eps, beta)
+
+    def checked(sched, epoch: int) -> tuple:
+        scale = policy_class._noise_scale(sched, eps)
+        return sched, _check_in_range(f"epoch {epoch}'s noise scale", scale, v=params.v, eps=eps)
+
+    first = make_schedule(num_arms, 1)
+    epochs = {(num_arms, 1): checked(first, 1)}
     for m in range(2, num_arms + 1):
-        end, epoch = first_end, 2
+        end, epoch = first.pulls_per_arm * num_arms, 2
         while end < horizon:
-            sched = policy_class._make_schedule(params, eps, beta, m, epoch)
+            sched = make_schedule(m, epoch)
             end += sched.pulls_per_arm * m
             if end <= horizon:
-                scale = policy_class._noise_scale(sched, eps)
-                _check_in_range(f"epoch {epoch}'s noise scale", scale, v=params.v, eps=eps)
+                epochs[m, epoch] = checked(sched, epoch)
             epoch += 1
+    return epochs
 
 
 class _EliminationPolicy(_PolicyBase):
     """Shared state machine and stretch loop of the two successive-elimination policies.
 
-    Epochs run back to back, each kept as its schedule, ``_sched`` (epoch
-    1's is computed at construction), and its last round, ``_epoch_end``: a
+    Epochs run back to back, each kept as its schedule and noise scale,
+    ``_sched`` and ``_scale``, both read from the config's epoch plan
+    (:func:`_epoch_plan`, ``_plan``), and its last round, ``_epoch_end``: a
     round ``t > _epoch_end`` begins epoch ``len(completed_epochs) + 1`` and
     round ``_epoch_end`` ends it.  Round ``t`` pulls viable arm
     ``(t - _epoch_end - 1) % len(_viable)``, so the viable arms are pulled in
@@ -640,10 +657,10 @@ class _EliminationPolicy(_PolicyBase):
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
     that carry different ledgers are rejected.  So is an eps or v too small
-    or too large for doubles: one for which the schedule of epoch 1, with
-    every arm viable, or of a later epoch that some run may begin cannot be
-    computed, or whose noise scale in such an epoch is 0, infinite or NaN
-    (``ValueError``, at construction).
+    or too large for doubles: one for which the plan cannot compute the
+    schedule of epoch 1, with every arm viable, or of a later epoch that
+    some run may begin, or for which such an epoch's noise scale is 0,
+    infinite or NaN (``ValueError``, at construction).
     """
 
     _epoch_kind = ""
@@ -669,12 +686,10 @@ class _EliminationPolicy(_PolicyBase):
         self.eps = float(eps)
         self.horizon = horizon
         self.beta = float(beta)
-        # Epoch 1 plays every arm.  _begin_epoch takes its schedule from here.
-        self._sched = self._make_schedule(params, self.eps, self.beta, self.num_arms, 1)
-        # The noise scale of the epoch's draws.
-        scale = self._noise_scale(self._sched, self.eps)
-        self._scale = _check_in_range("epoch 1's noise scale", scale, v=params.v, eps=self.eps)
-        _check_later_epochs(type(self), params, self.eps, self.beta, horizon, self.num_arms)
+        # The epochs a run may begin, shared by the config's policies.
+        self._plan = _epoch_plan(type(self), params, self.eps, self.beta, horizon, self.num_arms)
+        # The current epoch's schedule and the noise scale of its draws.
+        self._sched = self._scale = None
         self.ledger = ledger
         self._sources = noise_sources
         self._viable = list(range(self.num_arms))
@@ -701,6 +716,7 @@ class _EliminationPolicy(_PolicyBase):
 
     # A subclass defines two static methods: _make_schedule(params, eps, beta,
     # num_viable, epoch), the epoch's schedule, and _noise_scale(sched, eps).
+    # Only _epoch_plan calls them.
 
     def _epoch_contribution(self, arm: int, kept: float) -> float:
         raise NotImplementedError
@@ -715,23 +731,24 @@ class _EliminationPolicy(_PolicyBase):
         return max(self._viable, key=self._last_scores.__getitem__)
 
     def _begin_epoch(self, t: int) -> None:
-        epoch = len(self.completed_epochs) + 1
-        if epoch == 1:
-            sched = self._sched
-        else:
-            sched = self._make_schedule(self.params, self.eps, self.beta, len(self._viable), epoch)
-        end = t - 1 + sched.pulls_per_arm * len(self._viable)
+        """Begin the next epoch at round ``t`` from the plan, or commit if it does not fit.
+
+        An epoch the plan leaves out cannot fit (:func:`_epoch_plan`), so it
+        commits as one that ends past the horizon does.
+        """
+        epoch, num_viable = len(self.completed_epochs) + 1, len(self._viable)
+        planned = self._plan.get((num_viable, epoch))
+        end = math.inf if planned is None else t - 1 + planned[0].pulls_per_arm * num_viable
         if end > self.horizon:
             self._commit(self._best_known(), t)
             return
-        self._sched = sched
-        self._scale = self._noise_scale(sched, self.eps)
+        self._sched, self._scale = planned
         self._epoch_end = end
         for a in self._viable:
             self._sums[a] = 0.0
         if self.ledger is not None:
             self._epoch_record = self.ledger.record_epoch(
-                self._epoch_kind, epoch, len(self._viable), sched.pulls_per_arm
+                self._epoch_kind, epoch, num_viable, self._sched.pulls_per_arm
             )
 
     def _end_epoch(self, t: int) -> None:

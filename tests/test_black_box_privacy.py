@@ -17,6 +17,16 @@ first value is -1 or +1 and the other 15 are 0.  A value enters the partial
 sums of up to ``horizon.bit_length()`` levels, each noised at ``eps /
 ln(horizon)``, so the documented composed bound is ``16 .bit_length() /
 ln(16) * eps = 1.80 eps`` (ROADMAP item 9), not ``eps``.
+
+The elimination policies' epoch release (``DPRobustSE``, ``LDPRobustSE``),
+played through ``select_arm``/``observe``: two arms, eps 1, beta 0.1 and
+horizon 12, with moment parameters that make epoch 1 pull each arm 6 times
+at truncation level ``B``.  Arm 0's first reward is ``+B`` or ``-B`` and
+every other reward is 0; the event reads arm 0's released score once epoch 1
+ends.  The central release adds one Laplace draw of scale ``2B/(R eps)`` to
+the arm's mean, and the local policy adds one of scale ``2B/eps`` to each
+reward, so each spends at most ``eps`` on the first reward.  Arm 1's source
+is the zero-noise hook, so only arm 0 reads the seeded stream.
 """
 
 from __future__ import annotations
@@ -27,8 +37,23 @@ import math
 import pytest
 from scipy.stats import beta
 
-from htbandits import AdaptiveTree, NoiseHook, NoiseSource
-from htbandits.seeding import TREE_NOISE, BlockStream, derive_stream
+from htbandits import (
+    AdaptiveTree,
+    DPRobustSE,
+    LDPRobustSE,
+    MomentParams,
+    NoiseHook,
+    NoiseSource,
+    central_se_schedule,
+    local_se_schedule,
+)
+from htbandits.seeding import (
+    ELIMINATION_NOISE,
+    PERTURBATION_NOISE,
+    TREE_NOISE,
+    BlockStream,
+    derive_stream,
+)
 
 ALPHA = 0.0005  # each one-sided bound holds at 99.95%
 SEED = 2024
@@ -115,3 +140,61 @@ def test_zero_noise_spends_past_the_composed_bound() -> None:
 def test_the_tree_spends_at_most_eps() -> None:
     losses = tree_losses()
     assert all(loss <= TREE_EPS for loss in losses.values()), losses
+
+
+SE_EPS = 1.0
+SE_BETA = 0.1
+SE_HORIZON = 12  # epoch 1: 6 pulls of each of the 2 arms
+SE_POLICIES = 20_000  # per side
+# Per policy: its moment parameters, its epoch schedule and the seed purpose
+# of arm 0's noise stream.
+SE_SETUPS = {
+    DPRobustSE: (MomentParams(u=4e-4, v=1.0), central_se_schedule, ELIMINATION_NOISE),
+    LDPRobustSE: (MomentParams(u=1e-5, v=1.0), local_se_schedule, PERTURBATION_NOISE),
+}
+SE_POLICY_IDS = ["dprse", "ldprse"]
+
+
+def se_event_count(cls, sign: float, side: int, hook: NoiseHook, policies: int) -> int:
+    """How many of ``policies`` fresh policies release a positive score for arm 0.
+
+    Arm 0's first reward is ``sign * B`` and every other reward is 0.  Arm 0
+    of every policy of a side draws from one seeded stream; arm 1's noise is zero.
+    """
+    params, schedule, purpose = SE_SETUPS[cls]
+    sched = schedule(params, SE_EPS, SE_BETA, 2, 1)
+    assert 2 * sched.pulls_per_arm == SE_HORIZON
+    rng = None
+    if hook is NoiseHook.LAPLACE:
+        rng = BlockStream(functools.partial(derive_stream, SEED, side, 0, purpose))
+    sources = [NoiseSource(rng, hook), NoiseSource(hook=NoiseHook.ZERO)]
+    rewards = (sign * sched.truncation,) + (0.0,) * (SE_HORIZON - 1)
+    hits = 0
+    for _ in range(policies):
+        policy = cls(params, SE_EPS, SE_HORIZON, sources, beta=SE_BETA)
+        for t, reward in enumerate(rewards, 1):
+            policy.observe(policy.select_arm(t), reward)
+        hits += policy.last_release_scores()[0] > 0.0
+    assert policy.completed_epochs == [(1, 2, sched.pulls_per_arm)]
+    return hits
+
+
+@functools.lru_cache(maxsize=None)
+def se_loss(cls, hook: NoiseHook = NoiseHook.LAPLACE, policies: int = SE_POLICIES) -> float:
+    """The certified loss of ``cls``'s epoch release on the neighbouring inputs."""
+    plus = se_event_count(cls, 1.0, 0, hook, policies)
+    minus = se_event_count(cls, -1.0, 1, hook, policies)
+    return certified_loss(plus, minus, policies)
+
+
+@pytest.mark.parametrize("cls", SE_SETUPS, ids=SE_POLICY_IDS)
+def test_an_epoch_release_spends_at_most_eps(cls) -> None:
+    # A correct policy fails this with probability at most 2 * ALPHA.
+    assert se_loss(cls) <= SE_EPS
+
+
+@pytest.mark.parametrize("cls", SE_SETUPS, ids=SE_POLICY_IDS)
+def test_zero_noise_epoch_release_spends_past_eps(cls) -> None:
+    # Without noise the score's sign is the first reward's, and 200 policies
+    # a side certify more than eps.
+    assert se_loss(cls, NoiseHook.ZERO, 200) > SE_EPS

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htbandits import (
@@ -29,6 +29,7 @@ from htbandits import (
     NoiseHook,
     NoiseSource,
     ParetoModel,
+    PrivacyLedger,
     RegretTrace,
     RobustUCB,
     aggregate,
@@ -49,6 +50,7 @@ from htbandits.harness import (
     make_instance_for,
     make_policy,
 )
+from test_transcript import drive_by_contract
 
 
 def two_point_mass_instance(low: float = 0.004, high: float = 0.02):
@@ -242,11 +244,12 @@ def test_a_later_epoch_without_a_noise_scale_in_doubles_is_rejected() -> None:
 
 
 def test_a_config_walks_its_later_epochs_once_and_a_rejection_every_time(monkeypatch) -> None:
-    # A build checks every later epoch a run may begin; the outcome is kept
-    # per config, so only the first build of a config (here the one
-    # ExperimentConfig makes) computes a later epoch's schedule.  On k_arm_hard
-    # at eps 1000 the walk computes several.  A rejection is not kept: every
-    # build of a config that fails raises the same error.
+    # A build plans every epoch a run may begin; the plan is kept per
+    # config, so only the first build of a config (here the one
+    # ExperimentConfig makes) computes a schedule, epoch 1's included, and
+    # a later build computes none.  On k_arm_hard at eps 1000 the walk
+    # computes several later epochs.  A rejection is not kept: every build
+    # of a config that fails raises the same error.
     schedule = policies.central_se_schedule
     epochs = []
 
@@ -255,12 +258,12 @@ def test_a_config_walks_its_later_epochs_once_and_a_rejection_every_time(monkeyp
         return schedule(params, eps, beta, num_viable, epoch)
 
     monkeypatch.setattr(policies, "central_se_schedule", spy)
-    policies._check_later_epochs.cache_clear()
+    policies._epoch_plan.cache_clear()
     config = small_config(algo="dprse", setting="k_arm_hard", eps=1000.0, horizon=300)
     assert epochs[0] == 1 and max(epochs) > 1
     epochs.clear()
     make_policy(config, make_instance_for(config.setting, config.v), 1)
-    assert epochs == [1]
+    assert epochs == []
     for _ in range(2):
         with pytest.raises(ValueError, match="epoch 43's noise scale must be finite and positive"):
             small_config(
@@ -569,6 +572,72 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
     assert trace.checkpoints == tuple(want)
 
 
+class RecomputedEpochs:
+    """Mixin: the elimination policies' ``_begin_epoch`` from before the epoch plan.
+
+    Each epoch computes its schedule when it begins, commits if the epoch
+    ends past the horizon, and otherwise computes its noise scale; epoch 1's
+    schedule, with every arm viable, was the one the constructor computed.
+    No plan is read.
+    """
+
+    def _begin_epoch(self, t: int) -> None:
+        epoch = len(self.completed_epochs) + 1
+        sched = self._make_schedule(self.params, self.eps, self.beta, len(self._viable), epoch)
+        end = t - 1 + sched.pulls_per_arm * len(self._viable)
+        if end > self.horizon:
+            self._commit(self._best_known(), t)
+            return
+        self._sched = sched
+        self._scale = self._noise_scale(sched, self.eps)
+        self._epoch_end = end
+        for a in self._viable:
+            self._sums[a] = 0.0
+        if self.ledger is not None:
+            self._epoch_record = self.ledger.record_epoch(
+                self._epoch_kind, epoch, len(self._viable), sched.pulls_per_arm
+            )
+
+
+RECOMPUTED_EPOCHS = {
+    cls: type(f"Recomputed{cls.__name__}", (RecomputedEpochs, cls), {})
+    for cls in (DPRobustSE, LDPRobustSE)
+}
+
+
+def assert_plays_as_with_recomputed_epochs(config: ExperimentConfig, policy, ledger) -> None:
+    """``policy``, which ``run_single`` played with ``ledger``, against its reference.
+
+    The reference is the same policy with :class:`RecomputedEpochs`, driven
+    through ``select_arm``/``observe`` on the same rewards.  Both must give
+    the same transcript, epochs and ledger bit for bit, and every epoch the
+    policy began must be in its plan with the schedule and noise scale that
+    computing it afresh gives.
+    """
+    cls = type(policy)
+    reference_ledger = PrivacyLedger()
+    instance = make_instance_for(config.setting, config.v)
+    reference = make_policy(config, instance, 0, ledger=reference_ledger)
+    reference.__class__ = RECOMPUTED_EPOCHS[cls]
+    drive_by_contract(config, reference, instance)
+    columns = [column.tobytes() for column in policy.transcript.columns]
+    assert columns == [column.tobytes() for column in reference.transcript.columns]
+    assert policy.transcript._first_committed == reference.transcript._first_committed
+    assert policy.completed_epochs == reference.completed_epochs
+    assert policy.viable_arms == reference.viable_arms
+    assert policy.committed_arm() == reference.committed_arm()
+    assert ledger.epochs == reference_ledger.epochs
+    for table in ("noise_draws", "insertions"):
+        got, want = getattr(ledger, table).columns, getattr(reference_ledger, table).columns
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+    for record in ledger.epochs:
+        sched, scale = policy._plan[record.num_viable, record.epoch]
+        assert sched == cls._make_schedule(
+            policy.params, policy.eps, policy.beta, record.num_viable, record.epoch
+        )
+        assert scale == cls._noise_scale(sched, policy.eps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     algo=st.sampled_from(ALGORITHMS),
@@ -577,11 +646,20 @@ def test_run_single_plays_short_stretches_and_keeps_its_round_counter(
     eps=st.floats(0.0, exclude_min=True, allow_infinity=False),
     horizon=st.integers(1, 400),
 )
+# Runs that complete epochs with fewer viable arms than k_arm_hard's 5: in
+# the first, epochs 2 and 3 have 3 and 2 arms; in the other two, epoch 2 has
+# 3 or 2 arms and ends at the last round, so the plan must hold an epoch
+# that ends exactly at the horizon.
+@example(algo="dprse", setting="k_arm_hard", v=0.9, eps=1000.0, horizon=2000)
+@example(algo="dprse", setting="k_arm_hard", v=0.9, eps=100.0, horizon=3479)
+@example(algo="ldprse", setting="k_arm_hard", v=0.9, eps=1e4, horizon=9054)
 def test_a_config_is_rejected_when_made_or_runs_to_its_horizon(
     algo, setting, v, eps, horizon
 ) -> None:
     # Every v and eps the formulas cannot carry in doubles is a ValueError
-    # from ExperimentConfig; any config it accepts plays every round.
+    # from ExperimentConfig; any config it accepts plays every round.  An
+    # elimination run plays as it did when each epoch computed its own
+    # schedule, and begins only epochs its plan holds.
     try:
         config = ExperimentConfig(
             algo=algo, setting=setting, v=v, eps=eps, horizon=horizon, reps=1, base_seed=0,
@@ -589,8 +667,11 @@ def test_a_config_is_rejected_when_made_or_runs_to_its_horizon(
         )
     except ValueError:
         return
-    trace, policy = run_single(config, 0, return_policy=True)
+    ledger = PrivacyLedger() if algo in ("dprse", "ldprse") else None
+    trace, policy = run_single(config, 0, ledger=ledger, return_policy=True)
     assert trace.checkpoints[-1][0] == horizon == policy.rounds_played
+    if ledger is not None:
+        assert_plays_as_with_recomputed_epochs(config, policy, ledger)
 
 
 def test_traces_are_nondecreasing_in_time() -> None:
