@@ -154,10 +154,11 @@ class ExperimentConfig:
             _check_beta(self.beta)
             object.__setattr__(self, "beta", float(self.beta))
         # A policy checks the rest when it is built: a horizon below dprucb's
-        # opening pass over the arms, the resolved beta of the elimination
-        # policies (1.0 at horizon 1), an eps that their schedules or noise
-        # scales cannot carry.  Building repetition 0's policy, whose streams
-        # are never read, makes such a config fail before any worker starts.
+        # opening pass over the arms, a one-round elimination run with the
+        # default beta (1/horizon would be 1.0), an eps that their schedules
+        # or noise scales cannot carry.  Building repetition 0's policy, whose
+        # streams are never read, makes such a config fail before any worker
+        # starts.
         make_policy(self, make_instance_for(self.setting, self.v), 0)
 
     @property
@@ -279,9 +280,7 @@ def make_policy(
     if algo == "dprucb":
         return DPRobustUCB(params, config.eps, config.horizon, sources)
     policy_class = DPRobustSE if algo == "dprse" else LDPRobustSE
-    return policy_class(
-        params, config.eps, config.horizon, sources, beta=config.resolved_beta
-    )
+    return policy_class(params, config.eps, config.horizon, sources, beta=config.beta)
 
 
 def run_single(

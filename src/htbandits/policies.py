@@ -19,10 +19,11 @@ block at a time.  ``run_single`` has each arm's rewards read in blocks
 (``_begin_run``); once the rounds end, ``_drop_lookahead`` drops the rewards
 no round read.  The private index policy's trees draw each pull's noise when
 a round plays the pull.  Each observed round is recorded in ``transcript``,
-a list-like view of :class:`TranscriptEntry` stored by column at 13 bytes
-per round: the arm, the reward and a kept flag of each round, plus the first
-committed round.  A policy truncates a reward to
-itself or to ``0.0``, so the flag and the reward give the truncated reward.
+stored by column at 13 bytes per round: the arm, the reward and a kept flag
+of each round, plus the first committed round.  Its length, iteration and
+slices read the rounds as :class:`TranscriptEntry` records.  A policy
+truncates a reward to itself or to ``0.0``, so the flag and the reward give
+the truncated reward.
 
 The two index policies share one core, ``_IndexPolicy``: after one
 round-robin pass over the arms they play the arm maximizing truncated mean +
@@ -39,8 +40,6 @@ zero-noise hook turns every policy into its noiseless counterpart.
 
 import functools
 import math
-import operator
-import struct
 from array import array
 from itertools import islice, repeat, tee
 from typing import NamedTuple, Optional
@@ -99,16 +98,17 @@ class TranscriptEntry(NamedTuple):
 class _Transcript(RecordTable):
     """The observed rounds of one policy: the arm, the reward and a kept flag.
 
-    Entry ``i`` is round ``i + 1``, because rounds are consecutive from 1.
-    The truncated reward is the reward where the kept flag is 1 and ``0.0``
-    where it is 0.  Commitment is never undone, so the committed rounds are
-    the suffix from ``_first_committed`` on (None while no round is
-    committed).  The transcript reads like a list of :class:`TranscriptEntry`:
-    ``len``, iteration, int indices (negative ones count from the end;
-    ``IndexError`` past either end), slices (a list) and ``==`` with a list.
-    Full iteration reads the arrays and partial reads index them, so no array
-    is copied.  Entries are built in C with ``tuple.__new__``, which skips
-    NamedTuple's Python-level ``__new__`` (same type, same fields in order).
+    Row ``i`` of ``columns`` is round ``i + 1``, because rounds are
+    consecutive from 1.  The truncated reward is the reward where the kept
+    flag is 1 and ``0.0`` where it is 0.  Commitment is never undone, so the
+    committed rounds are the suffix from ``_first_committed`` on (None while
+    no round is committed).  Besides ``columns`` and ``len``, the transcript
+    reads as :class:`TranscriptEntry` records by iteration and by slice (a
+    list); one round is read from ``columns``, so an int index raises
+    ``TypeError``.  Iteration reads the arrays and a slice indexes them, so no
+    array is copied.  Entries are built in C with ``tuple.__new__``, which
+    skips NamedTuple's Python-level ``__new__`` (same type, same fields in
+    order).
     """
 
     __slots__ = ("_first_committed",)
@@ -133,24 +133,13 @@ class _Transcript(RecordTable):
         return self._records(range(len(self)), self.columns)
 
     def __getitem__(self, index):
-        rows = range(len(self))
-        if isinstance(index, slice):
-            rows = rows[index]
-            return list(
-                self._records(rows, [map(c.__getitem__, rows) for c in self.columns])
+        if not isinstance(index, slice):
+            raise TypeError(
+                f"a transcript is read by slice, not by {type(index).__name__}; "
+                "read one round from its columns"
             )
-        try:
-            i = rows[index]  # a negative index counts from the end
-        except IndexError:
-            raise IndexError("transcript index out of range") from None
-        return self[i : i + 1][0]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _Transcript)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
+        rows = range(len(self))[index]
+        return list(self._records(rows, [map(c.__getitem__, rows) for c in self.columns]))
 
 
 # Takes the pending arm's place once a round failed in observe; no arm equals
@@ -352,8 +341,8 @@ class _Schedule(array):
             return self._fill(*self.constants, (i,))[0]
         rows = range(len(self), min(i + _FILL_AHEAD, _TABLE_CAP))
         values = self._fill(*self.constants, rows)
-        # Packing the block costs less than extend's conversion of each item.
-        self.frombytes(struct.pack(f"{len(values)}d", *values))
+        # fromlist converts the block in one call, at about half extend's cost.
+        self.fromlist(values)
         return self[i]
 
 
@@ -656,11 +645,13 @@ class _EliminationPolicy(_PolicyBase):
 
     The policy records its mechanisms, insertions and epochs in the ledger
     its noise sources carry, where the sources record their draws; sources
-    that carry different ledgers are rejected.  So is an eps or v too small
-    or too large for doubles: one for which the plan cannot compute the
-    schedule of epoch 1, with every arm viable, or of a later epoch that
-    some run may begin, or for which such an epoch's noise scale is 0,
-    infinite or NaN (``ValueError``, at construction).
+    that carry different ledgers are rejected.  ``beta`` defaults to
+    ``1/horizon``, so a one-round run with the default is rejected (it would
+    be 1.0, outside ``(0, 1)``).  So is an eps or v too small or too large
+    for doubles: one for which the plan cannot compute the schedule of epoch
+    1, with every arm viable, or of a later epoch that some run may begin, or
+    for which such an epoch's noise scale is 0, infinite or NaN
+    (``ValueError``, at construction).
     """
 
     _epoch_kind = ""
@@ -680,6 +671,11 @@ class _EliminationPolicy(_PolicyBase):
         _check_eps(eps)
         horizon = _as_index("horizon", horizon, 1)
         if beta is None:
+            if horizon < 2:
+                raise ValueError(
+                    f"an elimination run needs a horizon of at least 2 for its default "
+                    f"beta, 1/horizon, to lie in (0, 1); got horizon {horizon}"
+                )
             beta = 1.0 / horizon
         _check_beta(beta)
         self.params = params

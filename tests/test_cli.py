@@ -102,7 +102,10 @@ def test_cli_rejects_a_one_round_elimination_run_before_starting_workers(
                      "--horizon", "1", "--reps", "2", "--workers", "2",
                      "--out", str(tmp_path / "x")])
         assert code == 1
-        assert capsys.readouterr().err == "error: beta must lie in (0, 1), got 1.0\n"
+        assert capsys.readouterr().err == (
+            "error: an elimination run needs a horizon of at least 2 for its default "
+            "beta, 1/horizon, to lie in (0, 1); got horizon 1\n"
+        )
     assert pools == []
 
 

@@ -222,9 +222,14 @@ def test_short_horizons_are_rejected_only_for_the_index_policy() -> None:
 
 
 def test_a_one_round_elimination_config_is_rejected() -> None:
-    # Its resolved beta, 1 / horizon, is 1.0, which the policies reject.
+    # Its default beta, 1 / horizon, would be 1.0: the policies name the
+    # horizon that leaves it outside (0, 1).
+    message = (
+        r"an elimination run needs a horizon of at least 2 for its default "
+        r"beta, 1/horizon, to lie in \(0, 1\); got horizon 1$"
+    )
     for algo in ("dprse", "ldprse"):
-        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got 1.0"):
+        with pytest.raises(ValueError, match=message):
             small_config(algo=algo, horizon=1)
         assert small_config(algo=algo, horizon=1, beta=0.5).resolved_beta == 0.5
     small_config(algo="rucb", horizon=1)
@@ -275,6 +280,13 @@ def test_a_config_walks_its_later_epochs_once_and_a_rejection_every_time(monkeyp
 def test_beta_defaults_to_one_over_the_horizon() -> None:
     assert small_config(horizon=250).resolved_beta == 1.0 / 250
     assert small_config(beta=0.05).resolved_beta == 0.05
+    # make_policy passes the config's beta, None included, and the policy
+    # resolves the default to the double the .meta file records.
+    for algo in ("dprse", "ldprse"):
+        for beta, want in ((None, 1.0 / 250), (0.05, 0.05)):
+            config = small_config(algo=algo, horizon=250, beta=beta)
+            policy = make_policy(config, make_instance_for(config.setting, config.v), 0)
+            assert policy.beta == config.resolved_beta == want
 
 
 def test_every_named_setting_builds_an_instance() -> None:

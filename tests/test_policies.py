@@ -399,7 +399,8 @@ def test_rucb_truncation_clamps_early_rounds() -> None:
     policy = RobustUCB(1, UNIT)
     drive(policy, constant_samplers([0.5]), 3)
     # round 1 uses the t=2 threshold (ln(t**2) degenerates at t=1)
-    assert policy.transcript[0].truncated_reward == 0.5
+    [entry] = policy.transcript[:1]
+    assert entry.truncated_reward == 0.5
 
 
 def test_rucb_prefers_the_better_arm() -> None:

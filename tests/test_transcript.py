@@ -2,23 +2,24 @@
 
 Reference subclasses keep one :class:`TranscriptEntry` per round in a plain
 list, with the commitment flag read when the arm is selected, as every policy
-did before its rounds were stored by column.  ``run_single`` drives the policy
-core; the reference, built by ``make_policy`` from the same streams, is driven
-by a hand loop over the public ``select_arm``/``observe`` contract, and every
-way of reading the transcript must give the reference's entries: iteration,
-length, positive and negative indices, slices, entry and field types, and
-``IndexError`` past either end.  Every policy plays every round in its
-stretch loop, so each reference plays its rounds one at a time with the
-``_select`` and ``_observe`` of a per-round reference: the elimination
-references below hold the per-round code the elimination policies had before
-their rounds moved into one loop, and the index references are those of
-``test_index_fast_path``.  The same hand loop on a plain policy must give
-``run_single``'s transcript, ledger and final state bit for bit, with every
-round of both routes played by the policy's stretch loop.  Further tests
-compare a transcript with the list of its entries, bound what a transcript
-holds per round, check that a finished policy and its columns are freed
-without the cycle collector, and check that a round whose observe fails is
-not recorded and ends the policy.
+did before its rounds were stored by column.  ``run_single`` drives the
+policy core; the reference, built by ``make_policy`` from the same streams,
+is driven by a hand loop over the public ``select_arm``/``observe`` contract,
+and every way of reading the transcript must give the reference's entries:
+iteration, length, slices (one-round ones at positive and negative bounds,
+and an empty list past either end), and entry and field types.  Every policy
+plays every round in its stretch loop, so each reference plays its rounds one
+at a time with the ``_select`` and ``_observe`` of a per-round reference: the
+elimination references below hold the per-round code the elimination policies
+had before their rounds moved into one loop, and the index references are
+those of ``test_index_fast_path``.  The same hand loop on a plain policy must
+give ``run_single``'s transcript, ledger and final state bit for bit, with
+every round of both routes played by the policy's stretch loop.  Further
+tests check that an int index is refused and that a round read from the
+columns is the entry a slice gives, bound what a transcript holds per round,
+check that a finished policy and its columns are freed without the cycle
+collector, and check that a round whose observe fails is not recorded and
+ends the policy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import operator
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from htbandits import (
@@ -270,15 +272,15 @@ def test_columnar_transcript_reads_like_the_per_round_list(
     indices = [0, 1, -1, -2, -horizon, horizon - 1]
     if committed:
         indices += [committed[0] - 1, max(committed[0] - 2, 0)]
+    # One round is the slice from i to i + 1 (to the end for i = -1).
     for i in indices:
-        assert_same_entries([transcript[i]], [want[i]])
+        assert_same_entries(transcript[i : i + 1 or None], [want[i]])
     for window in (slice(None, None, 7), slice(-3, None), slice(None, None, -5), slice(2, 2)):
         got = transcript[window]
         assert isinstance(got, list)
         assert_same_entries(got, want[window])
     for i in (horizon, -horizon - 1):
-        with pytest.raises(IndexError):
-            transcript[i]
+        assert transcript[i : i + 1 or None] == want[i : i + 1 or None] == []
 
 
 @pytest.mark.parametrize(
@@ -476,21 +478,24 @@ def test_a_round_past_the_tree_capacity_fails_and_stops_the_policy() -> None:
     assert state() == before
 
 
-def test_a_transcript_equals_the_list_of_its_entries() -> None:
+def test_a_transcript_reads_one_round_from_its_columns_not_by_index() -> None:
     # Two completed epochs, then commitment: the committed flags vary.
     _, policy = run_single(
         config_for("dprse", "two_arm_hard", 100.0, 5000), 0, return_policy=True
     )
     transcript = policy.transcript
-    entries = list(transcript)
-    assert transcript == entries and entries == transcript
-    assert transcript == transcript[:]
-    assert transcript != entries[:-1]
-    assert transcript != entries[::-1]
-    assert transcript != entries[:-1] + [entries[-1]._replace(committed=False)]
-    assert transcript != tuple(entries)
-    with pytest.raises(TypeError):
-        hash(transcript)
+    for index in (0, -1, len(transcript), np.int64(3), True):
+        with pytest.raises(TypeError, match="read one round from its columns"):
+            transcript[index]
+    arms, rewards, kept = transcript.columns
+    first = transcript._first_committed
+    assert 1 < first < len(transcript)
+    for i in (0, first - 2, first - 1, len(transcript) - 1):
+        [entry] = transcript[i : i + 1]
+        truncated = rewards[i] if kept[i] else 0.0
+        assert bits([entry]) == [
+            (i + 1, arms[i], rewards[i].hex(), truncated.hex(), i + 1 >= first)
+        ]
 
 
 @pytest.mark.parametrize("algo", ["dprucb", "dprse", "ldprse", "rucb"])
